@@ -6,152 +6,19 @@ Lie algebra rank), piecewise-constant control synthesis on Galerkin
 truncations, and verified propagation with steering-time lower bounds.
 """
 
-from .linalg import (
-    EigendecompositionError,
-    assert_unitary,
-    commutator,
-    expm_skew,
-    is_skew_hermitian,
-    real_span_dimension,
-    skew_eigensystem,
-    skew_hermitian,
-    unitarity_defect,
-)
-from .models import (
-    DiscreteSpectrumSystem,
-    GalerkinPair,
-    QuadratureError,
-    TailCutoff,
-    box3d_lambda_prime,
-    box3d_system,
-    custom_system,
-    dump_system,
-    load_system,
-    oscillator_system,
-    system_from_config,
-    system_from_json,
-    system_to_json,
-    tail_cutoff,
-    truncate,
-)
-from .certification import (
-    CertificationReport,
-    ConnectednessReport,
-    ConstructiveGenerators,
-    FrequentConnectedness,
-    GapDistinctness,
-    LieRankResult,
-    PerturbationCertificate,
-    RelationVerdict,
-    certify,
-    connectedness,
-    constructive_generators,
-    frequently_connected,
-    lie_rank,
-    nonresonance,
-    pairwise_gap_distinct,
-    perturbation_certificate,
-)
-from .synthesis import (
-    PhaseCorrection,
-    PhaseSearchError,
-    PiecewiseConstantControl,
-    StateSteeringResult,
-    UnitarySteeringResult,
-    control_from_json,
-    control_to_json,
-    decoupling_error,
-    dump_control,
-    final_state,
-    lift_control,
-    load_control,
-    phase_correction,
-    reparametrize,
-    steer_state,
-    steer_unitary,
-)
-from .simulation import (
-    ModulusDriftReport,
-    Trajectory,
-    as_density,
-    as_state,
-    fidelity,
-    modulus_drift_check,
-    modulus_margins,
-    propagate,
-    propagate_density,
-    steering_time_lower_bound,
-    write_trajectory_csv,
-)
+from . import certification, linalg, models, simulation, synthesis
+from .linalg import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .certification import *  # noqa: F401,F403
+from .synthesis import *  # noqa: F401,F403
+from .simulation import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigendecompositionError",
-    "assert_unitary",
-    "commutator",
-    "expm_skew",
-    "is_skew_hermitian",
-    "real_span_dimension",
-    "skew_eigensystem",
-    "skew_hermitian",
-    "unitarity_defect",
-    "DiscreteSpectrumSystem",
-    "GalerkinPair",
-    "QuadratureError",
-    "TailCutoff",
-    "box3d_lambda_prime",
-    "box3d_system",
-    "custom_system",
-    "dump_system",
-    "load_system",
-    "oscillator_system",
-    "system_from_config",
-    "system_from_json",
-    "system_to_json",
-    "tail_cutoff",
-    "truncate",
-    "CertificationReport",
-    "ConnectednessReport",
-    "ConstructiveGenerators",
-    "FrequentConnectedness",
-    "GapDistinctness",
-    "LieRankResult",
-    "PerturbationCertificate",
-    "RelationVerdict",
-    "certify",
-    "connectedness",
-    "constructive_generators",
-    "frequently_connected",
-    "lie_rank",
-    "nonresonance",
-    "pairwise_gap_distinct",
-    "perturbation_certificate",
-    "PhaseCorrection",
-    "PhaseSearchError",
-    "PiecewiseConstantControl",
-    "StateSteeringResult",
-    "UnitarySteeringResult",
-    "control_from_json",
-    "control_to_json",
-    "decoupling_error",
-    "dump_control",
-    "final_state",
-    "lift_control",
-    "load_control",
-    "phase_correction",
-    "reparametrize",
-    "steer_state",
-    "steer_unitary",
-    "ModulusDriftReport",
-    "Trajectory",
-    "as_density",
-    "as_state",
-    "fidelity",
-    "modulus_drift_check",
-    "modulus_margins",
-    "propagate",
-    "propagate_density",
-    "steering_time_lower_bound",
-    "write_trajectory_csv",
+    *linalg.__all__,
+    *models.__all__,
+    *certification.__all__,
+    *synthesis.__all__,
+    *simulation.__all__,
 ]

@@ -10,13 +10,15 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
 
 from .certification import certify
+from .linalg import EigendecompositionError
 from .models import (
+    _write_json,
+    _write_text,
     custom_system,
     dump_system,
     system_from_config,
@@ -54,19 +56,6 @@ def _diagnostic(kind, detail):
     sys.stderr.write(json.dumps({"error": kind, "detail": str(detail)}) + "\n")
 
 
-def _atomic_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _jsonable(x):
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
@@ -83,8 +72,7 @@ def _jsonable(x):
 
 def _write_report(out_dir, doc):
     doc = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), **doc}
-    _atomic_text(os.path.join(out_dir, "report.json"),
-                 json.dumps(_jsonable(doc), indent=2) + "\n")
+    _write_json(os.path.join(out_dir, "report.json"), _jsonable(doc))
 
 
 def _load_config(path):
@@ -332,7 +320,7 @@ def _plot_control(control, path):
         lines.append(f"{t:.17g} {val:.17g}")
         t += dur
         lines.append(f"{t:.17g} {val:.17g}")
-    _atomic_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _plot_trajectory(traj, path):
@@ -340,7 +328,7 @@ def _plot_trajectory(traj, path):
     lines = [f"# t {cols}"]
     for t, row in zip(traj.times, traj.populations):
         lines.append(" ".join(f"{x:.17g}" for x in (t, *row)))
-    _atomic_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 _COMMANDS = {
@@ -380,6 +368,9 @@ def dispatch(argv=None):
         return _COMMANDS[args.command](cfg, out_dir, args)
     except ConfigError as e:
         _diagnostic("config", e)
+        return EXIT_CONFIG
+    except EigendecompositionError as e:
+        _diagnostic("eigendecomposition", e)
         return EXIT_CONFIG
     except OSError as e:
         _diagnostic("io", e)

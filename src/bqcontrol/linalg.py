@@ -95,13 +95,16 @@ def skew_eigensystem(M, validate=True):
         M = skew_hermitian(M)
     else:
         M = _as_square(M)
-    H = 1j * M
+    return _eigh(1j * M)
+
+
+def _eigh(H):
+    """np.linalg.eigh of a Hermitian matrix or (k, n, n) stack, failing loudly."""
     try:
-        w, V = np.linalg.eigh(H)
+        return np.linalg.eigh(H)
     except np.linalg.LinAlgError:
-        norm = np.max(np.abs(M)) if M.size else 0.0
-        raise EigendecompositionError(M.shape[0], norm) from None
-    return w, V
+        norm = np.max(np.abs(H)) if H.size else 0.0
+        raise EigendecompositionError(H.shape[-1], norm) from None
 
 
 def expm_skew(M, t=1.0, validate=True):
@@ -113,6 +116,32 @@ def expm_skew(M, t=1.0, validate=True):
     w, V = skew_eigensystem(M, validate=validate)
     phases = np.exp(-1j * float(t) * w)
     return (V * phases) @ V.conj().T
+
+
+def _piece_unitaries(A, B, durations, values, frame):
+    """Exact factors expm(t_k G_k) of a piecewise-constant control, as (k, n, n).
+
+    G_k = A + u_k B in the "original" frame and u_k A + B in the
+    "reparametrized" one.  One batched eigendecomposition of i G_k gives each
+    factor as V diag(exp(-i t_k w)) V^H.  Raises ValueError when a phase factor
+    is not finite, which is how an overflow in u A or in t w shows.
+    """
+    durations = np.asarray(durations, dtype=float)
+    u = np.asarray(values, dtype=float)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if frame == "original":
+            stack = A + u * B
+        elif frame == "reparametrized":
+            stack = u * A + B
+        else:
+            raise ValueError(f"unknown frame {frame!r}")
+        w, V = _eigh(1j * stack)
+        phases = np.exp(-1j * durations[:, None] * w)
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(
+            "control overflows the propagator: a piece gives a non-finite phase"
+        )
+    return (V * phases[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
 def commutator(X, Y):

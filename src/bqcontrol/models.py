@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -454,18 +453,31 @@ def system_from_config(obj):
 
 def dump_system(sys, path):
     """Write system JSON atomically (temp file + rename)."""
-    doc = system_to_json(sys)
-    payload = json.dumps(doc, indent=2) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    _write_json(path, system_to_json(sys))
+
+
+def _write_text(path, text):
+    """Write text to path atomically: a temp file beside it, then a rename.
+
+    The temp file is created with mode 0o666 so the process umask applies,
+    as it would for a plain open().
+    """
+    path = os.path.abspath(path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(path, doc):
+    """Atomic JSON artifact; NaN and infinities raise ValueError, as JSON has none."""
+    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def load_system(path):

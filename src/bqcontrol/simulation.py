@@ -9,13 +9,12 @@ measured and reported, never silently repaired.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import skew_eigensystem
+from .linalg import _piece_unitaries
+from .models import _write_text
 
 __all__ = [
     "Trajectory",
@@ -92,14 +91,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _piece_generator(g, u, frame):
-    if frame == "original":
-        return g.A + u * g.B
-    if frame == "reparametrized":
-        return u * g.A + g.B
-    raise ValueError(f"unknown frame {frame!r}")
-
-
 def _sample_plan(c, samples_per_piece):
     s = int(samples_per_piece)
     if s < 1:
@@ -123,10 +114,8 @@ def propagate(g, c, psi0, samples_per_piece=16):
     times = [0.0]
     states = [psi]
     t0 = 0.0
-    for dur, val in zip(c.durations, c.values):
-        w, V = skew_eigensystem(_piece_generator(g, val, c.frame),
-                                validate=False)
-        Ustep = (V * np.exp(-1j * w * dur / s)) @ V.conj().T
+    steps = _piece_unitaries(g.A, g.B, c.durations / s, c.values, c.frame)
+    for dur, Ustep in zip(c.durations, steps):
         for j in range(1, s + 1):
             psi = Ustep @ psi
             times.append(t0 + dur * j / s)
@@ -156,10 +145,8 @@ def propagate_density(g, c, rho0, samples_per_piece=16):
     mats = [rho0]
     U = np.eye(n, dtype=complex)
     t0 = 0.0
-    for dur, val in zip(c.durations, c.values):
-        w, V = skew_eigensystem(_piece_generator(g, val, c.frame),
-                                validate=False)
-        Ustep = (V * np.exp(-1j * w * dur / s)) @ V.conj().T
+    steps = _piece_unitaries(g.A, g.B, c.durations / s, c.values, c.frame)
+    for dur, Ustep in zip(c.durations, steps):
         for j in range(1, s + 1):
             U = Ustep @ U
             mats.append(U @ rho0 @ U.conj().T)
@@ -269,49 +256,31 @@ def modulus_drift_check(g, c, psi0, slack=1e-8):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def write_trajectory_csv(traj, path):
     """Write a trajectory as CSV with 17 significant digits per number.
 
     State trajectories: t, re_0, im_0, ..., pop_0, ...
     Density trajectories: t, eig_0, ..., purity.
     """
-    rows = []
+    n = traj.states.shape[1]
     if traj.kind == "state":
-        n = traj.states.shape[1]
         header = (
             ["t"]
             + [f"{p}_{k}" for k in range(n) for p in ("re", "im")]
             + [f"pop_{k}" for k in range(n)]
         )
-        for t, psi, pop in zip(traj.times, traj.states, traj.populations):
-            row = [_fmt(t)]
-            for k in range(n):
-                row += [_fmt(psi[k].real), _fmt(psi[k].imag)]
-            row += [_fmt(v) for v in pop]
-            rows.append(row)
+        # the float view interleaves re/im in header order
+        states = np.ascontiguousarray(traj.states, dtype=complex).view(float)
+        table = np.column_stack([traj.times, states, traj.populations])
     elif traj.kind == "density":
-        n = traj.states.shape[1]
         header = ["t"] + [f"eig_{k}" for k in range(n)] + ["purity"]
-        for t, rho in zip(traj.times, traj.states):
-            evals = np.sort(np.linalg.eigvalsh(rho))
-            purity = float(np.real(np.trace(rho @ rho)))
-            rows.append([_fmt(t)] + [_fmt(v) for v in evals] + [_fmt(purity)])
+        purity = np.real(np.trace(traj.states @ traj.states, axis1=1, axis2=2))
+        table = np.column_stack(
+            [traj.times, np.linalg.eigvalsh(traj.states), purity]
+        )
     else:
         raise ValueError(f"unknown trajectory kind {traj.kind!r}")
 
-    payload = ",".join(header) + "\n"
-    payload += "".join(",".join(r) + "\n" for r in rows)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    _write_text(path, ",".join(header) + "\n"
+                + "".join(row % tuple(r) for r in table.tolist()))

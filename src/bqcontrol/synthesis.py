@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._parallel import map_ordered
-from .linalg import assert_unitary, expm_skew
+from .linalg import _piece_unitaries, assert_unitary
+from .models import _write_json
 
 __all__ = [
     "PiecewiseConstantControl",
@@ -34,6 +33,7 @@ __all__ = [
     "UnitarySteeringResult",
     "PhaseCorrection",
     "reparametrize",
+    "final_state",
     "steer_state",
     "steer_unitary",
     "lift_control",
@@ -70,11 +70,13 @@ class PiecewiseConstantControl:
         if frame not in FRAMES:
             raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
         delta = float(delta)
-        if not delta > 0.0:
-            raise ValueError(f"delta must be positive, got {delta}")
+        if not 0.0 < delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         pieces = [(float(t), float(u)) for t, u in pieces]
         durations = np.array([t for t, _ in pieces])
         values = np.array([u for _, u in pieces])
+        if not (np.all(np.isfinite(durations)) and np.all(np.isfinite(values))):
+            raise ValueError("piece durations and values must be finite")
         if durations.size and not np.all(durations > 0.0):
             raise ValueError("all piece durations must be strictly positive")
         if values.size:
@@ -167,17 +169,7 @@ def control_from_json(doc):
 
 
 def dump_control(c, path):
-    payload = json.dumps(control_to_json(c), indent=2) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_json(path, control_to_json(c))
 
 
 def load_control(path):
@@ -190,32 +182,19 @@ def load_control(path):
 # ---------------------------------------------------------------------------
 
 
-def _piece_generator(g, u, frame):
-    if frame == "original":
-        return g.A + u * g.B
-    return u * g.A + g.B
-
-
 def final_state(g, control, x):
     """Apply a control's exact piecewise propagator to a state vector."""
     x = np.asarray(x, dtype=complex)
-    for t, u in zip(control.durations, control.values):
-        x = expm_skew(_piece_generator(g, u, control.frame), t, validate=False) @ x
-    return x
-
-
-def _apply_pieces(g, durations, values, x):
-    # reparametrized frame, objective evaluation hot path
-    for t, u in zip(durations, values):
-        M = u * g.A + g.B
-        x = expm_skew(M, t, validate=False) @ x
+    for U in _piece_unitaries(g.A, g.B, control.durations, control.values,
+                              control.frame):
+        x = U @ x
     return x
 
 
 def _propagator(g, durations, values):
     U = np.eye(g.order, dtype=complex)
-    for t, u in zip(durations, values):
-        U = expm_skew(u * g.A + g.B, t, validate=False) @ U
+    for F in _piece_unitaries(g.A, g.B, durations, values, "reparametrized"):
+        U = F @ U
     return U
 
 
@@ -281,6 +260,15 @@ def _coordinate_descent(f, p, lo, hi, step, budget, tol):
     return p, best
 
 
+def _box(m, delta, max_duration):
+    """Lower and upper bounds on [durations..., log(values)...] for m pieces."""
+    v_lo = math.log(delta * (1.0 + 1e-9))
+    v_hi = math.log(delta * VALUE_CEILING_FACTOR)
+    lo = np.array([1e-3] * m + [v_lo] * m)
+    hi = np.array([max_duration] * m + [v_hi] * m)
+    return lo, hi
+
+
 def _search(objective, m, delta, tol, rng, n_starts, max_duration, max_evals):
     """Multi-start + coordinate descent over m pieces.
 
@@ -291,10 +279,8 @@ def _search(objective, m, delta, tol, rng, n_starts, max_duration, max_evals):
     parameters, so the outcome is a deterministic function of the seed.
     Returns (params, score, evaluations).
     """
-    v_lo = math.log(delta * (1.0 + 1e-9))
-    v_hi = math.log(delta * VALUE_CEILING_FACTOR)
-    lo = np.array([1e-3] * m + [v_lo] * m)
-    hi = np.array([max_duration] * m + [v_hi] * m)
+    lo, hi = _box(m, delta, max_duration)
+    v_lo, v_hi = lo[m], hi[m]
 
     cands = []
     for i in range(n_starts):
@@ -332,6 +318,33 @@ def _search(objective, m, delta, tol, rng, n_starts, max_duration, max_evals):
     return p_best, s_best, used
 
 
+def _escalate(objective, delta, tol, budget, seed, piece_counts, n_starts,
+              max_duration):
+    """Search with growing piece counts until one reaches tol.
+
+    Each piece count gets a slice of the remaining budget, so failing to
+    converge with few pieces still leaves room to escalate.  Returns
+    (params, score, piece count, evaluations) of the best search.
+    """
+    rng = np.random.default_rng(seed)
+    used = 0
+    best_p, best_s, best_m = None, np.inf, 0
+    for k, m in enumerate(piece_counts):
+        slice_ = (budget - used) // (len(piece_counts) - k)
+        if slice_ <= n_starts:
+            break
+        p, s, ev = _search(
+            lambda q, m=m: objective(q, m),
+            m, delta, tol, rng, n_starts, max_duration, slice_,
+        )
+        used += ev
+        if s < best_s:
+            best_p, best_s, best_m = p, s, m
+        if best_s <= tol:
+            break
+    return best_p, best_s, best_m, used
+
+
 def _params_to_control(p, m, delta, meta):
     pieces = list(zip(p[:m], np.exp(p[m:])))
     return PiecewiseConstantControl("reparametrized", pieces, delta, meta=meta)
@@ -359,7 +372,10 @@ def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0,
         raise ValueError(f"delta must be positive, got {delta}")
 
     def infidelity(p, m):
-        x = _apply_pieces(g, p[:m], np.exp(p[m:]), x0)
+        x = x0
+        for U in _piece_unitaries(g.A, g.B, p[:m], np.exp(p[m:]),
+                                  "reparametrized"):
+            x = U @ x
         return 1.0 - abs(np.vdot(x1, x)) ** 2
 
     base = 1.0 - abs(np.vdot(x1, x0)) ** 2
@@ -368,25 +384,10 @@ def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0,
         c = PiecewiseConstantControl("reparametrized", [], delta, meta=meta)
         return StateSteeringResult(c, base, True, 0)
 
-    rng = np.random.default_rng(seed)
-    used = 0
-    best_p, best_s, best_m = None, np.inf, 0
-    # Each piece count gets a slice of the budget so that failing to converge
-    # with few pieces still leaves room to escalate.
-    for k, m in enumerate(piece_counts):
-        slice_ = (budget - used) // (len(piece_counts) - k)
-        if slice_ <= n_starts:
-            break
-        p, s, ev = _search(
-            lambda q, m=m: infidelity(q, m),
-            m, delta, tol, rng, n_starts, max_duration, slice_,
-        )
-        used += ev
-        if s < best_s:
-            best_p, best_s, best_m = p, s, m
-        if best_s <= tol:
-            break
-
+    best_p, best_s, best_m, used = _escalate(
+        infidelity, delta, tol, budget, seed, piece_counts, n_starts,
+        max_duration,
+    )
     converged = bool(best_s <= tol)
     meta["infidelity"] = float(best_s)
     if not converged:
@@ -446,23 +447,10 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0,
         theta = _mod_phase(th0, sector if traceless else 2.0 * math.pi)
         return UnitarySteeringResult(c, theta, d0, True, 0, traceless)
 
-    rng = np.random.default_rng(seed)
-    used = 0
-    best_p, best_s, best_m = None, np.inf, 0
-    for k, m in enumerate(piece_counts):
-        slice_ = (budget - used) // (len(piece_counts) - k)
-        if slice_ <= n_starts:
-            break
-        p, s, ev = _search(
-            lambda q, m=m: dist_quotient(q, m),
-            m, delta, tol, rng, n_starts, max_duration, slice_,
-        )
-        used += ev
-        if s < best_s:
-            best_p, best_s, best_m = p, s, m
-        if best_s <= tol:
-            break
-
+    best_p, best_s, best_m, used = _escalate(
+        dist_quotient, delta, tol, budget, seed, piece_counts, n_starts,
+        max_duration,
+    )
     m = best_m
     U = _propagator(g, best_p[:m], np.exp(best_p[m:])) @ g0
     _, theta_raw = _phase_distance(U, g1)
@@ -478,10 +466,7 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0,
             return float(np.linalg.norm(Uf - target))
 
         polish_bud = _Budget(max(2000, budget // 10))
-        v_lo = math.log(delta * (1.0 + 1e-9))
-        v_hi = math.log(delta * VALUE_CEILING_FACTOR)
-        lo = np.array([1e-3] * m + [v_lo] * m)
-        hi = np.array([max_duration] * m + [v_hi] * m)
+        lo, hi = _box(m, delta, max_duration)
         step = np.array([0.05 * max_duration] * m + [0.2] * m)
         p2, s2 = _coordinate_descent(
             dist_exact, best_p, lo, hi, step, polish_bud, tol

@@ -1,6 +1,8 @@
 """End-to-end tests for the batch front-end (dispatch called in-process)."""
 
 import json
+import math
+import os
 import re
 
 import pytest
@@ -282,6 +284,46 @@ def test_simulate_missing_control_file(capsys, tmp_path):
     code, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path))
     assert code == 4
     assert "control file not found" in diagnostic(err)["detail"]
+
+
+@pytest.mark.parametrize("piece", [
+    {"duration": 0.5, "value": math.inf},  # written as "value": Infinity
+    {"duration": 1e308, "value": 1e308},  # u A and t w overflow
+], ids=["infinity", "overflow"])
+def test_simulate_nonfinite_control_fails_closed(capsys, tmp_path, piece):
+    doc = {"frame": "reparametrized", "delta": 0.1, "pieces": [piece]}
+    (tmp_path / "u.json").write_text(json.dumps(doc))
+    cfg = write_json(tmp_path / "c.json", {
+        "system": THREE_LEVEL,
+        "simulate": {"control": "u.json", "state": "e1", "target": "e2"},
+    })
+    out = tmp_path / "out"
+    code, err = run(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert code == 4
+    diagnostic(err)
+    for f in out.iterdir():
+        text = f.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        assert "nan" not in text and "inf" not in text
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_artifacts_follow_umask(capsys, tmp_path, umask, mode):
+    cfg = write_json(tmp_path / "c.json", {
+        "system": TWO_LEVEL,
+        "bound": {"from": "e1", "to": "e2"},
+    })
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert run(capsys, "bound", "--config", cfg, "--out", str(out))[0] == 0
+        assert run(capsys, "model", "--config", cfg, "--out", str(out))[0] == 0
+    finally:
+        os.umask(old)
+    for name in ("report.json", "system.json"):
+        assert (out / name).stat().st_mode & 0o777 == mode
+    assert sorted(os.listdir(out)) == ["report.json", "system.json"]
 
 
 # -- bound --------------------------------------------------------------------

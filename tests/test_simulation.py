@@ -9,6 +9,7 @@ import pytest
 from bqcontrol.linalg import expm_skew
 from bqcontrol.models import custom_system, truncate
 from bqcontrol.simulation import (
+    Trajectory,
     as_density,
     as_state,
     fidelity,
@@ -252,3 +253,49 @@ def test_write_density_trajectory_csv(tmp_path):
     assert rows[0] == ["t", "eig_0", "eig_1", "purity"]
     final = [float(x) for x in rows[-1][1:3]]
     assert final == pytest.approx([0.3, 0.7], abs=1e-12)
+
+
+def _reference_csv(traj):
+    """Per-number format(float(x), ".17g"), one matrix at a time."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    n = traj.states.shape[1]
+    if traj.kind == "state":
+        lines = [["t"] + [f"{p}_{k}" for k in range(n) for p in ("re", "im")]
+                 + [f"pop_{k}" for k in range(n)]]
+        for t, psi, pop in zip(traj.times, traj.states, traj.populations):
+            row = [fmt(t)]
+            for k in range(n):
+                row += [fmt(psi[k].real), fmt(psi[k].imag)]
+            lines.append(row + [fmt(v) for v in pop])
+    else:
+        lines = [["t"] + [f"eig_{k}" for k in range(n)] + ["purity"]]
+        for t, rho in zip(traj.times, traj.states):
+            evals = np.sort(np.linalg.eigvalsh(rho))
+            purity = np.real(np.trace(rho @ rho))
+            lines.append([fmt(t)] + [fmt(v) for v in evals] + [fmt(purity)])
+    return "".join(",".join(r) + "\n" for r in lines)
+
+
+def test_trajectory_csv_matches_per_number_reference(tmp_path):
+    g = truncate(THREE_LEVEL, 3)
+    rng = np.random.default_rng(11)
+    c = random_control(rng, "reparametrized", 3)
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    signed_zero = np.diag([1.0, -0.0]).astype(complex)
+    trajs = [
+        propagate(g, c, basis(3, 0), samples_per_piece=7),
+        propagate_density(g, c, rho0, samples_per_piece=5),
+        Trajectory(np.array([0.0, -0.0]),
+                   np.array([[1.0, complex(-0.0, -0.0)], [-0.0, 1.0]]),
+                   np.array([[1.0, 0.0], [-0.0, 1.0]]), "state", 0.0),
+        Trajectory(np.array([-0.0]), signed_zero[None], np.ones((1, 2)),
+                   "density", 0.0),
+    ]
+    for i, traj in enumerate(trajs):
+        path = tmp_path / f"t{i}.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_text() == _reference_csv(traj)
+    assert "-0" in (tmp_path / "t2.csv").read_text()
+    assert "-0" in (tmp_path / "t3.csv").read_text()

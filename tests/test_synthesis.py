@@ -67,6 +67,25 @@ def test_control_value_ranges_per_frame():
     assert PiecewiseConstantControl("original", [], 0.1).npieces == 0
 
 
+def test_control_rejects_nonfinite_pieces():
+    for piece in [(1.0, math.inf), (math.nan, 0.2), (math.inf, 0.2)]:
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseConstantControl("reparametrized", [piece], 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        PiecewiseConstantControl("reparametrized", [], math.inf)
+    tiny = PiecewiseConstantControl("original", [(1.0, 1e-310)], 0.1)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        reparametrize(tiny)  # 1 / 1e-310 overflows
+
+
+def test_final_state_rejects_overflowing_control():
+    g = truncate(THREE_LEVEL, 3)
+    for piece in [(1e308, 1e308), (1e308, 1.0)]:
+        c = PiecewiseConstantControl("reparametrized", [piece], 0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            final_state(g, c, basis(3, 0))
+
+
 def test_reparametrize_single_piece():
     c = PiecewiseConstantControl("original", [(2.0, 0.5)], 1.0)
     r = reparametrize(c)
