@@ -17,6 +17,7 @@ import numpy as np
 from .certification import certify
 from .linalg import EigendecompositionError
 from .models import (
+    QuadratureError,
     _write_json,
     _write_text,
     custom_system,
@@ -161,21 +162,8 @@ def _galerkin_at(system, order):
     return truncate(custom_system(lam, W), order)
 
 
-def emit_model(spec, path):
-    """Write the system described by a model spec as JSON (atomic)."""
-    try:
-        system = system_from_config(spec)
-    except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"invalid system spec: {e}")
-    dump_system(system, path)
-    return system
-
-
 def _cmd_model(cfg, out_dir, args):
-    spec = cfg.get("system")
-    if not isinstance(spec, dict):
-        raise ConfigError("config must contain a 'system' object")
-    emit_model(spec, os.path.join(out_dir, "system.json"))
+    dump_system(_build_system(cfg), os.path.join(out_dir, "system.json"))
     return EXIT_OK
 
 
@@ -371,6 +359,9 @@ def dispatch(argv=None):
         return EXIT_CONFIG
     except EigendecompositionError as e:
         _diagnostic("eigendecomposition", e)
+        return EXIT_CONFIG
+    except QuadratureError as e:
+        _diagnostic("quadrature", e)
         return EXIT_CONFIG
     except OSError as e:
         _diagnostic("io", e)

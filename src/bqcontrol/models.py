@@ -244,12 +244,11 @@ def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL,
                 f"(doubling still moves entries)"
             )
         W2 = _osc_coupling(a, b, c, levels, 2 * nodes)
-        if float(np.max(np.abs(W2 - W))) <= quad_atol:
-            nodes *= 2
-            W = W2
-            break
+        stable = float(np.max(np.abs(W2 - W))) <= quad_atol
         nodes *= 2
         W = W2
+        if stable:
+            break
 
     lam = 2.0 * np.arange(levels) + 1.0
     meta = {

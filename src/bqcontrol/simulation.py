@@ -91,7 +91,7 @@ class Trajectory:
         return self.states[-1]
 
 
-def _sample_plan(c, samples_per_piece):
+def _sample_plan(samples_per_piece):
     s = int(samples_per_piece)
     if s < 1:
         raise ValueError("samples_per_piece must be >= 1")
@@ -109,7 +109,7 @@ def propagate(g, c, psi0, samples_per_piece=16):
     n = g.order
     if psi.shape != (n,):
         raise ValueError(f"state dimension {psi.shape[0]} != order {n}")
-    s = _sample_plan(c, samples_per_piece)
+    s = _sample_plan(samples_per_piece)
 
     times = [0.0]
     states = [psi]
@@ -138,7 +138,7 @@ def propagate_density(g, c, rho0, samples_per_piece=16):
     n = g.order
     if rho0.shape != (n, n):
         raise ValueError(f"density dimension {rho0.shape} != order {n}")
-    s = _sample_plan(c, samples_per_piece)
+    s = _sample_plan(samples_per_piece)
 
     ref = np.sort(np.linalg.eigvalsh(rho0))
     times = [0.0]

@@ -47,6 +47,9 @@ __all__ = [
 
 FRAMES = ("original", "reparametrized")
 VALUE_CEILING_FACTOR = 1e3  # optimized control values stay in (delta, delta*1e3]
+MAX_SCAN_POINTS = 2**24  # work bound of one torus-return scan, in grid points
+_FINE = 129  # fine points per coarse cell of a torus-return scan
+_SCAN_CHUNK = 65536  # coarse points evaluated per vectorized pass
 
 
 class PhaseSearchError(RuntimeError):
@@ -216,27 +219,16 @@ class UnitarySteeringResult:
     traceless: bool
 
 
-class _Budget:
-    def __init__(self, total):
-        self.total = int(total)
-        self.used = 0
+def _coordinate_descent(f, p, lo, hi, step, cap, tol):
+    """Cyclic coordinate descent with shrinking steps inside box bounds.
 
-    def spend(self):
-        self.used += 1
-        return self.used <= self.total
-
-    @property
-    def exhausted(self):
-        return self.used >= self.total
-
-
-def _coordinate_descent(f, p, lo, hi, step, budget, tol):
-    """Cyclic coordinate descent with shrinking steps inside box bounds."""
+    Makes at most `cap` calls of f; returns (params, score, calls made).
+    """
     best = f(p)
-    budget.spend()
+    used = 1
     p = p.copy()
     step = step.copy()
-    while best > tol and not budget.exhausted:
+    while best > tol and used < cap:
         improved = False
         for i in range(len(p)):
             for sgn in (1.0, -1.0):
@@ -244,20 +236,21 @@ def _coordinate_descent(f, p, lo, hi, step, budget, tol):
                 q[i] = min(hi[i], max(lo[i], p[i] + sgn * step[i]))
                 if q[i] == p[i]:
                     continue
-                if not budget.spend():
-                    return p, best
+                if used >= cap:
+                    return p, best, used
                 v = f(q)
+                used += 1
                 if v < best - 1e-16:
                     p, best = q, v
                     improved = True
                     break
             if best <= tol:
-                return p, best
+                return p, best, used
         if not improved:
             step *= 0.5
             if np.max(step) < 1e-6:
                 break
-    return p, best
+    return p, best, used
 
 
 def _box(m, delta, max_duration):
@@ -306,11 +299,10 @@ def _search(objective, m, delta, tol, rng, n_starts, max_duration, max_evals):
         cap = (max_evals - used) // (len(refine) - rank)
         if cap < 10:
             break
-        bud = _Budget(cap)
-        p, s = _coordinate_descent(
-            objective, cands[idx], lo, hi, step0, bud, tol
+        p, s, ev = _coordinate_descent(
+            objective, cands[idx], lo, hi, step0, cap, tol
         )
-        used += bud.used
+        used += ev
         if s < s_best:
             p_best, s_best = p, s
         if s_best <= tol:
@@ -323,16 +315,23 @@ def _escalate(objective, delta, tol, budget, seed, piece_counts, n_starts,
     """Search with growing piece counts until one reaches tol.
 
     Each piece count gets a slice of the remaining budget, so failing to
-    converge with few pieces still leaves room to escalate.  Returns
-    (params, score, piece count, evaluations) of the best search.
+    converge with few pieces still leaves room to escalate; a budget whose
+    first slice cannot exceed the n_starts random starts raises ValueError.
+    Returns (params, score, piece count, evaluations) of the best search.
     """
+    if not piece_counts:
+        raise ValueError("piece_counts must name at least one piece count")
+    if budget // len(piece_counts) <= n_starts:
+        raise ValueError(
+            f"budget {budget} leaves no room to search: need at least "
+            f"{(n_starts + 1) * len(piece_counts)} evaluations for "
+            f"{len(piece_counts)} piece counts of {n_starts} starts each"
+        )
     rng = np.random.default_rng(seed)
     used = 0
     best_p, best_s, best_m = None, np.inf, 0
     for k, m in enumerate(piece_counts):
         slice_ = (budget - used) // (len(piece_counts) - k)
-        if slice_ <= n_starts:
-            break
         p, s, ev = _search(
             lambda q, m=m: objective(q, m),
             m, delta, tol, rng, n_starts, max_duration, slice_,
@@ -465,13 +464,12 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0,
             Uf = _propagator(g, p[:m], np.exp(p[m:])) @ g0
             return float(np.linalg.norm(Uf - target))
 
-        polish_bud = _Budget(max(2000, budget // 10))
         lo, hi = _box(m, delta, max_duration)
         step = np.array([0.05 * max_duration] * m + [0.2] * m)
-        p2, s2 = _coordinate_descent(
-            dist_exact, best_p, lo, hi, step, polish_bud, tol
+        p2, s2, ev = _coordinate_descent(
+            dist_exact, best_p, lo, hi, step, max(2000, budget // 10), tol
         )
-        used += polish_bud.used
+        used += ev
         if s2 <= tol:
             best_p, best_s = p2, s2
         else:
@@ -498,40 +496,44 @@ def _circ_dist(a, b):
     return np.abs(d)
 
 
-def _find_plateau_time(freqs, targets, lo, phase_tol, horizon, step):
-    """Smallest admissible s >= lo with freqs*s close to targets mod 2 pi.
+def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
+    """First s >= lo found with max_j arc(freqs_j s, targets_j) <= tol.
 
-    Coarse grid of the given step with Lipschitz slack, then a fine local
-    refinement around each surviving candidate.
+    Coarse pass over lo + k step (k < points) with Lipschitz slack, then 129
+    fine points around each surviving candidate; a fine minimum within one
+    fine-cell slack of tol is zoomed onto before it is accepted or dropped.
+    Raises PhaseSearchError once all `points` coarse points are scanned.
     """
     lipschitz = float(np.max(np.abs(freqs))) if len(freqs) else 0.0
     if lipschitz == 0.0:
-        return lo
-    slack = phase_tol + 0.5 * step * lipschitz
-    chunk = 65536
-    s = lo
-    end = lo + horizon
-    while s < end:
-        grid = s + step * np.arange(chunk)
-        grid = grid[grid < end]
-        if grid.size == 0:
-            break
-        resid = np.max(
-            _circ_dist(np.outer(grid, freqs), targets[None, :]), axis=1
-        )
-        for idx in np.flatnonzero(resid <= slack):
-            fine = grid[idx] + np.linspace(-0.5 * step, 0.5 * step, 129)
-            fine = fine[fine >= lo]
-            fr = np.max(
-                _circ_dist(np.outer(fine, freqs), targets[None, :]), axis=1
-            )
-            best = int(np.argmin(fr))
-            if fr[best] <= phase_tol:
-                return float(fine[best])
-        s = grid[-1] + step
+        points = 1  # the residual is constant: one point settles it
+
+    def resid(s):  # (freqs, points) layout: the max runs over long rows
+        d = _circ_dist(np.multiply.outer(freqs, s), targets[:, None])
+        return np.max(d, axis=0)
+
+    unit = np.linspace(-1.0, 1.0, _FINE)
+    cell = step / (_FINE - 1)  # fine-point spacing around a candidate
+    slack = tol + 0.5 * step * lipschitz
+    for start in range(0, points, _SCAN_CHUNK):
+        grid = lo + step * np.arange(start, min(start + _SCAN_CHUNK, points))
+        for g in grid[resid(grid) <= slack]:
+            fine = np.clip(g + 0.5 * step * unit, lo, None)
+            fr = resid(fine)
+            if fr.min() > tol + 0.5 * cell * lipschitz:
+                continue
+            span = cell
+            for _ in range(3):  # each zoom narrows the cell 64-fold
+                fine = np.clip(fine[np.argmin(fr)] + span * unit, lo, None)
+                fr = resid(fine)
+                span *= 2.0 / (_FINE - 1)
+            b = int(np.argmin(fr))
+            if fr[b] <= tol:
+                return float(fine[b])
     raise PhaseSearchError(
-        f"no admissible plateau time in [{lo:.6g}, {end:.6g}] for phase "
-        f"targets {np.round(targets, 6).tolist()} (tol {phase_tol})"
+        f"no s with phase residual <= {tol:.6g} in [{lo:.6g}, "
+        f"{lo + points * step:.6g}] ({points} grid points of step {step:.6g}) "
+        f"for phase targets {np.round(targets, 6).tolist()}"
     )
 
 
@@ -549,8 +551,11 @@ def lift_control(target, sys, n, N, phase_tol=0.05, delta_bar=None,
     sawtooth: a fast ramp to each plateau time followed by a slope-delta_bar
     hold (delta_bar defaults to 2 delta).
 
-    Raises PhaseSearchError when some phase target is unreachable within the
-    horizon (resonant gaps make z-type targets unattainable).
+    Each plateau time is searched on a grid of step pi / (4 max|lambda_1 -
+    lambda_j|) over at most MAX_SCAN_POINTS points, or horizon / step points
+    when `horizon` is given; PhaseSearchError names the scanned interval when
+    the bound is hit.  A gap relation that makes the z-type targets
+    unreachable raises PhaseSearchError naming it before any scan.
     """
     if target.frame != "reparametrized":
         raise ValueError("lift_control expects a reparametrized-frame target")
@@ -593,8 +598,21 @@ def lift_control(target, sys, n, N, phase_tol=0.05, delta_bar=None,
     )  # z-type offset on the upper block
     max_freq = float(np.max(np.abs(freqs))) if np.any(freqs) else 1.0
     step = math.pi / (4.0 * max_freq)
-    if horizon is None:
-        horizon = max(5e3, 200.0 * (math.pi / phase_tol) ** (N - 1)) * step
+    points = MAX_SCAN_POINTS if horizon is None else math.ceil(horizon / step)
+    if verdict.found:
+        # p . freqs = q . gaps ~ 0, so p . freqs (s - w) stays within
+        # |p . freqs| |s - w| of 0, while a z-type target needs it at
+        # p . flip mod 2 pi up to ||p||_1 phase_tol; reach bounds |s - w|
+        q = np.array(verdict.relation)
+        p = np.append(q[1:], 0) - q
+        reach = (k * target.npieces * points * step
+                 + delta_bar * target.total_duration + target.integrated_value)
+        gap = abs(math.remainder(float(p @ flip), 2.0 * math.pi))
+        if gap > np.abs(p).sum() * phase_tol + abs(float(p @ freqs)) * reach:
+            raise PhaseSearchError(
+                f"gap relation {verdict.relation} makes the z-type phase "
+                f"targets unreachable: offset {gap:.6g} rad off the relation"
+            )
 
     pieces = []
     plateaus = []
@@ -611,9 +629,7 @@ def lift_control(target, sys, n, N, phase_tol=0.05, delta_bar=None,
             offsets = base if kind == "w" else flip
             targets = np.mod(freqs * w + offsets, 2.0 * math.pi)
             lo = v_cur + delta_bar * ramp
-            s = _find_plateau_time(
-                freqs, targets, lo, phase_tol, horizon, step
-            )
+            s = _torus_return(freqs, targets, lo, phase_tol, step, points)
             resid = float(
                 np.max(_circ_dist(freqs * s, targets)) if len(freqs) else 0.0
             )
@@ -722,10 +738,12 @@ class PhaseCorrection:
 def phase_correction(lam, v1, delta, eps, tau_max, coupling_bound=None):
     """Constant control realizing the phase v1 modulo a near-identity factor.
 
-    Finds v2 > max(0, -v1) with max_j |exp(i lambda_j v2) - 1| <= eps / 2 by
-    coarse grid search plus local zoom refinement (the torus line {lambda v2}
-    returns near the identity for arbitrarily large v2), then picks tau <=
-    tau_max with u = (v1 + v2) / tau > delta, so tau * u = v1 + v2 exactly.
+    Finds v2 > max(0, -v1) with max_j |exp(i lambda_j v2) - 1| <= eps / 2
+    (the torus line {lambda v2} returns near the identity for arbitrarily
+    large v2) by the same bounded grid scan as the lift: at most
+    MAX_SCAN_POINTS points of step pi / (4 max|lambda|), after which
+    PhaseSearchError names the scanned interval.  Then picks tau <= tau_max
+    with u = (v1 + v2) / tau > delta, so tau * u = v1 + v2 exactly.
     When `coupling_bound` (a norm bound on the coupling term; not derivable
     from the arguments here) is given, tau is additionally capped at
     eps / (2 * coupling_bound).
@@ -742,53 +760,16 @@ def phase_correction(lam, v1, delta, eps, tau_max, coupling_bound=None):
     v1 = float(v1)
     lo = max(0.0, -v1) + 1e-12
 
-    def residual(v):
-        return 2.0 * np.max(np.abs(np.sin(0.5 * lam * np.asarray(v)[..., None])),
-                            axis=-1)
-
     lmax = float(np.max(np.abs(lam)))
     if lmax == 0.0:
         v2 = lo + 1.0
-        res = 0.0
     else:
         step = math.pi / (4.0 * lmax)
-        # keep the refinement away from v2 -> lo+, where the residual is
-        # small merely by continuity; genuine recurrences lie beyond
-        floor = lo + 0.5 * step
-        chunk = 32768
-        v2 = None
-        s = lo
-        horizon = lo + max(1e4, 2e3 * (math.pi / max(eps, 1e-6))) * step
-        while s < horizon:
-            grid = s + step * np.arange(1, chunk + 1)
-            r = residual(grid)
-            cands = np.flatnonzero(r <= eps / 2.0 + step * lmax)
-            found = False
-            for i in cands:
-                fine = grid[i] + np.linspace(-step, step, 257)
-                fine = fine[fine > floor]
-                fr = residual(fine)
-                for _ in range(3):  # zoom refinement around the local minimum
-                    b = int(np.argmin(fr))
-                    span = fine[1] - fine[0]
-                    fine = np.clip(
-                        fine[b] + np.linspace(-span, span, 65), floor, None
-                    )
-                    fr = residual(fine)
-                b = int(np.argmin(fr))
-                if fr[b] <= eps / 2.0:
-                    v2 = float(fine[b])
-                    res = float(fr[b])
-                    found = True
-                    break
-            if found:
-                break
-            s = grid[-1]
-        if v2 is None:
-            raise PhaseSearchError(
-                f"no v2 with recurrence residual <= {eps / 2:g} found in "
-                f"[{lo:.6g}, {horizon:.6g}]"
-            )
+        # the floor keeps v2 off lo+, where the residual is small merely by
+        # continuity; the arc tolerance is the chord test |e^{i x} - 1| <= eps/2
+        v2 = _torus_return(lam, np.zeros_like(lam), lo + 0.5 * step,
+                           2.0 * math.asin(min(1.0, eps / 4.0)), step)
+    res = float(np.max(2.0 * np.abs(np.sin(0.5 * lam * v2))))
 
     total = v1 + v2
     tau = min(tau_max, (1.0 - 1e-9) * total / delta)

@@ -130,6 +130,16 @@ def test_model_roundtrip_byte_identical(capsys, tmp_path):
     assert (out2 / "system.json").read_bytes() == first
 
 
+def test_model_unsettled_quadrature_exit_four(capsys, tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "system": {"model": "oscillator", "a": -50, "b": 0},
+    })
+    code, err = run(capsys, "model", "--config", cfg, "--out", str(tmp_path))
+    assert code == 4
+    assert diagnostic(err)["error"] == "quadrature"
+    assert not (tmp_path / "system.json").exists()
+
+
 # -- certify ------------------------------------------------------------------
 
 
@@ -195,6 +205,18 @@ def test_synthesize_unconverged_exit_three(capsys, tmp_path):
     code, _ = run(capsys, "synthesize", "--config", cfg, "--out", str(out))
     assert code == 3
     assert read_report(out)["result"]["converged"] is False
+
+
+def test_synthesize_budget_too_small_exit_four(capsys, tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "system": THREE_LEVEL,
+        "synthesize": {"from": "e1", "to": "e2", "budget": 100},
+    })
+    out = tmp_path / "out"
+    code, err = run(capsys, "synthesize", "--config", cfg, "--out", str(out))
+    assert code == 4
+    assert "125" in diagnostic(err)["detail"]  # (24 starts + 1) * 5 counts
+    assert not (out / "control.json").exists()
 
 
 def test_synthesize_deterministic_modulo_timestamp(capsys, tmp_path):

@@ -2,12 +2,16 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bqcontrol import synthesis
 from bqcontrol.linalg import expm_skew
-from bqcontrol.models import custom_system, truncate
+from bqcontrol.models import custom_system, oscillator_system, truncate
 from bqcontrol.simulation import propagate
 from bqcontrol.synthesis import (
     PhaseSearchError,
@@ -227,6 +231,32 @@ def test_steer_unitary_traceless_sector():
         assert np.linalg.norm(np.exp(1j * r.theta) * U - target) <= 2e-3
 
 
+def test_reported_evaluations_are_objective_calls(monkeypatch):
+    calls = []
+    kernel = synthesis._piece_unitaries
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(synthesis, "_piece_unitaries", counted)
+    g = truncate(oscillator_system(-0.5, 0.3), 3)
+    res = steer_state(g, basis(3, 0), basis(3, 1), delta=0.1, seed=1,
+                      budget=5000)
+    assert res.evaluations == len(calls) <= 5000
+
+
+def test_budget_too_small_to_search_rejected():
+    g = truncate(THREE_LEVEL, 3)
+    with pytest.raises(ValueError, match="at least 125"):
+        steer_state(g, basis(3, 0), basis(3, 1), delta=0.1, budget=100)
+    with pytest.raises(ValueError, match="at least 125"):
+        steer_unitary(g, np.eye(3, dtype=complex), expm_skew(g.B, 0.5),
+                      delta=0.1, budget=100)
+    with pytest.raises(ValueError, match="piece count"):
+        steer_state(g, basis(3, 0), basis(3, 1), delta=0.1, piece_counts=())
+
+
 def test_steer_unitary_rejects_nonunitary():
     g = truncate(TWO_LEVEL, 2)
     with pytest.raises(ValueError):
@@ -300,6 +330,39 @@ def test_lift_warns_and_fails_on_resonant_gaps():
     with pytest.warns(UserWarning):
         with pytest.raises(PhaseSearchError):
             lift_control(raw, s, 2, 3, phase_tol=0.01, horizon=2e3)
+
+
+def test_lift_refutes_resonant_relation_without_scanning():
+    W = 0.4 * (np.ones((5, 5)) - np.eye(5))
+    s = custom_system([0.0, 1.0, 2.3, 3.9, 5.2], W)
+    raw = PiecewiseConstantControl("reparametrized", [(0.5, 0.8), (0.7, 1.5)],
+                                   0.1)
+    t0 = time.perf_counter()
+    with pytest.warns(UserWarning):
+        with pytest.raises(PhaseSearchError, match=r"\(8, 0, -5, 0\)"):
+            lift_control(raw, s, 3, 5)
+    assert time.perf_counter() - t0 < 2.0  # 8 gap1 = 5 gap3 decides it
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    freqs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+    data=st.data(),
+    lo=st.floats(0.0, 50.0),
+    tol=st.floats(1e-3, 0.5),
+    step=st.floats(0.01, 1.0),
+)
+def test_torus_return_lands_within_tol_or_raises(freqs, data, lo, tol, step):
+    targets = data.draw(st.lists(st.floats(0.0, 2.0 * math.pi),
+                                 min_size=len(freqs), max_size=len(freqs)))
+    try:
+        s = synthesis._torus_return(np.array(freqs), np.array(targets), lo,
+                                    tol, step, points=3000)
+    except PhaseSearchError:
+        return
+    assert s >= lo
+    for f, t in zip(freqs, targets):
+        assert abs(math.remainder(f * s - t, 2.0 * math.pi)) <= tol + 1e-9
 
 
 def test_decoupling_error_trivial_cases():
