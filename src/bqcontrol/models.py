@@ -43,6 +43,8 @@ __all__ = [
 
 SYMMETRY_ATOL = 1e-8
 QUAD_ATOL = 1e-10
+# numpy's Gauss-Hermite rule has non-finite weights from 372 nodes on
+QUAD_MAX_NODES = 256
 DEGENERACY_RTOL = 1e-9
 
 
@@ -208,8 +210,7 @@ def _osc_coupling(a, b, c, levels, nodes):
     return (H * g) @ H.T
 
 
-def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL,
-                      max_nodes=4096):
+def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL):
     """Oscillator with spectrum 2k+1 and Gaussian coupling exp(a x^2 + b x + c).
 
     Parameters
@@ -220,8 +221,9 @@ def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL,
     quad_atol : node-doubling stability threshold on every coupling entry.
 
     Couplings are Gauss-Hermite integrals of exp(a x^2 + b x + c) against
-    products of Hermite functions; the node count is doubled until no entry
-    moves by more than quad_atol.
+    products of Hermite functions; the node count is doubled from 64 until no
+    entry moves by more than quad_atol, and QuadratureError is raised when
+    that has not happened by QUAD_MAX_NODES nodes.
     """
     a = float(a)
     b = float(b)
@@ -238,7 +240,7 @@ def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL,
     nodes = 64
     W = _osc_coupling(a, b, c, levels, nodes)
     while True:
-        if 2 * nodes > max_nodes:
+        if 2 * nodes > QUAD_MAX_NODES:
             raise QuadratureError(
                 f"couplings not stable at {nodes} nodes "
                 f"(doubling still moves entries)"

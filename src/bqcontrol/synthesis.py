@@ -680,46 +680,31 @@ def decoupling_error(c, sys, n, N, grid=256):
         return 0.0
 
     lam = sys.lam[:N]
-    B = -1j * sys.W[:N, :N]
-    Om = lam[None, :] - lam[:, None]  # exponent frequencies
     mask = np.zeros((N, N), dtype=bool)
-    mask[:n, n:] = True
-    mask[n:, :n] = True
+    mask[:n, n:] = mask[n:, :n] = True
+    B = -1j * sys.W[:N, :N][mask]
+    Om = (lam[None, :] - lam[:, None])[mask]  # exponent frequencies
+    nz = Om != 0.0
 
     times = np.linspace(0.0, c.total_duration, grid + 1)[1:]
     starts = np.concatenate([[0.0], np.cumsum(c.durations)])
-    v_starts = np.concatenate(
-        [[0.0], np.cumsum(c.durations * c.values)]
-    )
+    v_starts = np.concatenate([[0.0], np.cumsum(c.durations * c.values)])
 
     def seg_integral(p, dt):
-        u = c.values[p]
-        phase = np.exp(1j * Om * v_starts[p])
-        out = np.empty_like(B)
-        nz = Om != 0.0
-        out[nz] = (
-            B[nz]
-            * phase[nz]
-            * (np.exp(1j * Om[nz] * u * dt) - 1.0)
-            / (1j * Om[nz] * u)
-        )
-        out[~nz] = B[~nz] * dt
+        """Integrals over [starts[p], starts[p] + dt], one row per (p, dt)."""
+        u, dt = c.values[p][:, None], dt[:, None]
+        out = B * dt  # exact on the zero-frequency entries
+        w = Om[nz]
+        out[:, nz] = (B[nz] * np.exp(1j * w * v_starts[p][:, None])
+                      * (np.exp(1j * w * u * dt) - 1.0) / (1j * w * u))
         return out
 
-    full = np.array(
-        [seg_integral(p, c.durations[p]) for p in range(c.npieces)]
-    )
-    cum = np.concatenate(
-        [np.zeros((1, N, N), dtype=complex), np.cumsum(full, axis=0)]
-    )
-
-    worst = 0.0
-    for t in times:
-        p = int(np.searchsorted(starts, t, side="right") - 1)
-        p = min(p, c.npieces - 1)
-        I = cum[p] + seg_integral(p, t - starts[p])
-        worst = max(worst, float(np.max(np.abs(I[mask]))))
-    return worst
+    full = seg_integral(np.arange(c.npieces), c.durations)
+    cum = np.concatenate([np.zeros_like(full[:1]), np.cumsum(full, axis=0)])
+    p = np.minimum(np.searchsorted(starts, times, side="right") - 1,
+                   c.npieces - 1)
+    I = cum[p] + seg_integral(p, times - starts[p])
+    return float(np.max(np.abs(I)))
 
 
 # ---------------------------------------------------------------------------

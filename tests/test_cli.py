@@ -136,7 +136,9 @@ def test_model_unsettled_quadrature_exit_four(capsys, tmp_path):
     })
     code, err = run(capsys, "model", "--config", cfg, "--out", str(tmp_path))
     assert code == 4
-    assert diagnostic(err)["error"] == "quadrature"
+    doc = diagnostic(err)
+    assert doc["error"] == "quadrature"
+    assert "256 nodes" in doc["detail"]
     assert not (tmp_path / "system.json").exists()
 
 
