@@ -19,15 +19,16 @@ g = truncate(s, 2)
 
 # -- unitary steering -----------------------------------------------------------
 # the target is produced by a forward simulation, so it is reachable exactly;
-# the search matches it in the phase quotient and reports the residual phase
+# the search matches it up to a global phase theta, confined to the sector
+# [0, 2 pi / n] because the generators are traceless, and reports theta
 
 target = expm_skew(0.9 * g.A + g.B, 1.1)
 r = steer_unitary(g, np.eye(2, dtype=complex), target, delta=0.1,
                   tol=1e-3, seed=3)
 print("converged:", r.converged)
-print("phase-quotient distance:", f"{r.distance:.2e}")
+print("distance at theta:", f"{r.distance:.2e}")
 print("global phase theta:", f"{r.theta:.4f}",
-      "(traceless system: reduced to [0, pi))" if r.traceless else "")
+      "(traceless system: theta in [0, pi])" if r.traceless else "")
 
 U = np.eye(2, dtype=complex)
 for t, u in r.control.pieces:

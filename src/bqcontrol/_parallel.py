@@ -1,4 +1,8 @@
-"""Thread-count policy: BQC_THREADS caps candidate-scoring parallelism."""
+"""Thread-count policy: BQC_THREADS caps the worker threads of map_ordered.
+
+No bqcontrol module uses this any more; it stays only because bench/run.py
+imports map_ordered and worker_count.
+"""
 
 from __future__ import annotations
 

@@ -313,10 +313,10 @@ def _plot_control(control, path):
 
 def _plot_trajectory(traj, path):
     cols = " ".join(f"pop_{k}" for k in range(traj.populations.shape[1]))
-    lines = [f"# t {cols}"]
-    for t, row in zip(traj.times, traj.populations):
-        lines.append(" ".join(f"{x:.17g}" for x in (t, *row)))
-    _write_text(path, "\n".join(lines) + "\n")
+    table = np.column_stack([traj.times, traj.populations])
+    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
+    _write_text(path, f"# t {cols}\n"
+                + "".join(row % tuple(r) for r in table.tolist()))
 
 
 _COMMANDS = {

@@ -19,6 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -84,21 +85,11 @@ class GalerkinPair:
         return np.diag(self.A).imag.copy()
 
 
-class TailCutoff(tuple):
+class TailCutoff(NamedTuple):
     """Result of tail_cutoff: (order, at_data_boundary)."""
 
-    __slots__ = ()
-
-    def __new__(cls, order, at_data_boundary):
-        return tuple.__new__(cls, (int(order), bool(at_data_boundary)))
-
-    @property
-    def order(self):
-        return self[0]
-
-    @property
-    def at_data_boundary(self):
-        return self[1]
+    order: int
+    at_data_boundary: bool
 
 
 def _freeze(a):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .linalg import _piece_unitaries, assert_unitary
 from .models import _write_json
 
@@ -47,6 +46,8 @@ __all__ = [
 
 FRAMES = ("original", "reparametrized")
 VALUE_CEILING_FACTOR = 1e3  # optimized control values stay in (delta, delta*1e3]
+N_STARTS = 24  # random starts per piece count
+MAX_DURATION = 10.0  # upper bound on a searched piece duration
 MAX_SCAN_POINTS = 2**24  # work bound of one torus-return scan, in grid points
 _FINE = 129  # fine points per coarse cell of a torus-return scan
 _SCAN_CHUNK = 65536  # coarse points evaluated per vectorized pass
@@ -253,16 +254,7 @@ def _coordinate_descent(f, p, lo, hi, step, cap, tol):
     return p, best, used
 
 
-def _box(m, delta, max_duration):
-    """Lower and upper bounds on [durations..., log(values)...] for m pieces."""
-    v_lo = math.log(delta * (1.0 + 1e-9))
-    v_hi = math.log(delta * VALUE_CEILING_FACTOR)
-    lo = np.array([1e-3] * m + [v_lo] * m)
-    hi = np.array([max_duration] * m + [v_hi] * m)
-    return lo, hi
-
-
-def _search(objective, m, delta, tol, rng, n_starts, max_duration, max_evals):
+def _search(objective, m, delta, tol, rng, max_evals):
     """Multi-start + coordinate descent over m pieces.
 
     Parameter vector layout: [durations..., log(values)...].  Values are kept
@@ -272,19 +264,21 @@ def _search(objective, m, delta, tol, rng, n_starts, max_duration, max_evals):
     parameters, so the outcome is a deterministic function of the seed.
     Returns (params, score, evaluations).
     """
-    lo, hi = _box(m, delta, max_duration)
-    v_lo, v_hi = lo[m], hi[m]
+    v_lo = math.log(delta * (1.0 + 1e-9))
+    v_hi = math.log(delta * VALUE_CEILING_FACTOR)
+    lo = np.array([1e-3] * m + [v_lo] * m)
+    hi = np.array([MAX_DURATION] * m + [v_hi] * m)
 
     cands = []
-    for i in range(n_starts):
-        d = rng.uniform(0.05, max_duration, size=m)
+    for i in range(N_STARTS):
+        d = rng.uniform(0.05, MAX_DURATION, size=m)
         if i % 2 == 0:
             w = v_lo + np.abs(rng.normal(0.0, 0.6, size=m))
             w = np.minimum(w, v_hi)
         else:
             w = rng.uniform(v_lo, v_hi, size=m)
         cands.append(np.concatenate([d, w]))
-    scores = map_ordered(objective, cands)
+    scores = [objective(c) for c in cands]
     used = len(cands)
     order = sorted(
         range(len(cands)), key=lambda i: (scores[i], tuple(cands[i]))
@@ -293,7 +287,7 @@ def _search(objective, m, delta, tol, rng, n_starts, max_duration, max_evals):
     if s_best <= tol or used >= max_evals:
         return p_best, s_best, used
 
-    step0 = np.array([0.25 * max_duration] * m + [0.8] * m)
+    step0 = np.array([0.25 * MAX_DURATION] * m + [0.8] * m)
     refine = order[: min(4, len(order))]
     for rank, idx in enumerate(refine):
         cap = (max_evals - used) // (len(refine) - rank)
@@ -310,22 +304,21 @@ def _search(objective, m, delta, tol, rng, n_starts, max_duration, max_evals):
     return p_best, s_best, used
 
 
-def _escalate(objective, delta, tol, budget, seed, piece_counts, n_starts,
-              max_duration):
+def _escalate(objective, delta, tol, budget, seed, piece_counts):
     """Search with growing piece counts until one reaches tol.
 
     Each piece count gets a slice of the remaining budget, so failing to
     converge with few pieces still leaves room to escalate; a budget whose
-    first slice cannot exceed the n_starts random starts raises ValueError.
+    first slice cannot exceed the N_STARTS random starts raises ValueError.
     Returns (params, score, piece count, evaluations) of the best search.
     """
     if not piece_counts:
         raise ValueError("piece_counts must name at least one piece count")
-    if budget // len(piece_counts) <= n_starts:
+    if budget // len(piece_counts) <= N_STARTS:
         raise ValueError(
             f"budget {budget} leaves no room to search: need at least "
-            f"{(n_starts + 1) * len(piece_counts)} evaluations for "
-            f"{len(piece_counts)} piece counts of {n_starts} starts each"
+            f"{(N_STARTS + 1) * len(piece_counts)} evaluations for "
+            f"{len(piece_counts)} piece counts of {N_STARTS} starts each"
         )
     rng = np.random.default_rng(seed)
     used = 0
@@ -334,7 +327,7 @@ def _escalate(objective, delta, tol, budget, seed, piece_counts, n_starts,
         slice_ = (budget - used) // (len(piece_counts) - k)
         p, s, ev = _search(
             lambda q, m=m: objective(q, m),
-            m, delta, tol, rng, n_starts, max_duration, slice_,
+            m, delta, tol, rng, slice_,
         )
         used += ev
         if s < best_s:
@@ -350,7 +343,7 @@ def _params_to_control(p, m, delta, meta):
 
 
 def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0,
-                piece_counts=(2, 3, 4, 6, 8), n_starts=24, max_duration=10.0):
+                piece_counts=(2, 3, 4, 6, 8)):
     """Search for a control steering x0 to x1 up to phase within tol.
 
     Operates in the reparametrized frame (piece values in (delta,
@@ -384,8 +377,7 @@ def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0,
         return StateSteeringResult(c, base, True, 0)
 
     best_p, best_s, best_m, used = _escalate(
-        infidelity, delta, tol, budget, seed, piece_counts, n_starts,
-        max_duration,
+        infidelity, delta, tol, budget, seed, piece_counts
     )
     converged = bool(best_s <= tol)
     meta["infidelity"] = float(best_s)
@@ -395,31 +387,40 @@ def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0,
     return StateSteeringResult(c, float(best_s), converged, used)
 
 
-def _phase_distance(U, G):
-    """(distance, theta): min over theta of ||e^{i theta} U - G||_F."""
+def _phase_distance(U, G, sector):
+    """(distance, theta) minimizing ||e^{i theta} U - G||_F over [0, sector].
+
+    ||e^{i theta} U - G||_F^2 = 2n - 2|z| cos(phi - theta) with z = tr(U^H G)
+    and phi = arg z, so theta = phi mod 2 pi when that lies in the sector and
+    otherwise the end of the sector nearer to it on the circle.  A sector of
+    2 pi is the whole circle: theta lies in [0, 2 pi).
+    """
     z = complex(np.trace(U.conj().T @ G))
     n = U.shape[0]
-    d2 = 2.0 * n - 2.0 * abs(z)
-    theta = float(np.angle(z)) if z != 0 else 0.0
+    theta = float(np.angle(z)) % (2.0 * math.pi) if z != 0 else 0.0
+    if theta == 2.0 * math.pi:  # float mod maps a hair-below-zero angle here
+        theta = 0.0
+    off = 0.0  # |phi - theta| on the circle
+    if theta > sector:
+        up, down = theta - sector, 2.0 * math.pi - theta
+        theta, off = (sector, up) if up <= down else (0.0, down)
+    d2 = 2.0 * n - 2.0 * abs(z) * math.cos(off)
     return math.sqrt(max(0.0, d2)), theta
 
 
-def _mod_phase(th, period):
-    th = th % period
-    # float mod maps a hair-below-zero angle onto the period itself
-    return 0.0 if th == period else th
-
-
 def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0,
-                  piece_counts=(2, 3, 4, 6, 8), n_starts=24, max_duration=10.0):
+                  piece_counts=(2, 3, 4, 6, 8)):
     """Steer the propagator from g0 to g1 up to a global phase.
 
-    Minimizes min_theta ||e^{i theta} g_final - g1||_F with theta given in
-    closed form by the phase of tr(g_final^H g1).  When both generators are
-    traceless the reachable phases are quantized, so the reported theta is
-    reduced to [0, 2 pi / n); a polish stage then re-targets
-    e^{-i theta} g1 exactly so the reported (control, theta) pair stays
-    consistent.
+    One search minimizes ||e^{i theta} g_final - g1||_F over the control and
+    over theta in a sector, with theta in closed form from the phase of
+    tr(g_final^H g1).  When both generators are traceless, det g_final is
+    fixed, so the phases that solve e^{i theta} g_final = g1 are 2 pi / n
+    apart and the sector is [0, 2 pi / n]: theta lies in that closed
+    interval, and is 2 pi / n itself when the best phase lies just past it.
+    Otherwise theta lies in [0, 2 pi).  The reported theta and distance come
+    from one evaluation, so the distance is ||e^{i theta} g_final - g1||_F
+    at the reported theta.
     """
     g0 = assert_unitary(g0, atol=1e-9)
     g1 = assert_unitary(g1, atol=1e-9)
@@ -433,56 +434,31 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0,
         abs(complex(np.trace(g.A))) <= 1e-12
         and abs(complex(np.trace(g.B))) <= 1e-12
     )
-    sector = 2.0 * math.pi / n
+    sector = 2.0 * math.pi / n if traceless else 2.0 * math.pi
 
-    def dist_quotient(p, m):
+    def distance(p, m):
         U = _propagator(g, p[:m], np.exp(p[m:])) @ g0
-        return _phase_distance(U, g1)[0]
+        return _phase_distance(U, g1, sector)[0]
 
     meta = {"seed": int(seed), "target": "unitary"}
-    d0, th0 = _phase_distance(g0, g1)
+    d0, th0 = _phase_distance(g0, g1, sector)
     if d0 <= tol:
         c = PiecewiseConstantControl("reparametrized", [], delta, meta=meta)
-        theta = _mod_phase(th0, sector if traceless else 2.0 * math.pi)
-        return UnitarySteeringResult(c, theta, d0, True, 0, traceless)
+        return UnitarySteeringResult(c, th0, d0, True, 0, traceless)
 
-    best_p, best_s, best_m, used = _escalate(
-        dist_quotient, delta, tol, budget, seed, piece_counts, n_starts,
-        max_duration,
+    best_p, _, m, used = _escalate(
+        distance, delta, tol, budget, seed, piece_counts
     )
-    m = best_m
     U = _propagator(g, best_p[:m], np.exp(best_p[m:])) @ g0
-    _, theta_raw = _phase_distance(U, g1)
-    theta = _mod_phase(theta_raw, sector if traceless else 2.0 * math.pi)
-
-    if best_s <= tol and abs(theta - theta_raw) > 1e-15:
-        # polish toward the reduced-phase representative so that
-        # e^{i theta} g_final ~ g1 holds for the theta actually reported
-        target = np.exp(-1j * theta) * g1
-
-        def dist_exact(p, m=m):
-            Uf = _propagator(g, p[:m], np.exp(p[m:])) @ g0
-            return float(np.linalg.norm(Uf - target))
-
-        lo, hi = _box(m, delta, max_duration)
-        step = np.array([0.05 * max_duration] * m + [0.2] * m)
-        p2, s2, ev = _coordinate_descent(
-            dist_exact, best_p, lo, hi, step, max(2000, budget // 10), tol
-        )
-        used += ev
-        if s2 <= tol:
-            best_p, best_s = p2, s2
-        else:
-            theta = _mod_phase(theta_raw, 2.0 * math.pi)  # honest-phase fallback
-
-    converged = bool(best_s <= tol)
-    meta["distance"] = float(best_s)
+    dist, theta = _phase_distance(U, g1, sector)
+    converged = bool(dist <= tol)
+    meta["distance"] = float(dist)
     meta["theta"] = float(theta)
     if not converged:
         meta["unconverged"] = True
-    c = _params_to_control(best_p, best_m, delta, meta)
+    c = _params_to_control(best_p, m, delta, meta)
     return UnitarySteeringResult(
-        c, float(theta), float(best_s), converged, used, traceless
+        c, float(theta), float(dist), converged, used, traceless
     )
 
 

@@ -231,6 +231,50 @@ def test_steer_unitary_traceless_sector():
         assert np.linalg.norm(np.exp(1j * r.theta) * U - target) <= 2e-3
 
 
+def test_steer_unitary_unconverged_theta_matches_distance():
+    # the budget is too small to converge, so the best phase of these
+    # searches often lies outside the sector [0, 2 pi / 3]
+    s = custom_system([-1.1, 0.2, 0.9],
+                      [[0.0, 0.5, 0.2], [0.5, 0.0, 0.4], [0.2, 0.4, 0.0]])
+    g = truncate(s, 3)
+    eye = np.eye(3, dtype=complex)
+    target = eye
+    for t, u in ((0.6, 0.7), (1.1, 1.9), (0.5, 0.4)):
+        target = expm_skew(u * g.A + g.B, t) @ target
+    for seed in range(4):
+        r = steer_unitary(g, eye, target, delta=0.1, budget=3000, seed=seed)
+        assert r.traceless and r.evaluations <= 3000
+        assert 0.0 <= r.theta <= 2.0 * math.pi / 3
+        U = eye
+        for t, u in r.control.pieces:
+            U = expm_skew(u * g.A + g.B, t) @ U
+        phased = np.linalg.norm(np.exp(1j * r.theta) * U - target)
+        assert abs(r.distance - phased) <= 1e-9
+
+
+@st.composite
+def unitary_pairs(draw):
+    """(U, G, sector): random n x n unitaries, sector 2 pi / n or 2 pi."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, G = (np.linalg.qr(rng.normal(size=(n, n))
+                         + 1j * rng.normal(size=(n, n)))[0] for _ in range(2))
+    return U, G, draw(st.sampled_from([2.0 * math.pi / n, 2.0 * math.pi]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(unitary_pairs())
+def test_phase_distance_is_sector_minimum(p):
+    U, G, sector = p
+    d, theta = synthesis._phase_distance(U, G, sector)
+    assert 0.0 <= theta <= sector and theta < 2.0 * math.pi
+    assert abs(d - np.linalg.norm(np.exp(1j * theta) * U - G)) <= 1e-12
+    grid = np.linspace(0.0, sector, 256)
+    on_grid = np.linalg.norm(
+        np.exp(1j * grid)[:, None, None] * U - G, axis=(1, 2))
+    assert on_grid.min() >= d - 1e-12
+
+
 def test_reported_evaluations_are_objective_calls(monkeypatch):
     calls = []
     kernel = synthesis._piece_unitaries
