@@ -242,6 +242,13 @@ def frequently_connected(sys, n, threshold=EDGE_THRESHOLD):
 # ---------------------------------------------------------------------------
 
 
+def _check_tol(tol):
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    return tol
+
+
 def _relation_ok(gaps, q, tol, gnorm):
     q = np.asarray(q, dtype=float)
     r = abs(float(np.dot(q, gaps)))
@@ -252,27 +259,64 @@ def _scan_support(gaps, support, Q, tol, gnorm):
     """Best admissible relation supported exactly on `support`, or None.
 
     Coefficients run over nonzero integers with the first support coordinate
-    positive (sign normalization).  Returns the hit minimizing (max |q_i|,
-    lexicographic coefficients).
+    positive (sign normalization): Q (2Q)^(s-1) candidate vectors on a
+    support of size s.  A candidate q is a hit when r <= tol ||g||_2 ||q||_2,
+    with r = |(...(q_1 g_1 + q_2 g_2) + ...) + q_s g_s| summed left to right.
+    Returns the hit minimizing (max |q_i|, lexicographic coefficients).
+
+    Meet in the middle (Horowitz & Sahni 1974): the partial sums of the left
+    half of the support (the positive axis and the next ceil(s/2) - 1 axes)
+    and of the right half are enumerated separately, the right sums sorted,
+    and for each left sum one range query keeps the right sums whose total
+    lies within the largest threshold tol ||g||_2 Q sqrt(s) plus a rounding
+    slack 4 s eps Q sum|g_i|.  Splitting the sum changes its rounding by at
+    most about (s - 1) eps Q sum|g_i|, so the kept pairs hold every hit; each
+    is re-tested with the left-to-right sum above.  Work and memory are
+    O((2Q)^ceil(s/2) log Q) plus the kept pairs, not the (2Q)^s grid.
     """
-    s = len(support)
+    g = gaps[list(support)]
+    s = g.size
+    h = (s + 1) // 2
     pos = np.arange(1, Q + 1, dtype=float)
     signed = np.concatenate([np.arange(-Q, 0), np.arange(1, Q + 1)]).astype(float)
-    axes = [pos] + [signed] * (s - 1)
-    shape = [len(ax) for ax in axes]
 
-    resid = np.zeros(shape)
-    normsq = np.zeros(shape)
-    for i, ax in enumerate(axes):
-        view = ax.reshape([-1 if j == i else 1 for j in range(s)])
-        resid = resid + view * gaps[support[i]]
-        normsq = normsq + view**2
+    def half(axes, coeffs):
+        cols = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]
+        total = np.zeros(cols[0].size if cols else 1)
+        for col, gi in zip(cols, coeffs):
+            total = total + col * gi
+        return cols, total
+
+    lcols, lsum = half([pos] + [signed] * (h - 1), g[:h])
+    rcols, rsum = half([signed] * (s - h), g[h:])
+
+    # no candidate's threshold exceeds the one at ||q||_2 = Q sqrt(s); the
+    # factor 1 + 4 eps covers the rounding of this line itself
+    eps = np.finfo(float).eps
+    slack = 4 * s * eps * Q * float(np.sum(np.abs(g)))
+    reach = (tol * gnorm * np.sqrt(float(Q * Q * s)) + slack) * (1 + 4 * eps)
+    order = np.argsort(rsum, kind="stable")
+    rs = rsum[order]
+    lo = np.searchsorted(rs, -reach - lsum, side="left")
+    count = np.searchsorted(rs, reach - lsum, side="right") - lo
+    if not count.any():
+        return None
+    # left sum j pairs with the sorted right sums rs[lo[j] : lo[j] + count[j]]
+    li = np.repeat(np.arange(lsum.size), count)
+    ri = order[np.repeat(lo - (np.cumsum(count) - count), count)
+               + np.arange(li.size)]
+    vals = [col[li] for col in lcols] + [col[ri] for col in rcols]
+
+    resid = np.zeros(li.size)
+    normsq = np.zeros(li.size)
+    for v, gi in zip(vals, g):
+        resid = resid + v * gi
+        normsq = normsq + v**2
     mask = np.abs(resid) <= tol * gnorm * np.sqrt(normsq)
     if not mask.any():
         return None
 
-    coords = list(np.nonzero(mask))
-    vals = [axes[i][coords[i]] for i in range(s)]
+    vals = [v[mask] for v in vals]
     maxabs = np.max(np.abs(np.stack(vals)), axis=0)
     keep = maxabs == maxabs.min()
     vals = [v[keep] for v in vals]
@@ -321,11 +365,19 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     """Bounded search for an integer relation sum_i q_i g_i ~ 0.
 
     A candidate q (nonzero, ||q||_inf <= Q) counts as a relation when
-    |sum q_i g_i| <= tol * ||g||_2 * ||q||_2.  Small problems are scanned
-    exhaustively in canonical order (support size, support indices, max |q_i|,
-    lexicographic), so the reported witness is the simplest one; larger
-    problems fall back to PSLQ after an exhaustive scan of supports of size
-    <= 2.  Either way the verdict is only "none found within bounds".
+    |sum q_i g_i| <= tol * ||g||_2 * ||q||_2.  When the full candidate set,
+    (2Q+1)^m vectors, is at most EXHAUSTIVE_BUDGET, every support is scanned
+    in canonical order (support size, support indices, max |q_i|,
+    lexicographic), so the reported witness is the simplest one; otherwise
+    supports of size <= 2 are scanned and PSLQ searches the rest.  Each
+    support scan is a meet-in-the-middle range query (see _scan_support) that
+    reports exactly the hits of the full grid.  Either way the verdict is only
+    "none found within bounds".
+
+    Raises ValueError for non-finite gaps or ||g||_2, a tol that is negative
+    or not finite, and a Q whose largest support scan would exceed
+    EXHAUSTIVE_BUDGET candidate vectors (2Q+1 for one gap, 2Q^2 on a support
+    of size 2).
     """
     gaps = np.asarray(gaps, dtype=float).ravel()
     m = gaps.shape[0]
@@ -334,11 +386,20 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     Q = int(Q)
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
-    tol = float(tol)
-    gnorm = float(np.linalg.norm(gaps))
+    scan = 2 * Q + 1 if m == 1 else 2 * Q * Q
+    if scan > EXHAUSTIVE_BUDGET:
+        raise ValueError(
+            f"Q={Q} needs a support scan of {scan} candidate vectors, over "
+            f"the scan bound EXHAUSTIVE_BUDGET={EXHAUSTIVE_BUDGET:g}"
+        )
+    tol = _check_tol(tol)
+    with np.errstate(over="ignore"):
+        gnorm = float(np.linalg.norm(gaps))
+    if not math.isfinite(gnorm):  # also every non-finite gap
+        raise ValueError(f"gaps and ||gaps||_2 must be finite, got {gnorm}")
     gkey = tuple(float(g) for g in gaps)
 
-    full_cost = float(2 * Q + 1) ** m
+    full_cost = (2 * Q + 1) ** m  # an exact int: no float overflow at large m
     if full_cost <= EXHAUSTIVE_BUDGET:
         q = _exhaustive(gaps, Q, tol, gnorm, m)
         method = "exhaustive"
@@ -376,12 +437,14 @@ def pairwise_gap_distinct(lam, tol=GAP_TOL):
     the one d places later, until a step finds no collision.  Float
     subtraction is antisymmetric and monotone, so the sweep applies exactly
     the test |g_a - g_b| <= threshold to every pair of pairs.  Violations
-    are listed in row-major order of the pair indices.
+    are listed in row-major order of the pair indices.  Raises ValueError
+    unless tol is finite and >= 0.
     """
     lam = np.asarray(lam, dtype=float).ravel()
     n = lam.shape[0]
     if n < 2:
         raise ValueError("need at least two eigenvalues")
+    tol = _check_tol(tol)
     j, k = np.triu_indices(n, 1)  # the order of itertools.combinations
     g = np.abs(lam[j] - lam[k])
     scale = max(1.0, float(lam.max() - lam.min()))

@@ -3,12 +3,14 @@ decoupling_error, each against a direct reference kept here."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bqcontrol.certification import lie_rank, pairwise_gap_distinct
+from bqcontrol import certification
+from bqcontrol.certification import lie_rank, nonresonance, pairwise_gap_distinct
 from bqcontrol.models import custom_system, truncate
 from bqcontrol.synthesis import PiecewiseConstantControl, decoupling_error
 
@@ -47,6 +49,78 @@ def test_gap_check_matches_all_pairs_of_pairs(lam, tol):
     ref = gap_collisions(lam, tol)
     assert got.violations == ref
     assert got.ok == (not ref)
+
+
+# -- integer-relation search -------------------------------------------------
+
+
+def dense_scan(gaps, support, Q, tol, gnorm):
+    """The whole (Q, 2Q, ..., 2Q) coefficient grid of one support, summed in
+    support order and tie-broken by (max |q_i|, lexicographic)."""
+    s = len(support)
+    pos = np.arange(1, Q + 1, dtype=float)
+    signed = np.concatenate([np.arange(-Q, 0), np.arange(1, Q + 1)]).astype(float)
+    axes = [pos] + [signed] * (s - 1)
+    shape = [len(ax) for ax in axes]
+
+    resid = np.zeros(shape)
+    normsq = np.zeros(shape)
+    for i, ax in enumerate(axes):
+        view = ax.reshape([-1 if j == i else 1 for j in range(s)])
+        resid = resid + view * gaps[support[i]]
+        normsq = normsq + view**2
+    mask = np.abs(resid) <= tol * gnorm * np.sqrt(normsq)
+    if not mask.any():
+        return None
+
+    coords = list(np.nonzero(mask))
+    vals = [axes[i][coords[i]] for i in range(s)]
+    maxabs = np.max(np.abs(np.stack(vals)), axis=0)
+    keep = maxabs == maxabs.min()
+    vals = [v[keep] for v in vals]
+    for i in range(s):
+        keep = vals[i] == vals[i].min()
+        vals = [v[keep] for v in vals]
+    q = np.zeros(len(gaps), dtype=int)
+    for i, idx in enumerate(support):
+        q[idx] = int(vals[i][0])
+    return q
+
+
+@st.composite
+def relation_inputs(draw):
+    """Gap vectors with exact, rounded, planted or no integer relations."""
+    m = draw(st.integers(1, 4))
+    Q = draw(st.integers(1, 8))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 5e-2]))
+    kind = draw(st.sampled_from(["generic", "integer", "sqrt2", "planted"]))
+    ints = st.lists(st.integers(-6, 6), min_size=m, max_size=m)
+    if kind == "integer":
+        gaps = [float(k) for k in draw(ints)]
+    elif kind == "sqrt2":  # relations exact in the integers, rounded in floats
+        gaps = [k * math.sqrt(2.0) for k in draw(ints)]
+    else:
+        gaps = draw(st.lists(st.floats(-20.0, 20.0), min_size=m, max_size=m))
+    if kind == "planted":  # solved for the last gap
+        q = draw(st.lists(st.integers(-Q, Q), min_size=m - 1, max_size=m - 1))
+        last = draw(st.integers(1, Q)) * draw(st.sampled_from([-1, 1]))
+        gaps[-1] = -sum(a * b for a, b in zip(q, gaps)) / last
+    return gaps, Q, tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(relation_inputs())
+# an exact zero of the support-order sum that a split sum rounds away
+@example(([k * math.sqrt(2.0) for k in (3, -1, 2, -6)], 1, 0.0))
+# two hits share the least max |q_i|: the lexicographic tie-break decides
+@example(([5.0, 4.0, -3.0, 1.0], 2, 0.0))
+@example(([-5.0, -3.0, -1.0, 4.0], 2, 0.0))
+def test_relation_scan_matches_dense_grid(case):
+    gaps, Q, tol = case
+    got = nonresonance(gaps, Q=Q, tol=tol).to_json()
+    with mock.patch.object(certification, "_scan_support", dense_scan):
+        ref = nonresonance(gaps, Q=Q, tol=tol).to_json()
+    assert got == ref
 
 
 # -- Lie rank -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for connectedness, nonresonance, rank and generator construction."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from bqcontrol.certification import (
+    EXHAUSTIVE_BUDGET,
     certify,
     connectedness,
     constructive_generators,
@@ -152,6 +154,53 @@ def test_relation_scales_with_tolerance():
     gaps = [1.0, 1.0 + 1e-6]
     assert nonresonance(gaps, Q=5, tol=1e-9).status == "none_found_within_bounds"
     assert nonresonance(gaps, Q=5, tol=1e-5).relation == (1, -1)
+
+
+def test_support4_scan_stays_small():
+    # the (2Q+1)^4 grid at Q=30 would take ~200 MB of float64 arrays
+    gaps = np.random.default_rng(3).uniform(0.0, 20.0, 4)
+    tracemalloc.start()
+    try:
+        v = nonresonance(gaps, Q=30, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.method == "exhaustive"
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("gaps", [[math.inf, 1.0], [1e308, 1e308], [math.nan, 1.0]])
+def test_nonfinite_gaps_rejected(gaps):
+    with pytest.raises(ValueError):
+        nonresonance(gaps)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
+def test_bad_tolerance_rejected(tol):
+    with pytest.raises(ValueError, match="tol"):
+        nonresonance([1.0, math.sqrt(2)], tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        pairwise_gap_distinct([0.0, 1.0, 3.0, 4.0], tol=tol)
+
+
+def test_negative_tolerance_cannot_certify():
+    # at the default tol, gaps (1, 2, 1) are refuted by (2, -1, 0)
+    W = np.random.default_rng(0).normal(size=(4, 4))
+    s = custom_system([0.0, 1.0, 3.0, 4.0], W + W.T)
+    assert certify(s, 4).nonresonant_gaps.relation == (2, -1, 0)
+    with pytest.raises(ValueError, match="tol"):
+        certify(s, 4, tol=-1)
+
+
+def test_q_bound_on_support_scans():
+    # support-2 scans hold 2 Q^2 candidate vectors, one gap 2Q + 1
+    q2 = math.isqrt(int(EXHAUSTIVE_BUDGET) // 2)
+    assert nonresonance([1.0, math.sqrt(2)], Q=q2).method == (
+        "exhaustive(support<=2)+pslq")
+    with pytest.raises(ValueError, match="EXHAUSTIVE_BUDGET"):
+        nonresonance([1.0, math.sqrt(2)], Q=q2 + 1)
+    with pytest.raises(ValueError, match="EXHAUSTIVE_BUDGET"):
+        nonresonance([1.0], Q=int(EXHAUSTIVE_BUDGET) // 2)
 
 
 # -- pairwise gaps ----------------------------------------------------------

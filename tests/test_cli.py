@@ -174,6 +174,21 @@ def test_certify_refuted_exit_two(capsys, tmp_path):
     assert report["result"]["nonresonant_gaps"]["relation"] == [1, -1]
 
 
+def test_certify_negative_tolerance_exit_four(capsys, tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "system": {"lambda": [0.0, 1.0, 3.0, 4.0],
+                   "W": [[0.2, 0.5, 0.3, 0.1], [0.5, -0.4, 0.6, 0.2],
+                         [0.3, 0.6, 0.1, 0.7], [0.1, 0.2, 0.7, 0.5]]},
+        "certify": {"n": 4, "tol": -1},
+    })
+    out = tmp_path / "out"
+    code, err = run(capsys, "certify", "--config", cfg, "--out", str(out))
+    assert code == 4
+    doc = diagnostic(err)
+    assert doc["error"] == "invalid-input" and "tol" in doc["detail"]
+    assert not (out / "report.json").exists()
+
+
 # -- synthesize ---------------------------------------------------------------
 
 
