@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .linalg import commutator
-from .models import truncate
+from .models import Record, truncate
 
 __all__ = [
     "ConnectednessReport",
@@ -54,37 +52,21 @@ EXHAUSTIVE_BUDGET = 3.0e7
 
 
 @dataclass(frozen=True)
-class ConnectednessReport:
+class ConnectednessReport(Record):
     connected: bool
     invariant_set: tuple | None  # smallest component when disconnected
     threshold: float
 
-    def to_json(self):
-        return {
-            "connected": self.connected,
-            "invariant_set": list(self.invariant_set)
-            if self.invariant_set is not None
-            else None,
-            "threshold": self.threshold,
-        }
-
 
 @dataclass(frozen=True)
-class FrequentConnectedness:
+class FrequentConnectedness(Record):
     first_connected_order: int | None
     holds_up_to_data: bool
     levels_searched: int
 
-    def to_json(self):
-        return {
-            "first_connected_order": self.first_connected_order,
-            "holds_up_to_data": self.holds_up_to_data,
-            "levels_searched": self.levels_searched,
-        }
-
 
 @dataclass(frozen=True)
-class RelationVerdict:
+class RelationVerdict(Record):
     status: str  # "relation_found" | "none_found_within_bounds"
     relation: tuple | None
     q_max: int
@@ -97,52 +79,23 @@ class RelationVerdict:
     def found(self):
         return self.status == "relation_found"
 
-    def to_json(self):
-        return {
-            "status": self.status,
-            "relation": list(self.relation) if self.relation else None,
-            "q_max": self.q_max,
-            "tolerance": self.tolerance,
-            "gaps": list(self.gaps),
-            "method": self.method,
-            "residual": self.residual,
-        }
-
 
 @dataclass(frozen=True)
-class GapDistinctness:
+class GapDistinctness(Record):
     ok: bool
     violations: tuple  # ((j, k), (l, m)) index pairs with colliding |gaps|
     tolerance: float
     scale: float
 
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "violations": [[list(a), list(b)] for a, b in self.violations],
-            "tolerance": self.tolerance,
-            "scale": self.scale,
-        }
-
 
 @dataclass(frozen=True)
-class LieRankResult:
+class LieRankResult(Record):
     rank: int
     dimension: int  # ambient dim of u(n) = n^2
     contains_su: bool
     stabilized: bool
     depth_reached: int
     max_depth: int
-
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "dimension": self.dimension,
-            "contains_su": self.contains_su,
-            "stabilized": self.stabilized,
-            "depth_reached": self.depth_reached,
-            "max_depth": self.max_depth,
-        }
 
 
 @dataclass(frozen=True)
@@ -154,43 +107,23 @@ class ConstructiveGenerators:
 
 
 @dataclass(frozen=True)
-class PerturbationCertificate:
+class PerturbationCertificate(Record):
     status: str  # "almost_every_mu" | "refuted" | "inconclusive"
     diagonal: tuple
     relation: RelationVerdict
     frequent: FrequentConnectedness
 
-    def to_json(self):
-        return {
-            "status": self.status,
-            "diagonal": list(self.diagonal),
-            "relation": self.relation.to_json(),
-            "frequent": self.frequent.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(Record):
     order: int
+    overall: str  # "certified" | "refuted" | "inconclusive"
     connected: ConnectednessReport
     nonresonant_gaps: RelationVerdict
     pairwise_gaps_distinct: GapDistinctness
     lie_rank: LieRankResult
     perturbation: PerturbationCertificate
-    overall: str  # "certified" | "refuted" | "inconclusive"
     options: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "order": self.order,
-            "overall": self.overall,
-            "connected": self.connected.to_json(),
-            "nonresonant_gaps": self.nonresonant_gaps.to_json(),
-            "pairwise_gaps_distinct": self.pairwise_gaps_distinct.to_json(),
-            "lie_rank": self.lie_rank.to_json(),
-            "perturbation": self.perturbation.to_json(),
-            "options": dict(self.options),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +142,25 @@ def connectedness(W, threshold=EDGE_THRESHOLD):
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError(f"W must be square, got shape {W.shape}")
     n = W.shape[0]
-    adj = (np.abs(W) > threshold).astype(np.int8)
-    np.fill_diagonal(adj, 0)
-    ncomp, labels = connected_components(
-        csr_matrix(adj), directed=False, return_labels=True
-    )
-    if ncomp <= 1:
+    adj = (np.abs(W) > threshold) | np.eye(n, dtype=bool)
+    adj |= adj.T  # an edge in either direction joins two levels
+    # label propagation: each node takes the least label among itself and its
+    # neighbours, then the label of that label (pointer jumping); a label
+    # never exceeds its node, so the fixed point labels every component by
+    # its lowest index
+    labels = np.arange(n)
+    while True:
+        new = np.where(adj, labels, n).min(axis=1, initial=n)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    roots = np.flatnonzero(labels == np.arange(n))
+    if roots.size <= 1:
         return ConnectednessReport(True, None, float(threshold))
-    comps = [tuple(np.flatnonzero(labels == c)) for c in range(ncomp)]
-    comps.sort(key=lambda c: (len(c), c[0]))
-    witness = tuple(int(i) for i in comps[0])
+    sizes = np.bincount(labels)[roots]
+    root = roots[np.argmin(sizes)]  # the first smallest: lowest index on ties
+    witness = tuple(np.flatnonzero(labels == root).tolist())
     return ConnectednessReport(False, witness, float(threshold))
 
 

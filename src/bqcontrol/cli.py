@@ -19,7 +19,7 @@ from .linalg import EigendecompositionError
 from .models import (
     QuadratureError,
     _write_json,
-    _write_text,
+    _write_table,
     custom_system,
     dump_system,
     system_from_config,
@@ -57,23 +57,9 @@ def _diagnostic(kind, detail):
     sys.stderr.write(json.dumps({"error": kind, "detail": str(detail)}) + "\n")
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    return x
-
-
 def _write_report(out_dir, doc):
     doc = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), **doc}
-    _write_json(os.path.join(out_dir, "report.json"), _jsonable(doc))
+    _write_json(os.path.join(out_dir, "report.json"), doc)
 
 
 def _load_config(path):
@@ -94,6 +80,22 @@ def _section(cfg, name):
     if not isinstance(sec, dict):
         raise ConfigError(f"config must contain a {name!r} object")
     return sec
+
+
+def _number(sec, name, key, default, kind=float):
+    """sec[key] (default when absent) as a float, or as an int when kind is
+    int; a null is taken only where the default is null.  A bool, a
+    non-number or a non-integral value for an int raises ConfigError."""
+    v = sec.get(key, default)
+    if v is None and default is None:
+        return None
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{name}.{key} must be a number, got {v!r}")
+    if kind is int:
+        if isinstance(v, float) and not v.is_integer():
+            raise ConfigError(f"{name}.{key} must be an integer, got {v!r}")
+        return int(v)
+    return float(v)
 
 
 def _build_system(cfg):
@@ -147,7 +149,6 @@ def _galerkin_at(system, order):
     extra levels uncoupled, so trajectories started inside the stored block
     are unchanged; it exists to let verification run at a higher order.
     """
-    order = int(order)
     if order < 2:
         raise ConfigError(f"order must be >= 2, got {order}")
     if order <= system.levels:
@@ -176,14 +177,14 @@ def _cmd_certify(cfg, out_dir, args):
     report = certify(
         system,
         n,
-        Q=int(sec.get("Q", 30)),
-        tol=float(sec.get("tol", 1e-9)),
-        max_depth=sec.get("max_depth"),
+        Q=_number(sec, "certify", "Q", 30, int),
+        tol=_number(sec, "certify", "tol", 1e-9),
+        max_depth=_number(sec, "certify", "max_depth", None, int),
     )
     _write_report(out_dir, {
         "command": "certify",
         "config": cfg,
-        "result": report.to_json(),
+        "result": report,
     })
     return EXIT_REFUTED if report.overall == "refuted" else EXIT_OK
 
@@ -191,32 +192,32 @@ def _cmd_certify(cfg, out_dir, args):
 def _cmd_synthesize(cfg, out_dir, args):
     system = _build_system(cfg)
     sec = _section(cfg, "synthesize")
-    n = int(sec.get("n", system.levels))
+    n = _number(sec, "synthesize", "n", system.levels, int)
     g = _galerkin_at(system, n)
     x0 = _parse_state(sec.get("from"), n)
     x1 = _parse_state(sec.get("to"), n)
-    seed = args.seed if args.seed is not None else int(sec.get("seed", 0))
-    tol = float(sec.get("tol", 1e-3))
+    seed = (args.seed if args.seed is not None
+            else _number(sec, "synthesize", "seed", 0, int))
     result = steer_state(
         g, x0, x1,
-        delta=float(sec.get("delta", 0.1)),
-        tol=tol,
-        budget=int(sec.get("budget", 40000)),
+        delta=_number(sec, "synthesize", "delta", 0.1),
+        tol=_number(sec, "synthesize", "tol", 1e-3),
+        budget=_number(sec, "synthesize", "budget", 40000, int),
         seed=seed,
     )
     dump_control(result.control, os.path.join(out_dir, "control.json"))
 
     verify = None
-    order = sec.get("verify_order")
+    order = _number(sec, "synthesize", "verify_order", None, int)
     if order is not None:
-        gv = _galerkin_at(system, int(order))
+        gv = _galerkin_at(system, order)
         pad = np.zeros(gv.order, dtype=complex)
         pad[:n] = x0
         traj = propagate(gv, result.control, pad, samples_per_piece=1)
         target = np.zeros(gv.order, dtype=complex)
         target[:n] = x1
         verify = {
-            "order": int(order),
+            "order": order,
             "fidelity": fidelity(target, traj.final),
             "norm_drift": traj.norm_drift,
         }
@@ -251,11 +252,12 @@ def _cmd_simulate(cfg, out_dir, args):
     if not os.path.exists(path):
         raise ConfigError(f"control file not found: {path}")
     control = load_control(path)
-    order = int(sec.get("order", system.levels))
+    order = _number(sec, "simulate", "order", system.levels, int)
     g = _galerkin_at(system, order)
     psi0 = _parse_state(sec.get("state"), order)
     traj = propagate(g, control, psi0,
-                     samples_per_piece=int(sec.get("samples", 16)))
+                     samples_per_piece=_number(sec, "simulate", "samples", 16,
+                                               int))
     write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
 
     result = {
@@ -285,8 +287,8 @@ def _cmd_bound(cfg, out_dir, args):
     dim = system.levels
     psi0 = _parse_state(sec.get("from"), dim)
     psi1 = _parse_state(sec.get("to"), dim)
-    eps = float(sec.get("eps", 1e-3))
-    delta = float(sec.get("delta", 0.1))
+    eps = _number(sec, "bound", "eps", 1e-3)
+    delta = _number(sec, "bound", "delta", 0.1)
     value = steering_time_lower_bound(system, psi0, psi1, eps, delta)
     _write_report(out_dir, {
         "command": "bound",
@@ -302,21 +304,19 @@ def _cmd_bound(cfg, out_dir, args):
 
 def _plot_control(control, path):
     # staircase samples, whitespace-separated for gnuplot
-    lines = ["# t u"]
+    rows = []
     t = 0.0
     for dur, val in control.pieces:
-        lines.append(f"{t:.17g} {val:.17g}")
+        rows.append((t, val))
         t += dur
-        lines.append(f"{t:.17g} {val:.17g}")
-    _write_text(path, "\n".join(lines) + "\n")
+        rows.append((t, val))
+    _write_table(path, ["t", "u"], rows, sep=" ", prefix="# ")
 
 
 def _plot_trajectory(traj, path):
-    cols = " ".join(f"pop_{k}" for k in range(traj.populations.shape[1]))
+    names = ["t"] + [f"pop_{k}" for k in range(traj.populations.shape[1])]
     table = np.column_stack([traj.times, traj.populations])
-    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
-    _write_text(path, f"# t {cols}\n"
-                + "".join(row % tuple(r) for r in table.tolist()))
+    _write_table(path, names, table.tolist(), sep=" ", prefix="# ")
 
 
 _COMMANDS = {

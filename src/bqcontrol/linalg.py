@@ -19,7 +19,6 @@ __all__ = [
     "skew_eigensystem",
     "expm_skew",
     "commutator",
-    "real_span_dimension",
 ]
 
 # Validation thresholds from the interface contract.
@@ -151,26 +150,3 @@ def commutator(X, Y):
     if X.shape != Y.shape:
         raise ValueError(f"shape mismatch {X.shape} vs {Y.shape}")
     return X @ Y - Y @ X
-
-
-def _real_vec(M):
-    M = np.asarray(M, dtype=complex).ravel()
-    return np.concatenate([M.real, M.imag])
-
-
-def real_span_dimension(mats, rtol=1e-10):
-    """Dimension of the real linear span of a family of matrices.
-
-    Rank of the Gram matrix G[i, j] = Re tr(X_i^H X_j), counting eigenvalues
-    above rtol times the largest one.  Empty family has dimension 0.
-    """
-    mats = list(mats)
-    if not mats:
-        return 0
-    V = np.stack([_real_vec(M) for M in mats])
-    G = V @ V.T
-    sigma = np.linalg.eigvalsh(G)
-    top = sigma[-1]
-    if top <= 0.0:
-        return 0
-    return int(np.sum(sigma > rtol * top))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -467,9 +467,37 @@ def _write_text(path, text):
         raise
 
 
+def _write_table(path, names, rows, sep=",", prefix=""):
+    """Atomic text table: a header line of column names, then one line per
+    row with every number printed as %.17g, which round-trips a double."""
+    row = sep.join(["%.17g"] * len(names)) + "\n"
+    _write_text(path, prefix + sep.join(names) + "\n"
+                + "".join(row % tuple(r) for r in rows))
+
+
+def _plain(x):
+    """x as plain JSON data: a dataclass becomes the dict of its fields in
+    field order, a tuple a list, a numpy scalar the Python scalar."""
+    if is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, np.generic):
+        return x.item()
+    return x
+
+
+class Record:
+    """Base of the report dataclasses: to_json() is _plain(self)."""
+
+    to_json = _plain
+
+
 def _write_json(path, doc):
     """Atomic JSON artifact; NaN and infinities raise ValueError, as JSON has none."""
-    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(_plain(doc), indent=2, allow_nan=False) + "\n")
 
 
 def load_system(path):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _piece_unitaries
-from .models import _write_text
+from .models import Record, _write_table
 
 __all__ = [
     "Trajectory",
@@ -216,17 +216,10 @@ def modulus_margins(psi_start, psi_end, duration, column_norms):
 
 
 @dataclass(frozen=True)
-class ModulusDriftReport:
+class ModulusDriftReport(Record):
     ok: bool
     worst_margin: float
     margins: tuple
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "worst_margin": self.worst_margin,
-            "margins": list(self.margins),
-        }
 
 
 def modulus_drift_check(g, c, psi0, slack=1e-8):
@@ -281,6 +274,4 @@ def write_trajectory_csv(traj, path):
     else:
         raise ValueError(f"unknown trajectory kind {traj.kind!r}")
 
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    _write_text(path, ",".join(header) + "\n"
-                + "".join(row % tuple(r) for r in table.tolist()))
+    _write_table(path, header, table.tolist())

@@ -54,7 +54,7 @@ _SCAN_CHUNK = 65536  # coarse points evaluated per vectorized pass
 
 
 class PhaseSearchError(RuntimeError):
-    """No admissible plateau time exists within the search horizon."""
+    """No admissible plateau time exists within the bounded scan."""
 
 
 class PiecewiseConstantControl:
@@ -166,10 +166,20 @@ def control_from_json(doc):
     for key in ("frame", "delta", "pieces"):
         if key not in doc:
             raise ValueError(f"control document missing required key '{key}'")
-    pieces = [(p["duration"], p["value"]) for p in doc["pieces"]]
-    return PiecewiseConstantControl(
-        doc["frame"], pieces, doc["delta"], meta=doc.get("meta")
-    )
+    pieces = doc["pieces"]
+    if not isinstance(pieces, list) or not all(
+        isinstance(p, dict) and "duration" in p and "value" in p for p in pieces
+    ):
+        raise ValueError(
+            "control pieces must be a list of {duration, value} objects"
+        )
+    try:
+        return PiecewiseConstantControl(
+            doc["frame"], [(p["duration"], p["value"]) for p in pieces],
+            doc["delta"], meta=doc.get("meta"),
+        )
+    except TypeError as e:  # a list or object where a number belongs
+        raise ValueError(f"malformed control document: {e}") from None
 
 
 def dump_control(c, path):
@@ -514,7 +524,7 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
 
 
 def lift_control(target, sys, n, N, phase_tol=0.05, delta_bar=None,
-                 subdivisions=8, horizon=None):
+                 subdivisions=8):
     """Lift an order-n control so its conjugated coupling decouples at order N.
 
     The target's integrated value v(t) is approximated by plateaus (one per
@@ -528,10 +538,10 @@ def lift_control(target, sys, n, N, phase_tol=0.05, delta_bar=None,
     hold (delta_bar defaults to 2 delta).
 
     Each plateau time is searched on a grid of step pi / (4 max|lambda_1 -
-    lambda_j|) over at most MAX_SCAN_POINTS points, or horizon / step points
-    when `horizon` is given; PhaseSearchError names the scanned interval when
-    the bound is hit.  A gap relation that makes the z-type targets
-    unreachable raises PhaseSearchError naming it before any scan.
+    lambda_j|) over at most MAX_SCAN_POINTS points; PhaseSearchError names the
+    scanned interval when the bound is hit.  A gap relation that makes the
+    z-type targets unreachable raises PhaseSearchError naming it before any
+    scan.
     """
     if target.frame != "reparametrized":
         raise ValueError("lift_control expects a reparametrized-frame target")
@@ -574,14 +584,13 @@ def lift_control(target, sys, n, N, phase_tol=0.05, delta_bar=None,
     )  # z-type offset on the upper block
     max_freq = float(np.max(np.abs(freqs))) if np.any(freqs) else 1.0
     step = math.pi / (4.0 * max_freq)
-    points = MAX_SCAN_POINTS if horizon is None else math.ceil(horizon / step)
     if verdict.found:
         # p . freqs = q . gaps ~ 0, so p . freqs (s - w) stays within
         # |p . freqs| |s - w| of 0, while a z-type target needs it at
         # p . flip mod 2 pi up to ||p||_1 phase_tol; reach bounds |s - w|
         q = np.array(verdict.relation)
         p = np.append(q[1:], 0) - q
-        reach = (k * target.npieces * points * step
+        reach = (k * target.npieces * MAX_SCAN_POINTS * step
                  + delta_bar * target.total_duration + target.integrated_value)
         gap = abs(math.remainder(float(p @ flip), 2.0 * math.pi))
         if gap > np.abs(p).sum() * phase_tol + abs(float(p @ freqs)) * reach:
@@ -605,7 +614,7 @@ def lift_control(target, sys, n, N, phase_tol=0.05, delta_bar=None,
             offsets = base if kind == "w" else flip
             targets = np.mod(freqs * w + offsets, 2.0 * math.pi)
             lo = v_cur + delta_bar * ramp
-            s = _torus_return(freqs, targets, lo, phase_tol, step, points)
+            s = _torus_return(freqs, targets, lo, phase_tol, step)
             resid = float(
                 np.max(_circ_dist(freqs * s, targets)) if len(freqs) else 0.0
             )

@@ -8,14 +8,49 @@ from unittest import mock
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from bqcontrol import certification
-from bqcontrol.certification import lie_rank, nonresonance, pairwise_gap_distinct
+from bqcontrol.certification import (
+    EDGE_THRESHOLD,
+    connectedness,
+    lie_rank,
+    nonresonance,
+    pairwise_gap_distinct,
+)
 from bqcontrol.models import custom_system, truncate
 from bqcontrol.synthesis import PiecewiseConstantControl, decoupling_error
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True,
                  database=None)
+
+
+# -- coupling-graph connectedness ---------------------------------------------
+
+
+@st.composite
+def coupling_matrices(draw):
+    """Sparse, possibly asymmetric W; some entries sit below the edge threshold."""
+    n = draw(st.integers(0, 12))
+    W = np.zeros((n, n))
+    if n:
+        idx = st.integers(0, n - 1)
+        for j, k in draw(st.lists(st.tuples(idx, idx), max_size=2 * n)):
+            W[j, k] = draw(st.sampled_from([0.5, -2.0, 0.1 * EDGE_THRESHOLD]))
+    return W
+
+
+@PROPS
+@given(coupling_matrices())
+def test_connectedness_matches_scipy_components(W):
+    adj = csr_matrix((np.abs(W) > EDGE_THRESHOLD).astype(np.int8))
+    ncomp, labels = connected_components(adj, directed=False)
+    comps = sorted((np.flatnonzero(labels == c).tolist() for c in range(ncomp)),
+                   key=lambda c: (len(c), c[0]))
+    got = connectedness(W)
+    assert got.connected == (ncomp <= 1)
+    assert got.invariant_set == (None if ncomp <= 1 else tuple(comps[0]))
 
 
 # -- pairwise gap distinctness ------------------------------------------------

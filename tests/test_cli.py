@@ -346,6 +346,40 @@ def test_simulate_nonfinite_control_fails_closed(capsys, tmp_path, piece):
         assert "nan" not in text and "inf" not in text
 
 
+CONTROL = {"frame": "reparametrized", "delta": 0.1,
+           "pieces": [{"duration": 0.8, "value": 0.3}]}
+
+
+@pytest.mark.parametrize("command, sec, control, named", [
+    ("certify", {"n": 3, "tol": [1]}, None, "certify.tol"),
+    ("certify", {"n": 3, "Q": [30]}, None, "certify.Q"),
+    ("certify", {"n": 3, "max_depth": [2]}, None, "certify.max_depth"),
+    ("certify", {"n": 3, "Q": 2.9}, None, "certify.Q"),
+    ("synthesize", {"from": "e1", "to": "e2", "n": None}, None, "synthesize.n"),
+    ("synthesize", {"from": "e1", "to": "e2", "budget": [1]}, None,
+     "synthesize.budget"),
+    ("bound", {"from": "e1", "to": "e2", "eps": {}}, None, "bound.eps"),
+    ("simulate", {"control": "u.json", "state": "e1", "order": [3]}, CONTROL,
+     "simulate.order"),
+    ("simulate", {"control": "u.json", "state": "e1"},
+     {**CONTROL, "pieces": [{"value": 0.3}]}, "pieces"),
+    ("simulate", {"control": "u.json", "state": "e1"},
+     {**CONTROL, "pieces": None}, "pieces"),
+], ids=["tol-list", "Q-list", "max_depth-list", "Q-fraction", "n-null",
+        "budget-list", "eps-object", "order-list", "piece-no-duration",
+        "pieces-null"])
+def test_mistyped_config_fails_closed(capsys, tmp_path, command, sec, control,
+                                      named):
+    if control is not None:
+        (tmp_path / "u.json").write_text(json.dumps(control))
+    cfg = write_json(tmp_path / "c.json", {"system": THREE_LEVEL, command: sec})
+    out = tmp_path / "out"
+    code, err = run(capsys, command, "--config", cfg, "--out", str(out))
+    assert code == 4
+    assert named in diagnostic(err)["detail"]
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask022", "umask077"])
 def test_artifacts_follow_umask(capsys, tmp_path, umask, mode):

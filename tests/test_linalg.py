@@ -1,4 +1,4 @@
-"""Tests for the skew-Hermitian exponential kernel and span utilities."""
+"""Tests for the skew-Hermitian exponential kernel and matrix utilities."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from bqcontrol.linalg import (
     commutator,
     expm_skew,
     is_skew_hermitian,
-    real_span_dimension,
     skew_eigensystem,
     skew_hermitian,
     unitarity_defect,
@@ -98,25 +97,3 @@ def test_commutator():
     C = commutator(X, Y)
     assert np.allclose(C, -(commutator(Y, X)))
     assert is_skew_hermitian(C)  # skew matrices close under bracket
-
-
-def test_real_span_dimension_pauli():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.diag([1.0 + 0j, -1.0])
-    su2 = [1j * sx, 1j * sy, 1j * sz]
-    assert real_span_dimension(su2) == 3
-    assert real_span_dimension(su2 + [1j * np.eye(2)]) == 4
-    # duplicates and real rescalings add nothing
-    assert real_span_dimension(su2 + [2.5 * 1j * sx]) == 3
-
-
-def test_real_span_dimension_complex_scaling_counts():
-    # i*M is independent of M over the reals
-    M = np.array([[0, 1], [-1, 0]], dtype=complex)
-    assert real_span_dimension([M]) == 1
-    assert real_span_dimension([M, 1j * M]) == 2
-
-
-def test_real_span_dimension_empty():
-    assert real_span_dimension([]) == 0

@@ -1,0 +1,63 @@
+"""Report records serialize from their dataclass fields, and the package
+imports without scipy."""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bqcontrol
+from bqcontrol.certification import certify
+from bqcontrol.models import Record, custom_system, truncate
+from bqcontrol.simulation import modulus_drift_check
+from bqcontrol.synthesis import PiecewiseConstantControl
+
+
+def records(r):
+    """r and every Record nested in its fields, depth first."""
+    yield r
+    for f in dataclasses.fields(r):
+        v = getattr(r, f.name)
+        if isinstance(v, Record):
+            yield from records(v)
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(2, 5))
+    lam = draw(st.one_of(
+        st.just([float(k) for k in range(n)]),  # equal gaps: refuted
+        st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n, unique=True),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
+    return custom_system(lam, W + W.T), n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(systems())
+def test_to_json_keys_are_fields_and_round_trip(case):
+    s, n = case
+    c = PiecewiseConstantControl("reparametrized", [(0.4, 0.5), (0.3, 2.0)],
+                                 0.1)
+    psi0 = np.eye(n, dtype=complex)[0]
+    drift = modulus_drift_check(truncate(s, n), c, psi0)
+    for r in [*records(certify(s, n, Q=6)), drift]:
+        doc = r.to_json()
+        assert list(doc) == [f.name for f in dataclasses.fields(r)]
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bqcontrol.__file__)))
+    code = ("import sys, bqcontrol, bqcontrol.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -373,7 +373,7 @@ def test_lift_warns_and_fails_on_resonant_gaps():
     raw = PiecewiseConstantControl("reparametrized", [(1.0, 0.3)], 0.1)
     with pytest.warns(UserWarning):
         with pytest.raises(PhaseSearchError):
-            lift_control(raw, s, 2, 3, phase_tol=0.01, horizon=2e3)
+            lift_control(raw, s, 2, 3, phase_tol=0.01)
 
 
 def test_lift_refutes_resonant_relation_without_scanning():
