@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .linalg import commutator
+from .linalg import _check_int, _check_real, commutator
 from .models import Record, truncate
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
 
 EDGE_THRESHOLD = 1e-12
 GAP_TOL = 1e-9
+DENOM_ATOL = 1e-12  # least Lagrange denominator of constructive_generators
 # full exhaustive enumeration only below this many candidate vectors
 EXHAUSTIVE_BUDGET = 3.0e7
 
@@ -136,8 +137,10 @@ def connectedness(W, threshold=EDGE_THRESHOLD):
 
     A disconnected graph yields an invariant index set: the smallest connected
     component (ties broken by lowest index), which spans a subspace the
-    dynamics can never leave.
+    dynamics can never leave.  Raises ValueError unless threshold is finite
+    and >= 0.
     """
+    threshold = _check_real(threshold, "threshold", 0.0, closed=True)
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError(f"W must be square, got shape {W.shape}")
@@ -157,24 +160,23 @@ def connectedness(W, threshold=EDGE_THRESHOLD):
         labels = new
     roots = np.flatnonzero(labels == np.arange(n))
     if roots.size <= 1:
-        return ConnectednessReport(True, None, float(threshold))
+        return ConnectednessReport(True, None, threshold)
     sizes = np.bincount(labels)[roots]
     root = roots[np.argmin(sizes)]  # the first smallest: lowest index on ties
     witness = tuple(np.flatnonzero(labels == root).tolist())
-    return ConnectednessReport(False, witness, float(threshold))
+    return ConnectednessReport(False, witness, threshold)
 
 
-def frequently_connected(sys, n, threshold=EDGE_THRESHOLD):
+def frequently_connected(sys, n):
     """First truncation order >= n whose coupling matrix is connected.
 
-    Only the stored levels can be inspected, so a positive verdict means
-    "holds up to the stored data", never a claim about the infinite family.
+    Edges are couplings above EDGE_THRESHOLD.  Only the stored levels can be
+    inspected, so a positive verdict means "holds up to the stored data",
+    never a claim about the infinite family.
     """
-    n = int(n)
-    if not 2 <= n <= sys.levels:
-        raise ValueError(f"order must be in [2, {sys.levels}], got {n}")
+    n = _check_int(n, "order", 2, sys.levels)
     for k in range(n, sys.levels + 1):
-        if connectedness(sys.W[:k, :k], threshold).connected:
+        if connectedness(sys.W[:k, :k]).connected:
             return FrequentConnectedness(k, True, sys.levels)
     return FrequentConnectedness(None, False, sys.levels)
 
@@ -182,13 +184,6 @@ def frequently_connected(sys, n, threshold=EDGE_THRESHOLD):
 # ---------------------------------------------------------------------------
 # nonresonance
 # ---------------------------------------------------------------------------
-
-
-def _check_tol(tol):
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    return tol
 
 
 def _relation_ok(gaps, q, tol, gnorm):
@@ -325,16 +320,14 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     m = gaps.shape[0]
     if m < 1:
         raise ValueError("need at least one gap")
-    Q = int(Q)
-    if Q < 1:
-        raise ValueError(f"Q must be >= 1, got {Q}")
+    Q = _check_int(Q, "Q", 1)
     scan = 2 * Q + 1 if m == 1 else 2 * Q * Q
     if scan > EXHAUSTIVE_BUDGET:
         raise ValueError(
             f"Q={Q} needs a support scan of {scan} candidate vectors, over "
             f"the scan bound EXHAUSTIVE_BUDGET={EXHAUSTIVE_BUDGET:g}"
         )
-    tol = _check_tol(tol)
+    tol = _check_real(tol, "tol", 0.0, closed=True)
     with np.errstate(over="ignore"):
         gnorm = float(np.linalg.norm(gaps))
     if not math.isfinite(gnorm):  # also every non-finite gap
@@ -386,7 +379,7 @@ def pairwise_gap_distinct(lam, tol=GAP_TOL):
     n = lam.shape[0]
     if n < 2:
         raise ValueError("need at least two eigenvalues")
-    tol = _check_tol(tol)
+    tol = _check_real(tol, "tol", 0.0, closed=True)
     j, k = np.triu_indices(n, 1)  # the order of itertools.combinations
     g = np.abs(lam[j] - lam[k])
     scale = max(1.0, float(lam.max() - lam.min()))
@@ -405,7 +398,7 @@ def pairwise_gap_distinct(lam, tol=GAP_TOL):
     a, b = ab[:, np.lexsort(ab[::-1])]  # row-major order
     violations = tuple(zip(zip(j[a].tolist(), k[a].tolist()),
                            zip(j[b].tolist(), k[b].tolist())))
-    return GapDistinctness(not violations, violations, float(tol), scale)
+    return GapDistinctness(not violations, violations, tol, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +417,20 @@ def lie_rank(g, max_depth=None):
     batched product (X-major, G-minor); each is projected out of the basis by
     classical Gram-Schmidt run twice, r -= Q^T (Q r), and kept when its
     residual exceeds max(1e-13, 1e-7 |r|).  Stops at stabilization, full rank
-    n^2, or max_depth nested brackets (default 2 n^2); hitting the depth
-    limit before stabilization marks the result inconclusive.
+    n^2, or max_depth nested brackets (an integer >= 0, default 2 n^2);
+    hitting the depth limit before stabilization marks the result
+    inconclusive.
     """
     n = g.order
     dim = n * n
-    if max_depth is None:
-        max_depth = 2 * dim
-    max_depth = int(max_depth)
+    max_depth = _check_int(2 * dim if max_depth is None else max_depth,
+                           "max_depth", 0)
 
     gens = np.array([g.A, g.B], dtype=complex)
     Q = np.empty((dim, 2 * dim))
     rank = depth_reached = 0
     level = gens
-    for depth in range(max(max_depth, 0) + 1):
+    for depth in range(max_depth + 1):
         lo = rank
         for M in level:
             if rank == dim:
@@ -471,7 +464,7 @@ def lie_rank(g, max_depth=None):
 # ---------------------------------------------------------------------------
 
 
-def constructive_generators(g, j, k, denom_atol=1e-12):
+def constructive_generators(g, j, k):
     """Isolate the (j, k) coupling direction by Lagrange filtering.
 
     Builds N = P(ad_A^2)(B) where P is the Lagrange polynomial equal to 1 at
@@ -484,12 +477,13 @@ def constructive_generators(g, j, k, denom_atol=1e-12):
         E ~ e_jk - e_kj,   F ~ i (e_jk + e_kj).
 
     Returns (E, F, N, residual) where residual is the max-abs distance of N
-    from its ideal value b e_jk - conj(b) e_kj.
+    from its ideal value b e_jk - conj(b) e_kj.  Raises ValueError when a
+    Lagrange denominator is below DENOM_ATOL.
     """
     n = g.order
-    j = int(j)
-    k = int(k)
-    if j == k or not (0 <= j < n and 0 <= k < n):
+    j = _check_int(j, "j", 0, n - 1)
+    k = _check_int(k, "k", 0, n - 1)
+    if j == k:
         raise ValueError(f"need distinct indices in [0, {n}), got ({j}, {k})")
     b = complex(g.B[j, k])
     if b == 0:
@@ -505,16 +499,16 @@ def constructive_generators(g, j, k, denom_atol=1e-12):
         if {p, q} != {j, k}:
             nodes.add(float(S[p, q]))
     for s in nodes:
-        if abs(target - s) < denom_atol:
+        if abs(target - s) < DENOM_ATOL:
             colliding = [
                 (p, q)
                 for p, q in itertools.combinations(range(n), 2)
-                if {p, q} != {j, k} and abs(float(S[p, q]) - s) < denom_atol
+                if {p, q} != {j, k} and abs(float(S[p, q]) - s) < DENOM_ATOL
             ]
             raise ValueError(
                 f"squared gap of pair ({j}, {k}) collides with "
                 f"{colliding or ['the diagonal']} (Lagrange denominator "
-                f"< {denom_atol:g})"
+                f"< {DENOM_ATOL:g})"
             )
 
     N = g.B.astype(complex).copy()
@@ -545,7 +539,7 @@ def constructive_generators(g, j, k, denom_atol=1e-12):
 # ---------------------------------------------------------------------------
 
 
-def perturbation_certificate(sys, n, Q=30, tol=GAP_TOL, threshold=EDGE_THRESHOLD):
+def perturbation_certificate(sys, n, Q=30, tol=GAP_TOL):
     """Almost-every-coupling-strength certificate from first-order derivatives.
 
     The eigenvalue derivatives with respect to the coupling strength are the
@@ -554,12 +548,10 @@ def perturbation_certificate(sys, n, Q=30, tol=GAP_TOL, threshold=EDGE_THRESHOLD
     some stored order >= n, the system is approximately controllable for
     almost every coupling strength, up to the stated search bounds.
     """
-    n = int(n)
-    if not 2 <= n <= sys.levels:
-        raise ValueError(f"order must be in [2, {sys.levels}], got {n}")
+    n = _check_int(n, "order", 2, sys.levels)
     diag = np.diag(sys.W)[:n]
     verdict = nonresonance(diag, Q=Q, tol=tol)
-    freq = frequently_connected(sys, n, threshold)
+    freq = frequently_connected(sys, n)
     if verdict.found:
         status = "refuted"
     elif freq.holds_up_to_data:
@@ -574,20 +566,22 @@ def perturbation_certificate(sys, n, Q=30, tol=GAP_TOL, threshold=EDGE_THRESHOLD
     )
 
 
-def certify(sys, n, Q=30, tol=GAP_TOL, max_depth=None, threshold=EDGE_THRESHOLD):
+def certify(sys, n, Q=30, tol=GAP_TOL, max_depth=None):
     """Run every certification check at truncation order n and aggregate.
 
     overall is "certified" only when connectedness, pairwise gap
     distinctness, gap nonresonance and the rank condition all pass;
     "refuted" only when a concrete witness exists (invariant set, colliding
     gap pairs, or an integer gap relation); "inconclusive" otherwise.
+    Coupling-graph edges are couplings above EDGE_THRESHOLD.
     """
     g = truncate(sys, n)
-    conn = connectedness(sys.W[:n, :n], threshold)
+    n = g.order
+    conn = connectedness(sys.W[:n, :n])
     pairwise = pairwise_gap_distinct(sys.lam[:n], tol)
     nonres = nonresonance(np.diff(sys.lam[:n]), Q=Q, tol=tol)
     lie = lie_rank(g, max_depth=max_depth)
-    pert = perturbation_certificate(sys, n, Q=Q, tol=tol, threshold=threshold)
+    pert = perturbation_certificate(sys, n, Q=Q, tol=tol)
 
     if not conn.connected or not pairwise.ok or nonres.found:
         overall = "refuted"
@@ -597,14 +591,14 @@ def certify(sys, n, Q=30, tol=GAP_TOL, max_depth=None, threshold=EDGE_THRESHOLD)
         overall = "inconclusive"
 
     options = {
-        "n": int(n),
-        "Q": int(Q),
-        "tol": float(tol),
+        "n": n,
+        "Q": nonres.q_max,
+        "tol": nonres.tolerance,
         "max_depth": lie.max_depth,
-        "edge_threshold": float(threshold),
+        "edge_threshold": conn.threshold,
     }
     return CertificationReport(
-        order=int(n),
+        order=n,
         connected=conn,
         nonresonant_gaps=nonres,
         pairwise_gaps_distinct=pairwise,

@@ -62,10 +62,20 @@ def _write_report(out_dir, doc):
     _write_json(os.path.join(out_dir, "report.json"), doc)
 
 
+def _finite_float(text):
+    """JSON number hook: NaN, Infinity, -Infinity and float literals that
+    overflow a double (1e400) raise ConfigError."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ConfigError(f"number {text} in config is not a finite double")
+    return v
+
+
 def _load_config(path):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_float,
+                            parse_constant=_finite_float)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
@@ -135,8 +145,9 @@ def _parse_state(spec, dim):
         v = np.array(entries, dtype=complex)
         if v.size != dim:
             raise ConfigError(f"state has dimension {v.size}, expected {dim}")
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-8:
+        with np.errstate(over="ignore"):  # an overflowing norm fails below
+            nrm = np.linalg.norm(v)
+        if not abs(nrm - 1.0) <= 1e-8:
             raise ConfigError(f"state not normalized (norm = {nrm:.6g})")
         return v / nrm
     raise ConfigError(f"unknown state spec of type {type(spec).__name__}")
@@ -193,6 +204,10 @@ def _cmd_synthesize(cfg, out_dir, args):
     system = _build_system(cfg)
     sec = _section(cfg, "synthesize")
     n = _number(sec, "synthesize", "n", system.levels, int)
+    order = _number(sec, "synthesize", "verify_order", None, int)
+    if order is not None and order < n:
+        raise ConfigError(f"synthesize.verify_order ({order}) must be >= "
+                          f"synthesize.n ({n})")
     g = _galerkin_at(system, n)
     x0 = _parse_state(sec.get("from"), n)
     x1 = _parse_state(sec.get("to"), n)
@@ -208,7 +223,6 @@ def _cmd_synthesize(cfg, out_dir, args):
     dump_control(result.control, os.path.join(out_dir, "control.json"))
 
     verify = None
-    order = _number(sec, "synthesize", "verify_order", None, int)
     if order is not None:
         gv = _galerkin_at(system, order)
         pad = np.zeros(gv.order, dtype=complex)
@@ -366,7 +380,7 @@ def dispatch(argv=None):
     except OSError as e:
         _diagnostic("io", e)
         return EXIT_CONFIG
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # a number too large for a double
         _diagnostic("invalid-input", e)
         return EXIT_CONFIG
 

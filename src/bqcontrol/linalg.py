@@ -8,6 +8,9 @@ propagators from a Hermitian eigendecomposition).
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -38,6 +41,30 @@ class EigendecompositionError(RuntimeError):
         )
 
 
+def _check_real(x, name, lo=-math.inf, hi=math.inf, closed=False):
+    """float(x) when it is finite and lo < x < hi (lo <= x when `closed`),
+    else ValueError naming the argument; NaN fails every test here."""
+    try:
+        v = float(x)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if not (math.isfinite(v) and (lo <= v if closed else lo < v) and v < hi):
+        span = f"{'[' if closed else '('}{lo:g}, {hi:g})"
+        raise ValueError(f"{name}={x!r} is not a finite number in {span}")
+    return v
+
+
+def _check_int(x, name, lo, hi=math.inf):
+    """int(x) when x is an integer (an integral float counts, a bool does
+    not) with lo <= x <= hi; ValueError naming the argument otherwise."""
+    ok = not isinstance(x, bool) and (
+        isinstance(x, numbers.Integral)
+        or (isinstance(x, numbers.Real) and float(x).is_integer()))
+    if not (ok and lo <= int(x) <= hi):
+        raise ValueError(f"{name}={x!r} is not an integer in [{lo}, {hi}]")
+    return int(x)
+
+
 def _as_square(X, name="matrix"):
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
@@ -54,9 +81,10 @@ def skew_hermitian(X, atol=SKEW_ATOL):
     likely bugs rather than silently repaired.
     """
     X = _as_square(X)
-    M = (X - X.conj().T) / 2.0
-    defect = np.max(np.abs(X - M)) if X.size else 0.0
-    if defect > atol:
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails below
+        M = (X - X.conj().T) / 2.0
+        defect = np.max(np.abs(X - M)) if X.size else 0.0
+    if not defect <= atol:
         raise ValueError(
             f"input is not skew-Hermitian within {atol:g} (defect {defect:.3e})"
         )
@@ -74,12 +102,13 @@ def unitarity_defect(U):
     """max-abs norm of U^H U - I."""
     U = _as_square(U, "U")
     n = U.shape[0]
-    return float(np.max(np.abs(U.conj().T @ U - np.eye(n)))) if n else 0.0
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN: not unitary
+        return float(np.max(np.abs(U.conj().T @ U - np.eye(n)))) if n else 0.0
 
 
 def assert_unitary(U, atol=UNITARY_ATOL):
     d = unitarity_defect(U)
-    if d > atol:
+    if not d <= atol:
         raise ValueError(f"matrix is not unitary within {atol:g} (defect {d:.3e})")
     return np.asarray(U, dtype=complex)
 
@@ -113,7 +142,7 @@ def expm_skew(M, t=1.0, validate=True):
     result unitary to machine precision regardless of ||t M||.
     """
     w, V = skew_eigensystem(M, validate=validate)
-    phases = np.exp(-1j * float(t) * w)
+    phases = np.exp(-1j * _check_real(t, "t") * w)
     return (V * phases) @ V.conj().T
 
 

@@ -24,6 +24,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from .linalg import _check_int, _check_real
+
 __all__ = [
     "DiscreteSpectrumSystem",
     "GalerkinPair",
@@ -47,6 +49,7 @@ QUAD_ATOL = 1e-10
 # numpy's Gauss-Hermite rule has non-finite weights from 372 nodes on
 QUAD_MAX_NODES = 256
 DEGENERACY_RTOL = 1e-9
+BOX_MAX_MODE = 64  # bound on each mode number k_d searched by _box_triples
 
 
 class QuadratureError(RuntimeError):
@@ -98,12 +101,13 @@ def _freeze(a):
     return a
 
 
-def custom_system(lam, W, labels=None, meta=None, atol=SYMMETRY_ATOL):
+def custom_system(lam, W, labels=None, meta=None):
     """Validate raw (lambda, W) data and build a DiscreteSpectrumSystem.
 
     W is symmetrized as (W + W^T)/2 after checking that the asymmetry does not
-    exceed `atol` in max-abs norm.  Eigenvalues are sorted non-decreasing and
-    the same permutation is applied to W's rows and columns (and to labels).
+    exceed SYMMETRY_ATOL in max-abs norm.  Eigenvalues are sorted
+    non-decreasing and the same permutation is applied to W's rows and columns
+    (and to labels).
     """
     lam = np.asarray(lam, dtype=float).ravel()
     L = lam.shape[0]
@@ -115,10 +119,8 @@ def custom_system(lam, W, labels=None, meta=None, atol=SYMMETRY_ATOL):
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(W))):
         raise ValueError("lambda and W must be finite")
     defect = float(np.max(np.abs(W - W.T))) if L else 0.0
-    if defect > atol:
-        raise ValueError(
-            f"W is not symmetric within {atol:g} (asymmetry {defect:.3e})"
-        )
+    if defect > SYMMETRY_ATOL:
+        raise ValueError(f"W asymmetry {defect:.3e} exceeds {SYMMETRY_ATOL:g}")
     W = (W + W.T) / 2.0
 
     if labels is not None:
@@ -139,9 +141,7 @@ def custom_system(lam, W, labels=None, meta=None, atol=SYMMETRY_ATOL):
 
 def truncate(sys, n):
     """Galerkin pair at order n from the lowest n stored levels."""
-    n = int(n)
-    if not 2 <= n <= sys.levels:
-        raise ValueError(f"truncation order must be in [2, {sys.levels}], got {n}")
+    n = _check_int(n, "truncation order", 2, sys.levels)
     A = np.diag(1j * sys.lam[:n])
     B = -1j * sys.W[:n, :n].astype(complex)
     A.flags.writeable = False
@@ -157,12 +157,8 @@ def tail_cutoff(sys, n, mu):
     holds at N = levels it holds vacuously (the tail beyond the stored data is
     unknown), which the at_data_boundary flag records.
     """
-    n = int(n)
-    if not 2 <= n <= sys.levels:
-        raise ValueError(f"base order must be in [2, {sys.levels}], got {n}")
-    mu = float(mu)
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    n = _check_int(n, "base order", 2, sys.levels)
+    mu = _check_real(mu, "mu", 0.0)
     rows = sys.W[:n, :]
     # suffix[j, N] = sum_{k >= N} W[j, k]^2
     sq = rows**2
@@ -216,17 +212,12 @@ def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL):
     entry moves by more than quad_atol, and QuadratureError is raised when
     that has not happened by QUAD_MAX_NODES nodes.
     """
-    a = float(a)
-    b = float(b)
-    levels = int(levels)
-    if a >= 0.0:
-        raise ValueError(f"a must be negative, got {a}")
-    if levels < 2:
-        raise ValueError(f"need at least 2 levels, got {levels}")
-    if c_mode == "normalized":
-        c = b * b / (4.0 * (a - 1.0))
-    else:
-        c = float(c_mode)
+    a = _check_real(a, "a", hi=0.0)
+    b = _check_real(b, "b")
+    levels = _check_int(levels, "levels", 2)
+    quad_atol = _check_real(quad_atol, "quad_atol", 0.0)
+    c = b * b / (4.0 * (a - 1.0)) if c_mode == "normalized" else c_mode
+    c = _check_real(c, "c")
 
     nodes = 64
     W = _osc_coupling(a, b, c, levels, nodes)
@@ -272,31 +263,35 @@ def _box1d_coupling(k, h, alpha, length):
 
 
 def _box_triples(l, levels):
-    """Lowest `levels` triples (k1,k2,k3) by eigenvalue, ties lexicographic."""
+    """Lowest `levels` triples (k1,k2,k3) by eigenvalue, ties lexicographic,
+    among those with every k_d <= K for K = 2, 4, 8, ..., BOX_MAX_MODE.
+    Raises ValueError past that bound and when a 1/l_d^2 is not positive and
+    finite.
+    """
     l = np.asarray(l, dtype=float)
-    K = 2
-    while True:
-        ks = range(1, K + 1)
-        flat = sorted(
-            (
-                math.pi**2
-                * (a**2 / l[0] ** 2 + b**2 / l[1] ** 2 + c**2 / l[2] ** 2),
-                (a, b, c),
-            )
-            for a in ks
-            for b in ks
-            for c in ks
+    with np.errstate(over="ignore", divide="ignore"):
+        inv = 1.0 / l**2
+    if not np.all(np.isfinite(inv) & (inv > 0.0)):
+        raise ValueError(f"edge lengths {l.tolist()} give a 1/l^2 that is "
+                         "not a positive finite double")
+    K = 1
+    while K < BOX_MAX_MODE:
+        K *= 2
+        a, b, c = (k.ravel() for k in np.meshgrid(
+            *[np.arange(1, K + 1)] * 3, indexing="ij"))
+        vals = math.pi**2 * (a**2 / l[0] ** 2 + b**2 / l[1] ** 2
+                             + c**2 / l[2] ** 2)
+        keep = np.lexsort((c, b, a, vals))[:levels]
+        # any excluded triple has some k_d >= K+1, so its eigenvalue exceeds
+        # min_d pi^2 ((K+1)^2/l_d^2 + sum_{e != d} 1/l_e^2)
+        excluded_min = math.pi**2 * min(
+            (K + 1) ** 2 * inv[d] + inv.sum() - inv[d] for d in range(3)
         )
-        if len(flat) >= levels:
-            # any excluded triple has some k_d >= K+1, so its eigenvalue exceeds
-            # min_d pi^2 ((K+1)^2/l_d^2 + sum_{e != d} 1/l_e^2)
-            inv = 1.0 / l**2
-            excluded_min = math.pi**2 * min(
-                (K + 1) ** 2 * inv[d] + inv.sum() - inv[d] for d in range(3)
-            )
-            if flat[levels - 1][0] < excluded_min:
-                return flat[:levels]
-        K += 2
+        if keep.size == levels and vals[keep[-1]] < excluded_min:
+            return list(zip(vals[keep].tolist(),
+                            zip(*(k[keep].tolist() for k in (a, b, c)))))
+    raise ValueError(f"the lowest {levels} levels of the box {l.tolist()} "
+                     f"need mode numbers above BOX_MAX_MODE={BOX_MAX_MODE}")
 
 
 def box3d_system(l, alpha, levels=8, simple_spectrum=False):
@@ -312,15 +307,11 @@ def box3d_system(l, alpha, levels=8, simple_spectrum=False):
     simple_spectrum : when True, raise if two kept eigenvalues collide within
         1e-9 relative, naming the triples.
     """
-    l = tuple(float(v) for v in l)
-    alpha = tuple(float(v) for v in alpha)
-    levels = int(levels)
+    l = tuple(_check_real(v, "edge length", 0.0) for v in l)
+    alpha = tuple(_check_real(v, "alpha") for v in alpha)
+    levels = _check_int(levels, "levels", 2)
     if len(l) != 3 or len(alpha) != 3:
         raise ValueError("l and alpha must have length 3")
-    if min(l) <= 0.0:
-        raise ValueError(f"edge lengths must be positive, got {l}")
-    if levels < 2:
-        raise ValueError(f"need at least 2 levels, got {levels}")
 
     kept = _box_triples(l, levels)
     lam = np.array([v for v, _ in kept])
@@ -364,15 +355,11 @@ def box3d_lambda_prime(l, alpha, triple):
     every alpha_i nonzero (the closed form divides by alpha_i l_i); the limit
     alpha -> 0 of each factor is 1.
     """
-    l = tuple(float(v) for v in l)
-    alpha = tuple(float(v) for v in alpha)
-    triple = tuple(int(k) for k in triple)
+    l = tuple(_check_real(v, "edge length", 0.0) for v in l)
+    alpha = tuple(_check_real(v, "alpha") for v in alpha)
+    triple = tuple(_check_int(k, "mode number", 1) for k in triple)
     if len(l) != 3 or len(alpha) != 3 or len(triple) != 3:
         raise ValueError("l, alpha and triple must have length 3")
-    if min(l) <= 0.0:
-        raise ValueError(f"edge lengths must be positive, got {l}")
-    if min(triple) < 1:
-        raise ValueError(f"mode numbers must be >= 1, got {triple}")
     if any(a == 0.0 for a in alpha):
         raise ValueError(f"alpha components must be nonzero, got {alpha}")
     out = 1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _piece_unitaries
+from .linalg import _check_int, _check_real, _piece_unitaries
 from .models import Record, _write_table
 
 __all__ = [
@@ -33,36 +33,39 @@ __all__ = [
 STATE_ATOL = 1e-10
 DENSITY_HERM_ATOL = 1e-12
 DENSITY_EIG_ATOL = 1e-10
+DRIFT_SLACK = 1e-8  # margin shortfall modulus_drift_check forgives
 
 
-def as_state(x, atol=STATE_ATOL):
-    """Validate a unit-norm state vector."""
+def as_state(x):
+    """Validate a state vector: dimension >= 2, norm 1 within STATE_ATOL."""
     x = np.asarray(x, dtype=complex).ravel()
     if x.size < 2:
         raise ValueError("state must have dimension >= 2")
-    nrm = float(np.linalg.norm(x))
-    if abs(nrm - 1.0) > atol:
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails below
+        nrm = float(np.linalg.norm(x))
+    if not abs(nrm - 1.0) <= STATE_ATOL:
         raise ValueError(f"state norm deviates from 1 by {abs(nrm - 1):.3e}")
     return x
 
 
-def as_density(R, herm_atol=DENSITY_HERM_ATOL, eig_atol=DENSITY_EIG_ATOL,
-               trace_atol=STATE_ATOL):
-    """Validate a density matrix: Hermitian, unit trace, PSD within tolerance."""
+def as_density(R):
+    """Validate a density matrix: Hermitian within DENSITY_HERM_ATOL, unit
+    trace within STATE_ATOL, eigenvalues >= -DENSITY_EIG_ATOL."""
     R = np.asarray(R, dtype=complex)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise ValueError(f"density matrix must be square, got {R.shape}")
-    herm = float(np.max(np.abs(R - R.conj().T)))
-    if herm > herm_atol:
-        raise ValueError(f"density matrix not Hermitian within {herm_atol:g} "
-                         f"(defect {herm:.3e})")
-    tr = complex(np.trace(R))
-    if abs(tr - 1.0) > trace_atol:
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails below
+        herm = float(np.max(np.abs(R - R.conj().T)))
+        tr = complex(np.trace(R))
+    if not herm <= DENSITY_HERM_ATOL:
+        raise ValueError(f"density matrix not Hermitian within "
+                         f"{DENSITY_HERM_ATOL:g} (defect {herm:.3e})")
+    if not abs(tr - 1.0) <= STATE_ATOL:
         raise ValueError(f"density trace deviates from 1 by {abs(tr - 1):.3e}")
     evals = np.linalg.eigvalsh((R + R.conj().T) / 2.0)
-    if float(evals.min()) < -eig_atol:
+    if not float(evals.min()) >= -DENSITY_EIG_ATOL:
         raise ValueError(f"density matrix has eigenvalue {evals.min():.3e} < "
-                         f"-{eig_atol:g}")
+                         f"-{DENSITY_EIG_ATOL:g}")
     return R
 
 
@@ -91,13 +94,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _sample_plan(samples_per_piece):
-    s = int(samples_per_piece)
-    if s < 1:
-        raise ValueError("samples_per_piece must be >= 1")
-    return s
-
-
 def propagate(g, c, psi0, samples_per_piece=16):
     """Evolve a state under a control, sampling inside every piece.
 
@@ -109,7 +105,7 @@ def propagate(g, c, psi0, samples_per_piece=16):
     n = g.order
     if psi.shape != (n,):
         raise ValueError(f"state dimension {psi.shape[0]} != order {n}")
-    s = _sample_plan(samples_per_piece)
+    s = _check_int(samples_per_piece, "samples_per_piece", 1)
 
     times = [0.0]
     states = [psi]
@@ -138,7 +134,7 @@ def propagate_density(g, c, rho0, samples_per_piece=16):
     n = g.order
     if rho0.shape != (n, n):
         raise ValueError(f"density dimension {rho0.shape} != order {n}")
-    s = _sample_plan(samples_per_piece)
+    s = _check_int(samples_per_piece, "samples_per_piece", 1)
 
     ref = np.sort(np.linalg.eigvalsh(rho0))
     times = [0.0]
@@ -167,11 +163,6 @@ def propagate_density(g, c, rho0, samples_per_piece=16):
 # ---------------------------------------------------------------------------
 
 
-def _column_norms(W, dim):
-    W = np.asarray(W)
-    return np.linalg.norm(W[:, :dim], axis=0)
-
-
 def steering_time_lower_bound(sys, psi0, psi1, eps, delta):
     """Lower bound on the time any admissible control needs for the transfer.
 
@@ -189,12 +180,10 @@ def steering_time_lower_bound(sys, psi0, psi1, eps, delta):
     dim = psi0.shape[0]
     if dim > sys.levels:
         raise ValueError(f"state dimension {dim} exceeds stored levels")
-    eps = float(eps)
-    delta = float(delta)
-    if eps < 0.0 or delta <= 0.0:
-        raise ValueError("need eps >= 0 and delta > 0")
+    eps = _check_real(eps, "eps", 0.0, closed=True)
+    delta = _check_real(delta, "delta", 0.0)
 
-    cols = _column_norms(sys.W, dim)
+    cols = np.linalg.norm(sys.W[:, :dim], axis=0)
     best = 0.0
     for k in range(dim):
         num = abs(abs(psi0[k]) - abs(psi1[k])) - eps
@@ -210,7 +199,8 @@ def modulus_margins(psi_start, psi_end, duration, column_norms):
     """Margins duration * ||B phi_k|| - | |psi_start_k| - |psi_end_k| |."""
     a = np.abs(np.asarray(psi_start, dtype=complex))
     b = np.abs(np.asarray(psi_end, dtype=complex))
-    return float(duration) * np.asarray(column_norms, dtype=float) - np.abs(
+    duration = _check_real(duration, "duration", 0.0, closed=True)
+    return duration * np.asarray(column_norms, dtype=float) - np.abs(
         a - b
     )
 
@@ -222,13 +212,13 @@ class ModulusDriftReport(Record):
     margins: tuple
 
 
-def modulus_drift_check(g, c, psi0, slack=1e-8):
+def modulus_drift_check(g, c, psi0):
     """Verify the coordinatewise modulus inequality along a propagation.
 
     In the reparametrized frame each coordinate's modulus moves at most
     duration * ||B phi_k||; in the original frame the budget is the
     integrated control value instead of the duration (the coupling enters
-    scaled by u there).  Passes when every margin is >= -slack.
+    scaled by u there).  Passes when every margin is >= -DRIFT_SLACK.
     """
     psi0 = as_state(psi0)
     traj = propagate(g, c, psi0, samples_per_piece=1)
@@ -238,7 +228,7 @@ def modulus_drift_check(g, c, psi0, slack=1e-8):
     margins = modulus_margins(psi0, traj.final, budget, cols)
     worst = float(margins.min()) if margins.size else 0.0
     return ModulusDriftReport(
-        ok=worst >= -slack,
+        ok=worst >= -DRIFT_SLACK,
         worst_margin=worst,
         margins=tuple(float(v) for v in margins),
     )

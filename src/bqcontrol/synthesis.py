@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _piece_unitaries, assert_unitary
+from .linalg import _check_int, _check_real, _piece_unitaries, assert_unitary
 from .models import _write_json
+from .simulation import as_state
 
 __all__ = [
     "PiecewiseConstantControl",
@@ -47,8 +48,10 @@ __all__ = [
 FRAMES = ("original", "reparametrized")
 VALUE_CEILING_FACTOR = 1e3  # optimized control values stay in (delta, delta*1e3]
 N_STARTS = 24  # random starts per piece count
+PIECE_COUNTS = (2, 3, 4, 6, 8)  # piece counts a steering search escalates to
 MAX_DURATION = 10.0  # upper bound on a searched piece duration
 MAX_SCAN_POINTS = 2**24  # work bound of one torus-return scan, in grid points
+SUBDIVISIONS = 8  # plateaus per target piece in lift_control
 _FINE = 129  # fine points per coarse cell of a torus-return scan
 _SCAN_CHUNK = 65536  # coarse points evaluated per vectorized pass
 
@@ -73,9 +76,7 @@ class PiecewiseConstantControl:
     def __init__(self, frame, pieces, delta, meta=None):
         if frame not in FRAMES:
             raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
-        delta = float(delta)
-        if not 0.0 < delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {delta}")
+        delta = _check_real(delta, "delta", 0.0)
         pieces = [(float(t), float(u)) for t, u in pieces]
         durations = np.array([t for t, _ in pieces])
         values = np.array([u for _, u in pieces])
@@ -120,7 +121,7 @@ class PiecewiseConstantControl:
 
     def integrated_value_at(self, t):
         """v(t) for 0 <= t <= total_duration (piecewise affine)."""
-        t = float(t)
+        t = _check_real(t, "t", 0.0, closed=True)
         acc = 0.0
         for dur, val in zip(self.durations, self.values):
             if t <= dur:
@@ -314,27 +315,25 @@ def _search(objective, m, delta, tol, rng, max_evals):
     return p_best, s_best, used
 
 
-def _escalate(objective, delta, tol, budget, seed, piece_counts):
-    """Search with growing piece counts until one reaches tol.
+def _escalate(objective, delta, tol, budget, seed):
+    """Search with growing piece counts (PIECE_COUNTS) until one reaches tol.
 
     Each piece count gets a slice of the remaining budget, so failing to
     converge with few pieces still leaves room to escalate; a budget whose
     first slice cannot exceed the N_STARTS random starts raises ValueError.
     Returns (params, score, piece count, evaluations) of the best search.
     """
-    if not piece_counts:
-        raise ValueError("piece_counts must name at least one piece count")
-    if budget // len(piece_counts) <= N_STARTS:
+    if budget // len(PIECE_COUNTS) <= N_STARTS:
         raise ValueError(
             f"budget {budget} leaves no room to search: need at least "
-            f"{(N_STARTS + 1) * len(piece_counts)} evaluations for "
-            f"{len(piece_counts)} piece counts of {N_STARTS} starts each"
+            f"{(N_STARTS + 1) * len(PIECE_COUNTS)} evaluations for "
+            f"{len(PIECE_COUNTS)} piece counts of {N_STARTS} starts each"
         )
     rng = np.random.default_rng(seed)
     used = 0
     best_p, best_s, best_m = None, np.inf, 0
-    for k, m in enumerate(piece_counts):
-        slice_ = (budget - used) // (len(piece_counts) - k)
+    for k, m in enumerate(PIECE_COUNTS):
+        slice_ = (budget - used) // (len(PIECE_COUNTS) - k)
         p, s, ev = _search(
             lambda q, m=m: objective(q, m),
             m, delta, tol, rng, slice_,
@@ -352,26 +351,23 @@ def _params_to_control(p, m, delta, meta):
     return PiecewiseConstantControl("reparametrized", pieces, delta, meta=meta)
 
 
-def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0,
-                piece_counts=(2, 3, 4, 6, 8)):
+def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0):
     """Search for a control steering x0 to x1 up to phase within tol.
 
     Operates in the reparametrized frame (piece values in (delta,
-    delta * 1e3]).  The objective is the projective infidelity
-    1 - |<x1, x(T)>|^2.  Deterministic for a fixed seed.  When the budget runs
-    out first, the best control found is returned tagged unconverged.
+    delta * 1e3]), escalating through the piece counts PIECE_COUNTS.  The
+    objective is the projective infidelity 1 - |<x1, x(T)>|^2.
+    Deterministic for a fixed seed.  When the budget runs out first, the
+    best control found is returned tagged unconverged.
     """
-    x0 = np.asarray(x0, dtype=complex).ravel()
-    x1 = np.asarray(x1, dtype=complex).ravel()
+    x0 = as_state(x0)
+    x1 = as_state(x1)
     if x0.shape != (g.order,) or x1.shape != (g.order,):
         raise ValueError(f"states must have shape ({g.order},)")
-    for name, x in (("x0", x0), ("x1", x1)):
-        nrm = np.linalg.norm(x)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"{name} must be normalized (|norm - 1| = {abs(nrm-1):.2e})")
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    delta = _check_real(delta, "delta", 0.0)
+    tol = _check_real(tol, "tol", 0.0, closed=True)
+    budget = _check_int(budget, "budget", 0)
+    seed = _check_int(seed, "seed", 0)
 
     def infidelity(p, m):
         x = x0
@@ -381,13 +377,13 @@ def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0,
         return 1.0 - abs(np.vdot(x1, x)) ** 2
 
     base = 1.0 - abs(np.vdot(x1, x0)) ** 2
-    meta = {"seed": int(seed), "target": "state"}
+    meta = {"seed": seed, "target": "state"}
     if base <= tol:
         c = PiecewiseConstantControl("reparametrized", [], delta, meta=meta)
         return StateSteeringResult(c, base, True, 0)
 
     best_p, best_s, best_m, used = _escalate(
-        infidelity, delta, tol, budget, seed, piece_counts
+        infidelity, delta, tol, budget, seed
     )
     converged = bool(best_s <= tol)
     meta["infidelity"] = float(best_s)
@@ -418,12 +414,12 @@ def _phase_distance(U, G, sector):
     return math.sqrt(max(0.0, d2)), theta
 
 
-def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0,
-                  piece_counts=(2, 3, 4, 6, 8)):
+def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0):
     """Steer the propagator from g0 to g1 up to a global phase.
 
-    One search minimizes ||e^{i theta} g_final - g1||_F over the control and
-    over theta in a sector, with theta in closed form from the phase of
+    One search, escalating through the piece counts PIECE_COUNTS, minimizes
+    ||e^{i theta} g_final - g1||_F over the control and over theta in a
+    sector, with theta in closed form from the phase of
     tr(g_final^H g1).  When both generators are traceless, det g_final is
     fixed, so the phases that solve e^{i theta} g_final = g1 are 2 pi / n
     apart and the sector is [0, 2 pi / n]: theta lies in that closed
@@ -437,9 +433,10 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0,
     n = g.order
     if g0.shape != (n, n) or g1.shape != (n, n):
         raise ValueError(f"g0, g1 must have shape {(n, n)}")
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    delta = _check_real(delta, "delta", 0.0)
+    tol = _check_real(tol, "tol", 0.0, closed=True)
+    budget = _check_int(budget, "budget", 0)
+    seed = _check_int(seed, "seed", 0)
     traceless = (
         abs(complex(np.trace(g.A))) <= 1e-12
         and abs(complex(np.trace(g.B))) <= 1e-12
@@ -450,15 +447,13 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0,
         U = _propagator(g, p[:m], np.exp(p[m:])) @ g0
         return _phase_distance(U, g1, sector)[0]
 
-    meta = {"seed": int(seed), "target": "unitary"}
+    meta = {"seed": seed, "target": "unitary"}
     d0, th0 = _phase_distance(g0, g1, sector)
     if d0 <= tol:
         c = PiecewiseConstantControl("reparametrized", [], delta, meta=meta)
         return UnitarySteeringResult(c, th0, d0, True, 0, traceless)
 
-    best_p, _, m, used = _escalate(
-        distance, delta, tol, budget, seed, piece_counts
-    )
+    best_p, _, m, used = _escalate(distance, delta, tol, budget, seed)
     U = _propagator(g, best_p[:m], np.exp(best_p[m:])) @ g0
     dist, theta = _phase_distance(U, g1, sector)
     converged = bool(dist <= tol)
@@ -523,19 +518,18 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
     )
 
 
-def lift_control(target, sys, n, N, phase_tol=0.05, delta_bar=None,
-                 subdivisions=8):
+def lift_control(target, sys, n, N, phase_tol=0.05):
     """Lift an order-n control so its conjugated coupling decouples at order N.
 
     The target's integrated value v(t) is approximated by plateaus (one per
-    subinterval of each piece).  For each plateau w an increasing time s is
-    found whose phases (lambda_1 - lambda_j) s match those of w within
-    phase_tol for j <= n, alternating between plateaus that also match on the
-    upper block (w-type) and plateaus offset by pi there (z-type), which makes
-    the upper off-diagonal block of the conjugated coupling average out.  The
-    output control is the piecewise-constant derivative of the resulting
-    sawtooth: a fast ramp to each plateau time followed by a slope-delta_bar
-    hold (delta_bar defaults to 2 delta).
+    subinterval of each piece, SUBDIVISIONS per piece).  For each plateau w
+    an increasing time s is found whose phases (lambda_1 - lambda_j) s match
+    those of w within phase_tol for j <= n, alternating between plateaus
+    that also match on the upper block (w-type) and plateaus offset by pi
+    there (z-type), which makes the upper off-diagonal block of the
+    conjugated coupling average out.  The output control is the piecewise-constant derivative of the resulting
+    sawtooth: a fast ramp to each plateau time followed by a hold of slope
+    delta_bar = 2 delta.
 
     Each plateau time is searched on a grid of step pi / (4 max|lambda_1 -
     lambda_j|) over at most MAX_SCAN_POINTS points; PhaseSearchError names the
@@ -545,12 +539,9 @@ def lift_control(target, sys, n, N, phase_tol=0.05, delta_bar=None,
     """
     if target.frame != "reparametrized":
         raise ValueError("lift_control expects a reparametrized-frame target")
-    n = int(n)
-    N = int(N)
-    if not (1 <= n <= N <= sys.levels):
-        raise ValueError(
-            f"need 1 <= n <= N <= {sys.levels}, got n={n}, N={N}"
-        )
+    N = _check_int(N, "N", 1, sys.levels)
+    n = _check_int(n, "n", 1, N)
+    phase_tol = _check_real(phase_tol, "phase_tol", 0.0)
     if N == n:
         return target
     if target.npieces == 0:
@@ -568,13 +559,8 @@ def lift_control(target, sys, n, N, phase_tol=0.05, delta_bar=None,
         )
 
     delta = target.delta
-    if delta_bar is None:
-        delta_bar = 2.0 * delta
-    if delta_bar <= delta:
-        raise ValueError(f"delta_bar must exceed delta={delta}")
-    k = int(subdivisions)
-    if k < 2:
-        raise ValueError("need at least 2 subdivisions per piece")
+    delta_bar = 2.0 * delta
+    k = SUBDIVISIONS
 
     lam = sys.lam[:N]
     freqs = lam[0] - lam[1:]  # (lambda_1 - lambda_j) for j = 2..N
@@ -654,13 +640,9 @@ def decoupling_error(c, sys, n, N, grid=256):
     """
     if c.frame != "reparametrized":
         raise ValueError("decoupling_error expects a reparametrized control")
-    n = int(n)
-    N = int(N)
-    if not (1 <= n <= N <= sys.levels):
-        raise ValueError(f"need 1 <= n <= N <= {sys.levels}")
-    grid = int(grid)
-    if grid < 1:
-        raise ValueError("grid must be a positive integer")
+    N = _check_int(N, "N", 1, sys.levels)
+    n = _check_int(n, "n", 1, N)
+    grid = _check_int(grid, "grid", 1)
     if n == N or c.npieces == 0:
         return 0.0
 
@@ -716,21 +698,21 @@ def phase_correction(lam, v1, delta, eps, tau_max, coupling_bound=None):
     with u = (v1 + v2) / tau > delta, so tau * u = v1 + v2 exactly.
     When `coupling_bound` (a norm bound on the coupling term; not derivable
     from the arguments here) is given, tau is additionally capped at
-    eps / (2 * coupling_bound).
+    eps / (2 * coupling_bound).  Non-finite eigenvalues or v1, and an eps,
+    delta, tau_max or coupling_bound not finite and > 0, raise ValueError.
     """
     lam = np.asarray(lam, dtype=float).ravel()
     if lam.size == 0:
         raise ValueError("need at least one eigenvalue")
-    eps = float(eps)
-    delta = float(delta)
-    tau_max = float(tau_max)
-    if eps <= 0.0 or delta <= 0.0 or tau_max <= 0.0:
-        raise ValueError("eps, delta and tau_max must be positive")
-
-    v1 = float(v1)
+    eps = _check_real(eps, "eps", 0.0)
+    delta = _check_real(delta, "delta", 0.0)
+    tau_max = _check_real(tau_max, "tau_max", 0.0)
+    v1 = _check_real(v1, "v1")
+    if coupling_bound is not None:
+        coupling_bound = _check_real(coupling_bound, "coupling_bound", 0.0)
     lo = max(0.0, -v1) + 1e-12
 
-    lmax = float(np.max(np.abs(lam)))
+    lmax = _check_real(np.max(np.abs(lam)), "max |lambda_j|")
     if lmax == 0.0:
         v2 = lo + 1.0
     else:
@@ -744,7 +726,7 @@ def phase_correction(lam, v1, delta, eps, tau_max, coupling_bound=None):
     total = v1 + v2
     tau = min(tau_max, (1.0 - 1e-9) * total / delta)
     if coupling_bound is not None:
-        tau = min(tau, eps / (2.0 * float(coupling_bound)))
+        tau = min(tau, eps / (2.0 * coupling_bound))
     if tau <= 0.0:
         raise ValueError("no admissible tau > 0 under the given constraints")
     u = total / tau

@@ -1,0 +1,182 @@
+"""Every scalar argument of the public API fails closed.
+
+NaN, +inf and -inf, and values outside a parameter's stated range, raise
+ValueError: never another exception and never a result.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from bqcontrol import (
+    PiecewiseConstantControl,
+    as_density,
+    as_state,
+    assert_unitary,
+    box3d_lambda_prime,
+    box3d_system,
+    certify,
+    connectedness,
+    constructive_generators,
+    custom_system,
+    decoupling_error,
+    expm_skew,
+    frequently_connected,
+    lie_rank,
+    lift_control,
+    modulus_margins,
+    nonresonance,
+    oscillator_system,
+    pairwise_gap_distinct,
+    perturbation_certificate,
+    phase_correction,
+    propagate,
+    propagate_density,
+    skew_hermitian,
+    steer_state,
+    steer_unitary,
+    steering_time_lower_bound,
+    tail_cutoff,
+    truncate,
+)
+
+SYS = custom_system([0.0, 1.0, 1.0 + math.sqrt(2)],
+                    [[0.0, 0.4, 0.1], [0.4, 0.0, 0.4], [0.1, 0.4, 0.0]])
+G = truncate(SYS, 3)
+C = PiecewiseConstantControl("reparametrized", [(0.5, 0.8)], 0.1)
+E0, E1 = np.eye(3, dtype=complex)[:2]
+BOX_L, BOX_ALPHA = (1.0, 1.3, 1.7), (0.5, 0.7, 0.9)
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+def pc(**kw):
+    args = {"lam": [1.0, 2.0], "v1": 0.3, "delta": 0.5, "eps": 0.1,
+            "tau_max": 1.0, **kw}
+    return phase_correction(**args)
+
+
+# (label, call taking the bad value, out-of-range finite values)
+REAL_ARGS = [
+    ("tail_cutoff.mu", lambda x: tail_cutoff(SYS, 2, x), [0.0, -1.0]),
+    ("oscillator_system.a", lambda x: oscillator_system(x, 0.3), [0.0, 1.0]),
+    ("oscillator_system.b", lambda x: oscillator_system(-0.5, x), []),
+    ("oscillator_system.c", lambda x: oscillator_system(-0.5, 0.3, c_mode=x),
+     []),
+    ("box3d_system.l", lambda x: box3d_system((x, 1.3, 1.7), BOX_ALPHA),
+     [0.0, -1.0, 1e200]),
+    ("box3d_system.alpha", lambda x: box3d_system(BOX_L, (x, 0.7, 0.9)), []),
+    ("box3d_lambda_prime.l",
+     lambda x: box3d_lambda_prime((x, 1.3, 1.7), BOX_ALPHA, (1, 1, 1)),
+     [0.0, -1.0]),
+    ("connectedness.threshold", lambda x: connectedness(SYS.W, threshold=x),
+     [-1.0]),
+    ("nonresonance.tol", lambda x: nonresonance([1.0, math.sqrt(2)], tol=x),
+     [-1.0]),
+    ("pairwise_gap_distinct.tol",
+     lambda x: pairwise_gap_distinct(SYS.lam, tol=x), [-1.0]),
+    ("certify.tol", lambda x: certify(SYS, 3, tol=x), [-1.0]),
+    ("PiecewiseConstantControl.delta",
+     lambda x: PiecewiseConstantControl("original", [], x), [0.0, -1.0]),
+    ("integrated_value_at.t", lambda x: C.integrated_value_at(x), [-1.0]),
+    ("steer_state.delta", lambda x: steer_state(G, E0, E1, delta=x),
+     [0.0, -1.0]),
+    ("steer_state.tol", lambda x: steer_state(G, E0, E1, delta=0.1, tol=x),
+     [-1.0]),
+    ("steer_state.x1",
+     lambda x: steer_state(G, E0, np.array([x, 0.0, 0.0]), delta=0.1), []),
+    ("steer_unitary.delta",
+     lambda x: steer_unitary(G, np.eye(3), np.eye(3), delta=x), [0.0, -1.0]),
+    ("steer_unitary.tol",
+     lambda x: steer_unitary(G, np.eye(3), np.eye(3), delta=0.1, tol=x),
+     [-1.0]),
+    ("steer_unitary.g1",
+     lambda x: steer_unitary(G, np.eye(3), np.full((3, 3), x), delta=0.1),
+     []),
+    ("lift_control.phase_tol",
+     lambda x: lift_control(C, SYS, 2, 3, phase_tol=x), [0.0, -1.0]),
+    ("phase_correction.lam", lambda x: pc(lam=[1.0, x]), []),
+    ("phase_correction.v1", lambda x: pc(v1=x), []),
+    ("phase_correction.delta", lambda x: pc(delta=x), [0.0, -1.0]),
+    ("phase_correction.eps", lambda x: pc(eps=x), [0.0, -1.0]),
+    ("phase_correction.tau_max", lambda x: pc(tau_max=x), [0.0, -1.0]),
+    ("phase_correction.coupling_bound", lambda x: pc(coupling_bound=x),
+     [0.0, -1.0]),
+    ("steering_time_lower_bound.eps",
+     lambda x: steering_time_lower_bound(SYS, E0, E1, x, 0.1), [-1.0]),
+    ("steering_time_lower_bound.delta",
+     lambda x: steering_time_lower_bound(SYS, E0, E1, 0.0, x), [0.0, -1.0]),
+    ("modulus_margins.duration",
+     lambda x: modulus_margins(E0, E1, x, [1.0, 1.0, 1.0]), [-1.0]),
+    ("expm_skew.t", lambda x: expm_skew(G.B, x), []),
+    ("assert_unitary", lambda x: assert_unitary(np.full((2, 2), x)), [1e200]),
+    ("skew_hermitian", lambda x: skew_hermitian(np.full((2, 2), x)), [1e308]),
+    ("as_state", lambda x: as_state([x, 0.0]), [1e200]),
+    ("as_density", lambda x: as_density(np.full((2, 2), x)), [1e308]),
+]
+
+# (label, call taking the bad value, out-of-range integers)
+INT_ARGS = [
+    ("truncate.n", lambda x: truncate(SYS, x), [1, 4]),
+    ("tail_cutoff.n", lambda x: tail_cutoff(SYS, x, 0.1), [1, 4]),
+    ("oscillator_system.levels",
+     lambda x: oscillator_system(-0.5, 0.3, levels=x), [1]),
+    ("box3d_system.levels", lambda x: box3d_system(BOX_L, BOX_ALPHA, x), [1]),
+    ("box3d_lambda_prime.triple",
+     lambda x: box3d_lambda_prime(BOX_L, BOX_ALPHA, (1, x, 1)), [0]),
+    ("frequently_connected.n", lambda x: frequently_connected(SYS, x), [1, 4]),
+    ("nonresonance.Q", lambda x: nonresonance([1.0, math.sqrt(2)], Q=x), [0]),
+    ("lie_rank.max_depth", lambda x: lie_rank(G, max_depth=x), [-1, -5]),
+    ("certify.max_depth", lambda x: certify(SYS, 3, max_depth=x), [-5]),
+    ("certify.Q", lambda x: certify(SYS, 3, Q=x), [0]),
+    ("perturbation_certificate.n",
+     lambda x: perturbation_certificate(SYS, x), [1, 4]),
+    ("constructive_generators.j",
+     lambda x: constructive_generators(G, x, 1), [-1, 3]),
+    ("steer_state.budget",
+     lambda x: steer_state(G, E0, E1, delta=0.1, budget=x), [-1]),
+    ("steer_state.seed", lambda x: steer_state(G, E0, E1, delta=0.1, seed=x),
+     [-1]),
+    ("steer_unitary.budget",
+     lambda x: steer_unitary(G, np.eye(3), np.eye(3), delta=0.1, budget=x),
+     [-1]),
+    ("lift_control.n", lambda x: lift_control(C, SYS, x, 3), [0, 4]),
+    ("lift_control.N", lambda x: lift_control(C, SYS, 2, x), [1, 4]),
+    ("decoupling_error.grid",
+     lambda x: decoupling_error(C, SYS, 2, 3, grid=x), [0]),
+    ("propagate.samples_per_piece",
+     lambda x: propagate(G, C, E0, samples_per_piece=x), [0]),
+    ("propagate_density.samples_per_piece",
+     lambda x: propagate_density(G, C, np.diag([1.0, 0.0, 0.0]),
+                                 samples_per_piece=x), [0]),
+]
+NOT_INTEGERS = [math.nan, math.inf, -math.inf, 2.5, True]
+
+
+def cases(table, bad):
+    return [pytest.param(call, x, id=f"{label}={x!r}")
+            for label, call, extra in table for x in bad + extra]
+
+
+@pytest.mark.parametrize("call, value", cases(REAL_ARGS, NONFINITE))
+def test_bad_real_argument_raises_value_error(call, value):
+    with pytest.raises(ValueError):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value", cases(INT_ARGS, NOT_INTEGERS))
+def test_bad_integer_argument_raises_value_error(call, value):
+    with pytest.raises(ValueError):
+        call(value)
+
+
+def test_integral_floats_count_as_integers():
+    assert truncate(SYS, 3.0).order == 3
+    assert lie_rank(G, max_depth=np.int64(4)).max_depth == 4
+
+
+def test_box_spectrum_search_is_bounded():
+    # 1/l^2 ~ 1e-300 leaves every k_1 at the same double eigenvalue, so no
+    # finite set of triples separates the lowest levels
+    with pytest.raises(ValueError, match="BOX_MAX_MODE"):
+        box3d_system((1e150, 1.0, 1.0), BOX_ALPHA)

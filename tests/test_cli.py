@@ -97,6 +97,36 @@ def test_unnormalized_state_rejected(capsys, tmp_path):
     assert "normalized" in diagnostic(err)["detail"]
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("command, sec", [
+    ("bound", '{"from": "e1", "to": "e2", "delta": %s}'),
+    ("synthesize", '{"from": "e1", "to": "e2", "delta": %s}'),
+    ("synthesize", '{"from": "e1", "to": [%s, 0, 0]}'),
+    ("simulate", '{"control": "u.json", "state": [%s, 0, 0]}'),
+], ids=["bound-delta", "synthesize-delta", "synthesize-to", "simulate-state"])
+def test_nonfinite_config_number_fails_closed(capsys, tmp_path, literal,
+                                              command, sec):
+    (tmp_path / "u.json").write_text(json.dumps(CONTROL))
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"system": %s, "%s": %s}'
+                   % (json.dumps(THREE_LEVEL), command, sec % literal))
+    out = tmp_path / "out"
+    code, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 4
+    assert literal in diagnostic(err)["detail"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_overflowing_state_norm_rejected(capsys, tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "system": TWO_LEVEL,
+        "bound": {"from": [1e200, 0.0], "to": "e2"},
+    })
+    code, err = run(capsys, "bound", "--config", cfg, "--out", str(tmp_path))
+    assert code == 4
+    assert "normalized" in diagnostic(err)["detail"]  # one line, no warning
+
+
 # -- model --------------------------------------------------------------------
 
 
@@ -140,6 +170,21 @@ def test_model_unsettled_quadrature_exit_four(capsys, tmp_path):
     assert doc["error"] == "quadrature"
     assert "256 nodes" in doc["detail"]
     assert not (tmp_path / "system.json").exists()
+
+
+@pytest.mark.parametrize("edge", ["1e200", "1e150"])
+def test_model_box_without_separable_spectrum_exit_four(capsys, tmp_path,
+                                                        edge):
+    # 1/l^2 underflows to 0 at 1e200; at 1e150 the levels tie in double
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"system": {"model": "box3d", "l": [%s, 1, 1], '
+                   '"alpha": [0.5, 0.7, 0.9]}}' % edge)
+    out = tmp_path / "out"
+    code, err = run(capsys, "model", "--config", str(cfg), "--out", str(out))
+    assert code == 4
+    detail = diagnostic(err)["detail"]
+    assert "l^2" in detail or "BOX_MAX_MODE" in detail
+    assert not (out / "system.json").exists()
 
 
 # -- certify ------------------------------------------------------------------
@@ -189,6 +234,18 @@ def test_certify_negative_tolerance_exit_four(capsys, tmp_path):
     assert not (out / "report.json").exists()
 
 
+def test_certify_negative_max_depth_exit_four(capsys, tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "system": THREE_LEVEL,
+        "certify": {"n": 3, "max_depth": -5},
+    })
+    out = tmp_path / "out"
+    code, err = run(capsys, "certify", "--config", cfg, "--out", str(out))
+    assert code == 4
+    assert "max_depth" in diagnostic(err)["detail"]
+    assert not (out / "report.json").exists()
+
+
 # -- synthesize ---------------------------------------------------------------
 
 
@@ -233,6 +290,19 @@ def test_synthesize_budget_too_small_exit_four(capsys, tmp_path):
     code, err = run(capsys, "synthesize", "--config", cfg, "--out", str(out))
     assert code == 4
     assert "125" in diagnostic(err)["detail"]  # (24 starts + 1) * 5 counts
+    assert not (out / "control.json").exists()
+
+
+def test_synthesize_verify_order_below_n_exit_four(capsys, tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "system": THREE_LEVEL,
+        "synthesize": {"from": "e1", "to": "e2", "n": 3, "verify_order": 2},
+    })
+    out = tmp_path / "out"
+    code, err = run(capsys, "synthesize", "--config", cfg, "--out", str(out))
+    assert code == 4
+    detail = diagnostic(err)["detail"]
+    assert "synthesize.verify_order" in detail and "synthesize.n" in detail
     assert not (out / "control.json").exists()
 
 

@@ -297,8 +297,6 @@ def test_budget_too_small_to_search_rejected():
     with pytest.raises(ValueError, match="at least 125"):
         steer_unitary(g, np.eye(3, dtype=complex), expm_skew(g.B, 0.5),
                       delta=0.1, budget=100)
-    with pytest.raises(ValueError, match="piece count"):
-        steer_state(g, basis(3, 0), basis(3, 1), delta=0.1, piece_counts=())
 
 
 def test_steer_unitary_rejects_nonunitary():
