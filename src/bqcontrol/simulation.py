@@ -171,7 +171,8 @@ def steering_time_lower_bound(sys, psi0, psi1, eps, delta):
     Column norms use the stored rows of W only (a truncation surrogate: more
     stored rows can only increase them and so lower the bound).  A column
     with zero norm but positive numerator makes the bound +inf: that
-    coordinate's modulus cannot move at all.
+    coordinate's modulus cannot move at all.  A delta so small that the
+    bound overflows raises ValueError naming it.
     """
     psi0 = as_state(psi0)
     psi1 = as_state(psi1)
@@ -192,7 +193,12 @@ def steering_time_lower_bound(sys, psi0, psi1, eps, delta):
         if cols[k] == 0.0:
             return math.inf
         best = max(best, num / cols[k])
-    return best / delta
+    with np.errstate(over="ignore"):
+        bound = float(best / delta)
+    if not math.isfinite(bound):
+        raise ValueError(f"delta={delta!r} makes the bound {best:g} / delta "
+                         "overflow")
+    return bound
 
 
 def modulus_margins(psi_start, psi_end, duration, column_norms):

@@ -8,15 +8,21 @@ Controls are finite lists of (duration, value) pieces in one of two frames:
   exchanged by the exact change of variables (t, u) -> (t u, 1/u).
 
 Steering works directly in the reparametrized frame by seeded multi-start
-direct search plus coordinate descent.  The oscillation-based lift turns a
-low-order control into one whose conjugated coupling time-averages to its
-block-diagonal part at a higher order, which decoupling_error quantifies.
+direct search plus coordinate descent.  Both score points through one
+piece-chain objective h(F_{m-1} ... F_0 x0), which keeps the factor of each
+piece and the partial products of the current point: a probe that moves one
+piece continues the cached product from that piece, and the probes from one
+point in a sweep share a single batched kernel call.  The oscillation-based
+lift turns a low-order control into one whose conjugated coupling
+time-averages to its block-diagonal part at a higher order, which
+decoupling_error quantifies.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +53,8 @@ __all__ = [
 
 FRAMES = ("original", "reparametrized")
 VALUE_CEILING_FACTOR = 1e3  # optimized control values stay in (delta, delta*1e3]
+# the largest delta whose value band (delta, delta * 1e3] stays finite
+DELTA_CEILING = sys.float_info.max / VALUE_CEILING_FACTOR
 N_STARTS = 24  # random starts per piece count
 PIECE_COUNTS = (2, 3, 4, 6, 8)  # piece counts a steering search escalates to
 MAX_DURATION = 10.0  # upper bound on a searched piece duration
@@ -206,13 +214,6 @@ def final_state(g, control, x):
     return x
 
 
-def _propagator(g, durations, values):
-    U = np.eye(g.order, dtype=complex)
-    for F in _piece_unitaries(g.A, g.B, durations, values, "reparametrized"):
-        U = F @ U
-    return U
-
-
 @dataclass(frozen=True)
 class StateSteeringResult:
     control: PiecewiseConstantControl
@@ -231,33 +232,107 @@ class UnitarySteeringResult:
     traceless: bool
 
 
-def _coordinate_descent(f, p, lo, hi, step, cap, tol):
+class _PieceChain:
+    """The objective h(F_{m-1} ... F_0 x0) of a point [durations..., log values...].
+
+    F_k = expm(t_k (u_k A + B)) is piece k's factor.  For the current point
+    (set by `start`, moved by `accept`) the chain keeps every factor and the
+    partial products F_{k-1} ... F_0 x0, so a probe that moves one piece is
+    scored by continuing the cached product from that piece.  Every product
+    is taken in the order of a full pass, and a batched kernel call gives
+    each slice the bits of a single one, so a probe scores exactly what a
+    full pass at the probed point would.  `scores`, `start` and `score` are
+    the entry points that score points; `product` scores nothing.
+    """
+
+    def __init__(self, g, x0, h):
+        self.A, self.B, self.x0, self.h = g.A, g.B, x0, h
+
+    def _factors(self, t, w):
+        return _piece_unitaries(self.A, self.B, t, np.exp(w), "reparametrized")
+
+    def _run(self, x, factors):
+        xs = [x]
+        for F in factors:
+            xs.append(F @ xs[-1])
+        return xs
+
+    def scores(self, P):
+        """h at each row of P, all factors from one kernel call."""
+        m = P.shape[1] // 2
+        F = self._factors(P[:, :m].ravel(), P[:, m:].ravel())
+        return [self.h(self._run(self.x0, F[k:k + m])[-1])
+                for k in range(0, len(F), m)]
+
+    def product(self, p):
+        """F_{m-1} ... F_0 x0 at p, which becomes the current point."""
+        m = len(p) // 2
+        self.F = self._factors(p[:m], p[m:])
+        self.xs = self._run(self.x0, self.F)
+        return self.xs[-1]
+
+    def start(self, p):
+        return self.h(self.product(p))
+
+    def probe(self, p, probes):
+        """Build the factors of probes (coordinate i of p set to q), one call."""
+        m = len(p) // 2
+        self.pieces = [i % m for i, _ in probes]
+        t = [q if i < m else p[i - m] for i, q in probes]
+        w = [p[i + m] if i < m else q for i, q in probes]
+        self.G = self._factors(t, w)
+
+    def score(self, j):
+        """h at probe j of the last `probe` call, from the cached chain."""
+        k = self.pieces[j]
+        self.tail = self._run(self.G[j] @ self.xs[k], self.F[k + 1:])
+        return self.h(self.tail[-1])
+
+    def accept(self, j):
+        """Move the current point to probe j, the last one scored."""
+        k = self.pieces[j]
+        self.F[k] = self.G[j]
+        self.xs[k + 1:] = self.tail
+
+
+def _coordinate_descent(chain, p, lo, hi, step, cap, tol):
     """Cyclic coordinate descent with shrinking steps inside box bounds.
 
-    Makes at most `cap` calls of f; returns (params, score, calls made).
+    Coordinates are probed in order, +step before -step; the first probe
+    scoring below best - 1e-16 is taken and the sweep goes on with the next
+    coordinate, and a sweep without a move halves the steps.  The probes
+    from one point up to the next move or the end of the sweep get their
+    factors from one kernel call and are scored lazily, in that order, from
+    the chain.  Scores at most `cap` points; returns (params, score, points
+    scored).
     """
-    best = f(p)
+    best = chain.start(p)
     used = 1
     p = p.copy()
     step = step.copy()
     while best > tol and used < cap:
         improved = False
-        for i in range(len(p)):
-            for sgn in (1.0, -1.0):
-                q = p.copy()
-                q[i] = min(hi[i], max(lo[i], p[i] + sgn * step[i]))
-                if q[i] == p[i]:
-                    continue
+        first = 0
+        while first < len(p):  # one run of probes from the point p
+            up = np.minimum(hi, np.maximum(lo, p + step))
+            down = np.minimum(hi, np.maximum(lo, p - step))
+            probes = [(i, q) for i in range(first, len(p))
+                      for q in (up[i], down[i]) if q != p[i]]
+            first = len(p)
+            chain.probe(p, probes)
+            for j, (i, q) in enumerate(probes):
                 if used >= cap:
                     return p, best, used
-                v = f(q)
+                v = chain.score(j)
                 used += 1
                 if v < best - 1e-16:
-                    p, best = q, v
+                    chain.accept(j)
+                    p[i], best = q, v
                     improved = True
+                    if best <= tol:
+                        return p, best, used
+                    first = i + 1
                     break
-            if best <= tol:
-                return p, best, used
         if not improved:
             step *= 0.5
             if np.max(step) < 1e-6:
@@ -265,12 +340,13 @@ def _coordinate_descent(f, p, lo, hi, step, cap, tol):
     return p, best, used
 
 
-def _search(objective, m, delta, tol, rng, max_evals):
+def _search(chain, m, delta, tol, rng, max_evals):
     """Multi-start + coordinate descent over m pieces.
 
     Parameter vector layout: [durations..., log(values)...].  Values are kept
     in (delta, delta * 1e3]; half the starts are biased toward the low end of
-    the value band (weak detuning), where transfers are easiest.  The best
+    the value band (weak detuning), where transfers are easiest, and all
+    N_STARTS are scored from one kernel call.  The best
     few candidates are refined, ties broken by lexicographically smallest
     parameters, so the outcome is a deterministic function of the seed.
     Returns (params, score, evaluations).
@@ -289,7 +365,7 @@ def _search(objective, m, delta, tol, rng, max_evals):
         else:
             w = rng.uniform(v_lo, v_hi, size=m)
         cands.append(np.concatenate([d, w]))
-    scores = [objective(c) for c in cands]
+    scores = chain.scores(np.array(cands))
     used = len(cands)
     order = sorted(
         range(len(cands)), key=lambda i: (scores[i], tuple(cands[i]))
@@ -305,7 +381,7 @@ def _search(objective, m, delta, tol, rng, max_evals):
         if cap < 10:
             break
         p, s, ev = _coordinate_descent(
-            objective, cands[idx], lo, hi, step0, cap, tol
+            chain, cands[idx], lo, hi, step0, cap, tol
         )
         used += ev
         if s < s_best:
@@ -315,7 +391,7 @@ def _search(objective, m, delta, tol, rng, max_evals):
     return p_best, s_best, used
 
 
-def _escalate(objective, delta, tol, budget, seed):
+def _escalate(chain, delta, tol, budget, seed):
     """Search with growing piece counts (PIECE_COUNTS) until one reaches tol.
 
     Each piece count gets a slice of the remaining budget, so failing to
@@ -334,10 +410,7 @@ def _escalate(objective, delta, tol, budget, seed):
     best_p, best_s, best_m = None, np.inf, 0
     for k, m in enumerate(PIECE_COUNTS):
         slice_ = (budget - used) // (len(PIECE_COUNTS) - k)
-        p, s, ev = _search(
-            lambda q, m=m: objective(q, m),
-            m, delta, tol, rng, slice_,
-        )
+        p, s, ev = _search(chain, m, delta, tol, rng, slice_)
         used += ev
         if s < best_s:
             best_p, best_s, best_m = p, s, m
@@ -364,17 +437,10 @@ def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0):
     x1 = as_state(x1)
     if x0.shape != (g.order,) or x1.shape != (g.order,):
         raise ValueError(f"states must have shape ({g.order},)")
-    delta = _check_real(delta, "delta", 0.0)
+    delta = _check_real(delta, "delta", 0.0, DELTA_CEILING)
     tol = _check_real(tol, "tol", 0.0, closed=True)
     budget = _check_int(budget, "budget", 0)
     seed = _check_int(seed, "seed", 0)
-
-    def infidelity(p, m):
-        x = x0
-        for U in _piece_unitaries(g.A, g.B, p[:m], np.exp(p[m:]),
-                                  "reparametrized"):
-            x = U @ x
-        return 1.0 - abs(np.vdot(x1, x)) ** 2
 
     base = 1.0 - abs(np.vdot(x1, x0)) ** 2
     meta = {"seed": seed, "target": "state"}
@@ -382,9 +448,8 @@ def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0):
         c = PiecewiseConstantControl("reparametrized", [], delta, meta=meta)
         return StateSteeringResult(c, base, True, 0)
 
-    best_p, best_s, best_m, used = _escalate(
-        infidelity, delta, tol, budget, seed
-    )
+    chain = _PieceChain(g, x0, lambda x: 1.0 - abs(np.vdot(x1, x)) ** 2)
+    best_p, best_s, best_m, used = _escalate(chain, delta, tol, budget, seed)
     converged = bool(best_s <= tol)
     meta["infidelity"] = float(best_s)
     if not converged:
@@ -433,7 +498,7 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0):
     n = g.order
     if g0.shape != (n, n) or g1.shape != (n, n):
         raise ValueError(f"g0, g1 must have shape {(n, n)}")
-    delta = _check_real(delta, "delta", 0.0)
+    delta = _check_real(delta, "delta", 0.0, DELTA_CEILING)
     tol = _check_real(tol, "tol", 0.0, closed=True)
     budget = _check_int(budget, "budget", 0)
     seed = _check_int(seed, "seed", 0)
@@ -443,19 +508,16 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0):
     )
     sector = 2.0 * math.pi / n if traceless else 2.0 * math.pi
 
-    def distance(p, m):
-        U = _propagator(g, p[:m], np.exp(p[m:])) @ g0
-        return _phase_distance(U, g1, sector)[0]
-
     meta = {"seed": seed, "target": "unitary"}
     d0, th0 = _phase_distance(g0, g1, sector)
     if d0 <= tol:
         c = PiecewiseConstantControl("reparametrized", [], delta, meta=meta)
         return UnitarySteeringResult(c, th0, d0, True, 0, traceless)
 
-    best_p, _, m, used = _escalate(distance, delta, tol, budget, seed)
-    U = _propagator(g, best_p[:m], np.exp(best_p[m:])) @ g0
-    dist, theta = _phase_distance(U, g1, sector)
+    chain = _PieceChain(g, np.eye(n, dtype=complex),
+                        lambda U: _phase_distance(U @ g0, g1, sector)[0])
+    best_p, _, m, used = _escalate(chain, delta, tol, budget, seed)
+    dist, theta = _phase_distance(chain.product(best_p) @ g0, g1, sector)
     converged = bool(dist <= tol)
     meta["distance"] = float(dist)
     meta["theta"] = float(theta)

@@ -65,7 +65,8 @@ REAL_ARGS = [
      []),
     ("box3d_system.l", lambda x: box3d_system((x, 1.3, 1.7), BOX_ALPHA),
      [0.0, -1.0, 1e200]),
-    ("box3d_system.alpha", lambda x: box3d_system(BOX_L, (x, 0.7, 0.9)), []),
+    ("box3d_system.alpha", lambda x: box3d_system(BOX_L, (x, 0.7, 0.9)),
+     [5000.0]),
     ("box3d_lambda_prime.l",
      lambda x: box3d_lambda_prime((x, 1.3, 1.7), BOX_ALPHA, (1, 1, 1)),
      [0.0, -1.0]),
@@ -80,13 +81,14 @@ REAL_ARGS = [
      lambda x: PiecewiseConstantControl("original", [], x), [0.0, -1.0]),
     ("integrated_value_at.t", lambda x: C.integrated_value_at(x), [-1.0]),
     ("steer_state.delta", lambda x: steer_state(G, E0, E1, delta=x),
-     [0.0, -1.0]),
+     [0.0, -1.0, 1e308]),
     ("steer_state.tol", lambda x: steer_state(G, E0, E1, delta=0.1, tol=x),
      [-1.0]),
     ("steer_state.x1",
      lambda x: steer_state(G, E0, np.array([x, 0.0, 0.0]), delta=0.1), []),
     ("steer_unitary.delta",
-     lambda x: steer_unitary(G, np.eye(3), np.eye(3), delta=x), [0.0, -1.0]),
+     lambda x: steer_unitary(G, np.eye(3), np.eye(3), delta=x),
+     [0.0, -1.0, 1e308]),
     ("steer_unitary.tol",
      lambda x: steer_unitary(G, np.eye(3), np.eye(3), delta=0.1, tol=x),
      [-1.0]),
@@ -105,7 +107,8 @@ REAL_ARGS = [
     ("steering_time_lower_bound.eps",
      lambda x: steering_time_lower_bound(SYS, E0, E1, x, 0.1), [-1.0]),
     ("steering_time_lower_bound.delta",
-     lambda x: steering_time_lower_bound(SYS, E0, E1, 0.0, x), [0.0, -1.0]),
+     lambda x: steering_time_lower_bound(SYS, E0, E1, 0.0, x),
+     [0.0, -1.0, 1e-320]),
     ("modulus_margins.duration",
      lambda x: modulus_margins(E0, E1, x, [1.0, 1.0, 1.0]), [-1.0]),
     ("expm_skew.t", lambda x: expm_skew(G.B, x), []),

@@ -117,6 +117,22 @@ def test_nonfinite_config_number_fails_closed(capsys, tmp_path, literal,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, delta", [
+    ("synthesize", 1e308),  # delta * 1e3, the value ceiling, overflows
+    ("bound", 1e-320),  # the bound's 1 / delta overflows
+])
+def test_overflowing_delta_names_the_field(capsys, tmp_path, command, delta):
+    cfg = write_json(tmp_path / "c.json", {
+        "system": THREE_LEVEL,
+        command: {"from": "e1", "to": "e2", "delta": delta},
+    })
+    out = tmp_path / "out"
+    code, err = run(capsys, command, "--config", cfg, "--out", str(out))
+    assert code == 4
+    assert "delta" in diagnostic(err)["detail"]  # one line, no warning
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_overflowing_state_norm_rejected(capsys, tmp_path):
     cfg = write_json(tmp_path / "c.json", {
         "system": TWO_LEVEL,
