@@ -182,9 +182,9 @@ def _cmd_model(cfg, out_dir, args):
 def _cmd_certify(cfg, out_dir, args):
     system = _build_system(cfg)
     sec = _section(cfg, "certify")
-    n = sec.get("n")
-    if not isinstance(n, int) or n < 2:
-        raise ConfigError("certify.n must be an integer >= 2")
+    n = _number(sec, "certify", "n", None, int)
+    if n is None or n < 2:
+        raise ConfigError(f"certify.n must be an integer >= 2, got {n!r}")
     report = certify(
         system,
         n,

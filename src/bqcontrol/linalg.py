@@ -42,10 +42,11 @@ class EigendecompositionError(RuntimeError):
 
 
 def _check_real(x, name, lo=-math.inf, hi=math.inf, closed=False):
-    """float(x) when it is finite and lo < x < hi (lo <= x when `closed`),
-    else ValueError naming the argument; NaN fails every test here."""
+    """float(x) when x is a number (numeric text is not), finite and
+    lo < x < hi (lo <= x when `closed`), else ValueError naming the argument;
+    NaN fails every test here."""
     try:
-        v = float(x)
+        v = math.nan if isinstance(x, (str, bytes)) else float(x)
     except (TypeError, ValueError, OverflowError):
         v = math.nan
     if not (math.isfinite(v) and (lo <= v if closed else lo < v) and v < hi):
@@ -63,6 +64,15 @@ def _check_int(x, name, lo, hi=math.inf):
     if not (ok and lo <= int(x) <= hi):
         raise ValueError(f"{name}={x!r} is not an integer in [{lo}, {hi}]")
     return int(x)
+
+
+def _check_reals(x, name):
+    """x as a float array when it holds numbers only (numeric text does not
+    count), else ValueError naming the argument."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold numbers, got {a.dtype} data")
+    return a.astype(float)
 
 
 def _as_square(X, name="matrix"):
@@ -170,6 +180,15 @@ def _piece_unitaries(A, B, durations, values, frame):
             "control overflows the propagator: a piece gives a non-finite phase"
         )
     return (V * phases[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
+
+
+def _partial_products(x, factors):
+    """[x, F_0 x, F_1 F_0 x, ...]: the running products of x with `factors`
+    in order, the one place a piecewise propagation is multiplied out."""
+    xs = [x]
+    for F in factors:
+        xs.append(F @ xs[-1])
+    return xs
 
 
 def commutator(X, Y):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .linalg import _check_int, _check_real
+from .linalg import _check_int, _check_real, _check_reals
 
 __all__ = [
     "DiscreteSpectrumSystem",
@@ -109,11 +109,11 @@ def custom_system(lam, W, labels=None, meta=None):
     non-decreasing and the same permutation is applied to W's rows and columns
     (and to labels).
     """
-    lam = np.asarray(lam, dtype=float).ravel()
+    lam = _check_reals(lam, "lambda").ravel()
     L = lam.shape[0]
     if L < 2:
         raise ValueError(f"need at least 2 levels, got {L}")
-    W = np.asarray(W, dtype=float)
+    W = _check_reals(W, "W")
     if W.shape != (L, L):
         raise ValueError(f"W must have shape {(L, L)}, got {W.shape}")
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(W))):
@@ -402,7 +402,7 @@ def system_from_json(doc):
         if key not in doc:
             raise ValueError(f"system document missing required key '{key}'")
     lam = doc["lambda"]
-    if int(doc["levels"]) != len(lam):
+    if _check_int(doc["levels"], "levels", 0) != len(lam):
         raise ValueError(
             f"levels field ({doc['levels']}) does not match lambda length "
             f"({len(lam)})"
@@ -417,6 +417,9 @@ def system_from_config(obj):
     """Build a system from CLI config: inline data or a model spec."""
     if not isinstance(obj, dict):
         raise ValueError("system config must be a JSON object")
+    if not isinstance(obj.get("simple_spectrum", False), bool):
+        raise ValueError("simple_spectrum must be true or false, got "
+                         f"{obj['simple_spectrum']!r}")
     if "model" in obj:
         model = obj["model"]
         if model == "oscillator":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_int, _check_real, _piece_unitaries
+from .linalg import _check_int, _check_real, _partial_products, _piece_unitaries
 from .models import Record, _write_table
 
 __all__ = [
@@ -94,6 +94,21 @@ class Trajectory:
         return self.states[-1]
 
 
+def _sample(g, c, x, s):
+    """(times, xs): x carried through the control, s equispaced samples per
+    piece.  times starts at 0 and holds each piece's sample times, its end
+    included; xs[j] is the running product of x with the exact 1/s-step
+    propagators up to times[j].  x must have g.order rows."""
+    if len(x) != g.order:
+        raise ValueError(f"state dimension {len(x)} != order {g.order}")
+    steps = _piece_unitaries(g.A, g.B, c.durations / s, c.values, c.frame)
+    xs = _partial_products(x, [U for U in steps for _ in range(s)])
+    # piece start times, summed one piece at a time
+    starts = np.append(0.0, np.cumsum(c.durations)[:-1])
+    times = starts[:, None] + c.durations[:, None] * np.arange(1, s + 1) / s
+    return np.append(0.0, times), xs
+
+
 def propagate(g, c, psi0, samples_per_piece=16):
     """Evolve a state under a control, sampling inside every piece.
 
@@ -102,23 +117,10 @@ def propagate(g, c, psi0, samples_per_piece=16):
     The returned norm drift is reported, not corrected.
     """
     psi = as_state(psi0)
-    n = g.order
-    if psi.shape != (n,):
-        raise ValueError(f"state dimension {psi.shape[0]} != order {n}")
     s = _check_int(samples_per_piece, "samples_per_piece", 1)
 
-    times = [0.0]
-    states = [psi]
-    t0 = 0.0
-    steps = _piece_unitaries(g.A, g.B, c.durations / s, c.values, c.frame)
-    for dur, Ustep in zip(c.durations, steps):
-        for j in range(1, s + 1):
-            psi = Ustep @ psi
-            times.append(t0 + dur * j / s)
-            states.append(psi)
-        t0 += dur
+    times, states = _sample(g, c, psi, s)
     states = np.array(states)
-    times = np.array(times)
     pops = np.abs(states) ** 2
     drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     return Trajectory(times, states, pops, "state", drift)
@@ -137,19 +139,11 @@ def propagate_density(g, c, rho0, samples_per_piece=16):
     s = _check_int(samples_per_piece, "samples_per_piece", 1)
 
     ref = np.sort(np.linalg.eigvalsh(rho0))
-    times = [0.0]
-    mats = [rho0]
-    U = np.eye(n, dtype=complex)
-    t0 = 0.0
-    steps = _piece_unitaries(g.A, g.B, c.durations / s, c.values, c.frame)
-    for dur, Ustep in zip(c.durations, steps):
-        for j in range(1, s + 1):
-            U = Ustep @ U
-            mats.append(U @ rho0 @ U.conj().T)
-            times.append(t0 + dur * j / s)
-        t0 += dur
-    mats = np.array(mats)
-    times = np.array(times)
+    times, Us = _sample(g, c, np.eye(n, dtype=complex), s)
+    mats = np.empty((len(Us), n, n), dtype=complex)  # no list to copy
+    mats[0] = rho0
+    for k in range(1, len(Us)):
+        mats[k] = Us[k] @ rho0 @ Us[k].conj().T
     pops = np.real(np.einsum("tkk->tk", mats))
     traces = np.real(np.einsum("tkk->t", mats))
     drift = float(np.max(np.abs(traces - 1.0)))
@@ -227,11 +221,11 @@ def modulus_drift_check(g, c, psi0):
     scaled by u there).  Passes when every margin is >= -DRIFT_SLACK.
     """
     psi0 = as_state(psi0)
-    traj = propagate(g, c, psi0, samples_per_piece=1)
+    final = _sample(g, c, psi0, 1)[1][-1]
     cols = np.linalg.norm(np.abs(g.B), axis=0)
     budget = (c.total_duration if c.frame == "reparametrized"
               else c.integrated_value)
-    margins = modulus_margins(psi0, traj.final, budget, cols)
+    margins = modulus_margins(psi0, final, budget, cols)
     worst = float(margins.min()) if margins.size else 0.0
     return ModulusDriftReport(
         ok=worst >= -DRIFT_SLACK,

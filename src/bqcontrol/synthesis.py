@@ -8,14 +8,14 @@ Controls are finite lists of (duration, value) pieces in one of two frames:
   exchanged by the exact change of variables (t, u) -> (t u, 1/u).
 
 Steering works directly in the reparametrized frame by seeded multi-start
-direct search plus coordinate descent.  Both score points through one
-piece-chain objective h(F_{m-1} ... F_0 x0), which keeps the factor of each
-piece and the partial products of the current point: a probe that moves one
-piece continues the cached product from that piece, and the probes from one
-point in a sweep share a single batched kernel call.  The oscillation-based
-lift turns a low-order control into one whose conjugated coupling
-time-averages to its block-diagonal part at a higher order, which
-decoupling_error quantifies.
+direct search plus coordinate descent, both scoring a point as
+h(F_{m-1} ... F_0 x0) over its piece factors F_k.  The descent keeps the
+current point's factors and partial products F_{k-1} ... F_0 x0 in locals:
+a probe that moves one piece continues the cached product from that piece,
+and the probes from one point in a sweep share a single batched kernel
+call.  The oscillation-based lift turns a low-order control into one whose
+conjugated coupling time-averages to its block-diagonal part at a higher
+order, which decoupling_error quantifies.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_int, _check_real, _piece_unitaries, assert_unitary
+from .certification import nonresonance
+from .linalg import (_check_int, _check_real, _partial_products,
+                     _piece_unitaries, assert_unitary)
 from .models import _write_json
 from .simulation import as_state
 
@@ -74,9 +76,9 @@ class PiecewiseConstantControl:
     Parameters
     ----------
     frame : "original" or "reparametrized".
-    pieces : iterable of (duration, value); durations strictly positive and
-        values inside the frame's admissible set ((0, delta) original,
-        (delta, inf) reparametrized).  May be empty.
+    pieces : iterable of (duration, value) numbers; durations strictly
+        positive and finite, values inside the frame's admissible set
+        ((0, delta) original, (delta, inf) reparametrized).  May be empty.
     delta : the admissibility bound, > 0.
     meta : free-form JSON-serializable dict.
     """
@@ -85,23 +87,12 @@ class PiecewiseConstantControl:
         if frame not in FRAMES:
             raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
         delta = _check_real(delta, "delta", 0.0)
-        pieces = [(float(t), float(u)) for t, u in pieces]
+        lo, hi = (0.0, delta) if frame == "original" else (delta, math.inf)
+        pieces = [(_check_real(t, "piece duration", 0.0),
+                   _check_real(u, f"{frame}-frame piece value", lo, hi))
+                  for t, u in pieces]
         durations = np.array([t for t, _ in pieces])
         values = np.array([u for _, u in pieces])
-        if not (np.all(np.isfinite(durations)) and np.all(np.isfinite(values))):
-            raise ValueError("piece durations and values must be finite")
-        if durations.size and not np.all(durations > 0.0):
-            raise ValueError("all piece durations must be strictly positive")
-        if values.size:
-            if frame == "original":
-                if not np.all((values > 0.0) & (values < delta)):
-                    raise ValueError(
-                        f"original-frame values must lie in (0, {delta})"
-                    )
-            elif not np.all(values > delta):
-                raise ValueError(
-                    f"reparametrized-frame values must exceed {delta}"
-                )
         self.frame = frame
         self.durations = durations
         self.values = values
@@ -207,11 +198,9 @@ def load_control(path):
 
 def final_state(g, control, x):
     """Apply a control's exact piecewise propagator to a state vector."""
-    x = np.asarray(x, dtype=complex)
-    for U in _piece_unitaries(g.A, g.B, control.durations, control.values,
-                              control.frame):
-        x = U @ x
-    return x
+    F = _piece_unitaries(g.A, g.B, control.durations, control.values,
+                         control.frame)
+    return _partial_products(np.asarray(x, dtype=complex), F)[-1]
 
 
 @dataclass(frozen=True)
@@ -232,81 +221,29 @@ class UnitarySteeringResult:
     traceless: bool
 
 
-class _PieceChain:
-    """The objective h(F_{m-1} ... F_0 x0) of a point [durations..., log values...].
+def _factors(g, t, w):
+    """Factors expm(t_k (e^{w_k} A + B)) of durations t and log values w."""
+    return _piece_unitaries(g.A, g.B, t, np.exp(w), "reparametrized")
 
-    F_k = expm(t_k (u_k A + B)) is piece k's factor.  For the current point
-    (set by `start`, moved by `accept`) the chain keeps every factor and the
-    partial products F_{k-1} ... F_0 x0, so a probe that moves one piece is
-    scored by continuing the cached product from that piece.  Every product
-    is taken in the order of a full pass, and a batched kernel call gives
-    each slice the bits of a single one, so a probe scores exactly what a
-    full pass at the probed point would.  `scores`, `start` and `score` are
-    the entry points that score points; `product` scores nothing.
+
+def _coordinate_descent(g, x0, h, p, lo, hi, step, cap, tol):
+    """Cyclic coordinate descent on h(F_{m-1} ... F_0 x0) inside box bounds.
+
+    Coordinates of p = [durations..., log values...] are probed in order,
+    +step before -step; the first probe scoring below best - 1e-16 is taken
+    and the sweep goes on with the next coordinate, and a sweep without a
+    move halves the steps.  The current point's factors F and partial
+    products xs = [x0, F_0 x0, ...] are kept, so a probe of piece k
+    continues xs[k] through its new factor and F[k+1:].  The probes from one
+    point up to the next move or the end of the sweep get their factors
+    from one kernel call, whose slices have the bits of single calls, so a
+    probe scores exactly what a full pass would.  Scores at most `cap`
+    points; returns (params, score, points scored).
     """
-
-    def __init__(self, g, x0, h):
-        self.A, self.B, self.x0, self.h = g.A, g.B, x0, h
-
-    def _factors(self, t, w):
-        return _piece_unitaries(self.A, self.B, t, np.exp(w), "reparametrized")
-
-    def _run(self, x, factors):
-        xs = [x]
-        for F in factors:
-            xs.append(F @ xs[-1])
-        return xs
-
-    def scores(self, P):
-        """h at each row of P, all factors from one kernel call."""
-        m = P.shape[1] // 2
-        F = self._factors(P[:, :m].ravel(), P[:, m:].ravel())
-        return [self.h(self._run(self.x0, F[k:k + m])[-1])
-                for k in range(0, len(F), m)]
-
-    def product(self, p):
-        """F_{m-1} ... F_0 x0 at p, which becomes the current point."""
-        m = len(p) // 2
-        self.F = self._factors(p[:m], p[m:])
-        self.xs = self._run(self.x0, self.F)
-        return self.xs[-1]
-
-    def start(self, p):
-        return self.h(self.product(p))
-
-    def probe(self, p, probes):
-        """Build the factors of probes (coordinate i of p set to q), one call."""
-        m = len(p) // 2
-        self.pieces = [i % m for i, _ in probes]
-        t = [q if i < m else p[i - m] for i, q in probes]
-        w = [p[i + m] if i < m else q for i, q in probes]
-        self.G = self._factors(t, w)
-
-    def score(self, j):
-        """h at probe j of the last `probe` call, from the cached chain."""
-        k = self.pieces[j]
-        self.tail = self._run(self.G[j] @ self.xs[k], self.F[k + 1:])
-        return self.h(self.tail[-1])
-
-    def accept(self, j):
-        """Move the current point to probe j, the last one scored."""
-        k = self.pieces[j]
-        self.F[k] = self.G[j]
-        self.xs[k + 1:] = self.tail
-
-
-def _coordinate_descent(chain, p, lo, hi, step, cap, tol):
-    """Cyclic coordinate descent with shrinking steps inside box bounds.
-
-    Coordinates are probed in order, +step before -step; the first probe
-    scoring below best - 1e-16 is taken and the sweep goes on with the next
-    coordinate, and a sweep without a move halves the steps.  The probes
-    from one point up to the next move or the end of the sweep get their
-    factors from one kernel call and are scored lazily, in that order, from
-    the chain.  Scores at most `cap` points; returns (params, score, points
-    scored).
-    """
-    best = chain.start(p)
+    m = len(p) // 2
+    F = _factors(g, p[:m], p[m:])
+    xs = _partial_products(x0, F)
+    best = h(xs[-1])
     used = 1
     p = p.copy()
     step = step.copy()
@@ -319,14 +256,17 @@ def _coordinate_descent(chain, p, lo, hi, step, cap, tol):
             probes = [(i, q) for i in range(first, len(p))
                       for q in (up[i], down[i]) if q != p[i]]
             first = len(p)
-            chain.probe(p, probes)
-            for j, (i, q) in enumerate(probes):
+            G = _factors(g, [q if i < m else p[i - m] for i, q in probes],
+                         [p[i + m] if i < m else q for i, q in probes])
+            for (i, q), Gk in zip(probes, G):
                 if used >= cap:
                     return p, best, used
-                v = chain.score(j)
+                k = i % m
+                tail = _partial_products(Gk @ xs[k], F[k + 1:])
+                v = h(tail[-1])
                 used += 1
                 if v < best - 1e-16:
-                    chain.accept(j)
+                    F[k], xs[k + 1:] = Gk, tail
                     p[i], best = q, v
                     improved = True
                     if best <= tol:
@@ -340,8 +280,8 @@ def _coordinate_descent(chain, p, lo, hi, step, cap, tol):
     return p, best, used
 
 
-def _search(chain, m, delta, tol, rng, max_evals):
-    """Multi-start + coordinate descent over m pieces.
+def _search(g, x0, h, m, delta, tol, rng, max_evals):
+    """Multi-start + coordinate descent on h(F_{m-1} ... F_0 x0) over m pieces.
 
     Parameter vector layout: [durations..., log(values)...].  Values are kept
     in (delta, delta * 1e3]; half the starts are biased toward the low end of
@@ -365,7 +305,10 @@ def _search(chain, m, delta, tol, rng, max_evals):
         else:
             w = rng.uniform(v_lo, v_hi, size=m)
         cands.append(np.concatenate([d, w]))
-    scores = chain.scores(np.array(cands))
+    P = np.array(cands)
+    F = _factors(g, P[:, :m].ravel(), P[:, m:].ravel())
+    scores = [h(_partial_products(x0, F[k:k + m])[-1])
+              for k in range(0, len(F), m)]
     used = len(cands)
     order = sorted(
         range(len(cands)), key=lambda i: (scores[i], tuple(cands[i]))
@@ -381,7 +324,7 @@ def _search(chain, m, delta, tol, rng, max_evals):
         if cap < 10:
             break
         p, s, ev = _coordinate_descent(
-            chain, cands[idx], lo, hi, step0, cap, tol
+            g, x0, h, cands[idx], lo, hi, step0, cap, tol
         )
         used += ev
         if s < s_best:
@@ -391,7 +334,7 @@ def _search(chain, m, delta, tol, rng, max_evals):
     return p_best, s_best, used
 
 
-def _escalate(chain, delta, tol, budget, seed):
+def _escalate(g, x0, h, delta, tol, budget, seed):
     """Search with growing piece counts (PIECE_COUNTS) until one reaches tol.
 
     Each piece count gets a slice of the remaining budget, so failing to
@@ -410,7 +353,7 @@ def _escalate(chain, delta, tol, budget, seed):
     best_p, best_s, best_m = None, np.inf, 0
     for k, m in enumerate(PIECE_COUNTS):
         slice_ = (budget - used) // (len(PIECE_COUNTS) - k)
-        p, s, ev = _search(chain, m, delta, tol, rng, slice_)
+        p, s, ev = _search(g, x0, h, m, delta, tol, rng, slice_)
         used += ev
         if s < best_s:
             best_p, best_s, best_m = p, s, m
@@ -448,8 +391,9 @@ def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0):
         c = PiecewiseConstantControl("reparametrized", [], delta, meta=meta)
         return StateSteeringResult(c, base, True, 0)
 
-    chain = _PieceChain(g, x0, lambda x: 1.0 - abs(np.vdot(x1, x)) ** 2)
-    best_p, best_s, best_m, used = _escalate(chain, delta, tol, budget, seed)
+    best_p, best_s, best_m, used = _escalate(
+        g, x0, lambda x: 1.0 - abs(np.vdot(x1, x)) ** 2, delta, tol, budget,
+        seed)
     converged = bool(best_s <= tol)
     meta["infidelity"] = float(best_s)
     if not converged:
@@ -514,10 +458,12 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0):
         c = PiecewiseConstantControl("reparametrized", [], delta, meta=meta)
         return UnitarySteeringResult(c, th0, d0, True, 0, traceless)
 
-    chain = _PieceChain(g, np.eye(n, dtype=complex),
-                        lambda U: _phase_distance(U @ g0, g1, sector)[0])
-    best_p, _, m, used = _escalate(chain, delta, tol, budget, seed)
-    dist, theta = _phase_distance(chain.product(best_p) @ g0, g1, sector)
+    eye = np.eye(n, dtype=complex)
+    best_p, _, m, used = _escalate(
+        g, eye, lambda U: _phase_distance(U @ g0, g1, sector)[0], delta, tol,
+        budget, seed)
+    U = _partial_products(eye, _factors(g, best_p[:m], best_p[m:]))[-1]
+    dist, theta = _phase_distance(U @ g0, g1, sector)
     converged = bool(dist <= tol)
     meta["distance"] = float(dist)
     meta["theta"] = float(theta)
@@ -608,8 +554,6 @@ def lift_control(target, sys, n, N, phase_tol=0.05):
         return target
     if target.npieces == 0:
         raise ValueError("target control has no pieces")
-
-    from .certification import nonresonance  # local import avoids a cycle
 
     gaps = np.diff(sys.lam[:N])
     verdict = nonresonance(gaps, Q=10, tol=1e-9)

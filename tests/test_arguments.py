@@ -1,7 +1,8 @@
 """Every scalar argument of the public API fails closed.
 
-NaN, +inf and -inf, and values outside a parameter's stated range, raise
-ValueError: never another exception and never a result.
+NaN, +inf and -inf, values outside a parameter's stated range and numeric
+text where a number belongs raise ValueError: never another exception and
+never a result.
 """
 
 import math
@@ -155,6 +156,33 @@ INT_ARGS = [
 ]
 NOT_INTEGERS = [math.nan, math.inf, -math.inf, 2.5, True]
 
+# (label, call taking the bad value, numeric text a number parser accepts)
+TEXT_ARGS = [
+    ("oscillator_system.a", lambda x: oscillator_system(x, 0.3), ["-0.5"]),
+    ("oscillator_system.b", lambda x: oscillator_system(-0.5, x),
+     ["0.3", b"0.3"]),
+    ("box3d_system.l", lambda x: box3d_system((x, 1.3, 1.7), BOX_ALPHA),
+     ["1.0"]),
+    ("custom_system.lam", lambda x: custom_system(x, SYS.W),
+     [["0", "1", "2.5"], [0.0, 1.0, "2.5"]]),
+    ("custom_system.W", lambda x: custom_system(SYS.lam, x),
+     [SYS.W.astype(str).tolist()]),
+    ("PiecewiseConstantControl.duration",
+     lambda x: PiecewiseConstantControl("reparametrized", [(x, 0.3)], 0.1),
+     ["0.8"]),
+    ("PiecewiseConstantControl.value",
+     lambda x: PiecewiseConstantControl("original", [(0.8, x)], 0.1),
+     ["0.05"]),
+    ("PiecewiseConstantControl.delta",
+     lambda x: PiecewiseConstantControl("reparametrized", [(0.8, 0.3)], x),
+     ["0.1"]),
+    ("integrated_value_at.t", lambda x: C.integrated_value_at(x), ["0.2"]),
+    ("steer_state.delta",
+     lambda x: steer_state(G, E0, E1, delta=x, budget=200), ["0.1"]),
+    ("phase_correction.eps", lambda x: pc(eps=x), ["0.1"]),
+    ("expm_skew.t", lambda x: expm_skew(G.B, x), ["0.5"]),
+]
+
 
 def cases(table, bad):
     return [pytest.param(call, x, id=f"{label}={x!r}")
@@ -169,6 +197,12 @@ def test_bad_real_argument_raises_value_error(call, value):
 
 @pytest.mark.parametrize("call, value", cases(INT_ARGS, NOT_INTEGERS))
 def test_bad_integer_argument_raises_value_error(call, value):
+    with pytest.raises(ValueError):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value", cases(TEXT_ARGS, []))
+def test_numeric_text_raises_value_error(call, value):
     with pytest.raises(ValueError):
         call(value)
 

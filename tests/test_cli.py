@@ -221,6 +221,19 @@ def test_certify_certified_exit_zero(capsys, tmp_path):
     assert re.match(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", report["timestamp"])
 
 
+def test_certify_n_takes_an_integral_float(capsys, tmp_path):
+    # certify.n is read like every other integer field, so 3.0 counts as 3
+    results = []
+    for n in (3, 3.0):
+        cfg = write_json(tmp_path / "c.json", {"system": THREE_LEVEL,
+                                               "certify": {"n": n}})
+        out = tmp_path / f"out{n!r}"
+        code, err = run(capsys, "certify", "--config", cfg, "--out", str(out))
+        assert code in (0, 2) and err == ""
+        results.append((code, read_report(out)["result"]))
+    assert results[0] == results[1]
+
+
 def test_certify_refuted_exit_two(capsys, tmp_path):
     cfg = write_json(tmp_path / "c.json", {
         "system": {"lambda": [0.0, 1.0, 2.0],
@@ -436,29 +449,52 @@ CONTROL = {"frame": "reparametrized", "delta": 0.1,
            "pieces": [{"duration": 0.8, "value": 0.3}]}
 
 
-@pytest.mark.parametrize("command, sec, control, named", [
-    ("certify", {"n": 3, "tol": [1]}, None, "certify.tol"),
-    ("certify", {"n": 3, "Q": [30]}, None, "certify.Q"),
-    ("certify", {"n": 3, "max_depth": [2]}, None, "certify.max_depth"),
-    ("certify", {"n": 3, "Q": 2.9}, None, "certify.Q"),
-    ("synthesize", {"from": "e1", "to": "e2", "n": None}, None, "synthesize.n"),
+OSCILLATOR = {"model": "oscillator", "a": -0.5, "b": 0.3, "levels": 5}
+BOX = {"model": "box3d", "l": [1.0, 1.3, 1.7], "alpha": [0.5, 0.7, 0.9],
+       "levels": 6}
+
+
+@pytest.mark.parametrize("command, sec, control, named, system", [
+    ("certify", {"n": 3, "tol": [1]}, None, "certify.tol", THREE_LEVEL),
+    ("certify", {"n": 3, "Q": [30]}, None, "certify.Q", THREE_LEVEL),
+    ("certify", {"n": 3, "max_depth": [2]}, None, "certify.max_depth",
+     THREE_LEVEL),
+    ("certify", {"n": 3, "Q": 2.9}, None, "certify.Q", THREE_LEVEL),
+    ("synthesize", {"from": "e1", "to": "e2", "n": None}, None, "synthesize.n",
+     THREE_LEVEL),
     ("synthesize", {"from": "e1", "to": "e2", "budget": [1]}, None,
-     "synthesize.budget"),
-    ("bound", {"from": "e1", "to": "e2", "eps": {}}, None, "bound.eps"),
+     "synthesize.budget", THREE_LEVEL),
+    ("bound", {"from": "e1", "to": "e2", "eps": {}}, None, "bound.eps",
+     THREE_LEVEL),
     ("simulate", {"control": "u.json", "state": "e1", "order": [3]}, CONTROL,
-     "simulate.order"),
+     "simulate.order", THREE_LEVEL),
     ("simulate", {"control": "u.json", "state": "e1"},
-     {**CONTROL, "pieces": [{"value": 0.3}]}, "pieces"),
+     {**CONTROL, "pieces": [{"value": 0.3}]}, "pieces", THREE_LEVEL),
     ("simulate", {"control": "u.json", "state": "e1"},
-     {**CONTROL, "pieces": None}, "pieces"),
+     {**CONTROL, "pieces": None}, "pieces", THREE_LEVEL),
+    ("certify", {"n": "3"}, None, "certify.n", THREE_LEVEL),
+    ("certify", {"n": True}, None, "certify.n", THREE_LEVEL),
+    ("certify", {"n": 4}, None, "a=", {**OSCILLATOR, "a": "-0.5"}),
+    ("certify", {"n": 4}, None, "simple_spectrum",
+     {**OSCILLATOR, "simple_spectrum": "x"}),
+    ("certify", {"n": 4}, None, "simple_spectrum",
+     {**BOX, "simple_spectrum": "true"}),
+    ("certify", {"n": 3}, None, "lambda",
+     {**THREE_LEVEL, "lambda": ["0", "1", "2.5"]}),
+    ("certify", {"n": 3}, None, "levels", {**THREE_LEVEL, "levels": "3"}),
+    ("simulate", {"control": "u.json", "state": "e1"},
+     {**CONTROL, "pieces": [{"duration": "0.8", "value": 0.3}]}, "duration",
+     THREE_LEVEL),
 ], ids=["tol-list", "Q-list", "max_depth-list", "Q-fraction", "n-null",
         "budget-list", "eps-object", "order-list", "piece-no-duration",
-        "pieces-null"])
+        "pieces-null", "certify-n-text", "certify-n-bool", "oscillator-a-text",
+        "simple_spectrum-text", "box-simple_spectrum-text", "lambda-text",
+        "levels-text", "duration-text"])
 def test_mistyped_config_fails_closed(capsys, tmp_path, command, sec, control,
-                                      named):
+                                      named, system):
     if control is not None:
         (tmp_path / "u.json").write_text(json.dumps(control))
-    cfg = write_json(tmp_path / "c.json", {"system": THREE_LEVEL, command: sec})
+    cfg = write_json(tmp_path / "c.json", {"system": system, command: sec})
     out = tmp_path / "out"
     code, err = run(capsys, command, "--config", cfg, "--out", str(out))
     assert code == 4

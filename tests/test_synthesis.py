@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -276,32 +277,25 @@ def test_phase_distance_is_sector_minimum(p):
 
 
 def test_reported_evaluations_are_objective_calls(monkeypatch):
-    # evaluations count objective values scored; one kernel call may build
+    # evaluations count objective values scored, and steer_state scores each
+    # point through one _partial_products call; one kernel call may build
     # the factors of several probes, so it counts kernel calls apart
     scored, calls = [], []
-    chain = synthesis._PieceChain
 
-    def counting(method, values):
+    def counting(f, log):
         def wrapped(*args):
-            out = method(*args)
-            scored.append(values(out))
-            return out
+            log.append(1)
+            return f(*args)
         return wrapped
 
-    monkeypatch.setattr(chain, "scores", counting(chain.scores, len))
-    monkeypatch.setattr(chain, "start", counting(chain.start, lambda _: 1))
-    monkeypatch.setattr(chain, "score", counting(chain.score, lambda _: 1))
-    kernel = synthesis._piece_unitaries
-
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
-
-    monkeypatch.setattr(synthesis, "_piece_unitaries", counted)
+    monkeypatch.setattr(synthesis, "_partial_products",
+                        counting(synthesis._partial_products, scored))
+    monkeypatch.setattr(synthesis, "_piece_unitaries",
+                        counting(synthesis._piece_unitaries, calls))
     g = truncate(oscillator_system(-0.5, 0.3), 3)
     res = steer_state(g, basis(3, 0), basis(3, 1), delta=0.1, seed=1,
                       budget=5000)
-    assert res.evaluations == sum(scored) <= 5000
+    assert res.evaluations == len(scored) <= 5000
     assert len(calls) < res.evaluations
 
 
@@ -321,7 +315,7 @@ def test_steer_unitary_rejects_nonunitary():
                       np.eye(2, dtype=complex), delta=0.1)
 
 
-# -- piece-chain coordinate descent --------------------------------------------
+# -- coordinate descent on cached partial products ----------------------------
 
 
 def reference_descent(f, p, lo, hi, step, cap, tol):
@@ -406,12 +400,31 @@ def test_chain_descent_equals_full_pass_reference(case):
 
     tol = frac * full_pass(p)
     ref = reference_descent(full_pass, p, lo, hi, step, cap, tol)
-    chain = synthesis._PieceChain(g, x0, h)
-    got = synthesis._coordinate_descent(chain, p, lo, hi, step, cap, tol)
+    got = synthesis._coordinate_descent(g, x0, h, p, lo, hi, step, cap, tol)
     assert got[1:] == ref[1:]
     assert np.array_equal(got[0], ref[0])
-    starts = np.array([p, ref[0]])
-    assert chain.scores(starts) == [full_pass(q) for q in starts]
+
+    # the starts of a search, scored from one kernel call, score full passes
+    batches, scores = [], []
+
+    def spy(g, t, w):
+        batches.append((np.array(t), np.array(w)))
+        return factors(g, t, w)
+
+    def recorded(x):
+        scores.append(h(x))
+        return scores[-1]
+
+    factors = synthesis._factors
+    with mock.patch.object(synthesis, "_factors", spy):
+        _, best, used = synthesis._search(g, x0, recorded, m, 0.1, 0.0,
+                                          np.random.default_rng(cap),
+                                          synthesis.N_STARTS)
+    (t, w), = batches
+    starts = np.column_stack([t.reshape(-1, m), w.reshape(-1, m)])
+    assert used == len(starts) == synthesis.N_STARTS
+    assert scores == [full_pass(q) for q in starts]
+    assert best == min(scores)
 
 
 # -- oscillation lift ----------------------------------------------------------
