@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .linalg import _check_int, _check_real, commutator
+from .linalg import _check_array, _check_int, _check_real, commutator
 from .models import Record, truncate
 
 __all__ = [
@@ -137,13 +137,12 @@ def connectedness(W, threshold=EDGE_THRESHOLD):
 
     A disconnected graph yields an invariant index set: the smallest connected
     component (ties broken by lowest index), which spans a subspace the
-    dynamics can never leave.  Raises ValueError unless threshold is finite
+    dynamics can never leave.  Complex couplings count through |W|.  Raises
+    ValueError unless W is a finite square matrix and threshold is finite
     and >= 0.
     """
     threshold = _check_real(threshold, "threshold", 0.0, closed=True)
-    W = np.asarray(W)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError(f"W must be square, got shape {W.shape}")
+    W = _check_array(W, "W", complex, square=True)
     n = W.shape[0]
     adj = (np.abs(W) > threshold) | np.eye(n, dtype=bool)
     adj |= adj.T  # an edge in either direction joins two levels
@@ -316,7 +315,7 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     EXHAUSTIVE_BUDGET candidate vectors (2Q+1 for one gap, 2Q^2 on a support
     of size 2).
     """
-    gaps = np.asarray(gaps, dtype=float).ravel()
+    gaps = _check_array(gaps, "gaps").ravel()
     m = gaps.shape[0]
     if m < 1:
         raise ValueError("need at least one gap")
@@ -330,8 +329,8 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     tol = _check_real(tol, "tol", 0.0, closed=True)
     with np.errstate(over="ignore"):
         gnorm = float(np.linalg.norm(gaps))
-    if not math.isfinite(gnorm):  # also every non-finite gap
-        raise ValueError(f"gaps and ||gaps||_2 must be finite, got {gnorm}")
+    if not math.isfinite(gnorm):
+        raise ValueError("||gaps||_2 overflows a double")
     gkey = tuple(float(g) for g in gaps)
 
     full_cost = (2 * Q + 1) ** m  # an exact int: no float overflow at large m
@@ -373,16 +372,17 @@ def pairwise_gap_distinct(lam, tol=GAP_TOL):
     subtraction is antisymmetric and monotone, so the sweep applies exactly
     the test |g_a - g_b| <= threshold to every pair of pairs.  Violations
     are listed in row-major order of the pair indices.  Raises ValueError
-    unless tol is finite and >= 0.
+    unless tol is finite and >= 0 and the spectrum and its spread are finite.
     """
-    lam = np.asarray(lam, dtype=float).ravel()
+    lam = _check_array(lam, "lambda").ravel()
     n = lam.shape[0]
     if n < 2:
         raise ValueError("need at least two eigenvalues")
     tol = _check_real(tol, "tol", 0.0, closed=True)
+    spread = float(lam.max()) - float(lam.min())  # no warning on overflow
+    scale = max(1.0, _check_real(spread, "max(lambda) - min(lambda)"))
     j, k = np.triu_indices(n, 1)  # the order of itertools.combinations
     g = np.abs(lam[j] - lam[k])
-    scale = max(1.0, float(lam.max() - lam.min()))
     thr = tol * scale
     order = np.argsort(g, kind="stable")
     gs = g[order]

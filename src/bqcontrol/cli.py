@@ -15,9 +15,10 @@ import time
 import numpy as np
 
 from .certification import certify
-from .linalg import EigendecompositionError
+from .linalg import EigendecompositionError, _check_array
 from .models import (
     QuadratureError,
+    _read_json,
     _write_json,
     _write_table,
     custom_system,
@@ -62,23 +63,12 @@ def _write_report(out_dir, doc):
     _write_json(os.path.join(out_dir, "report.json"), doc)
 
 
-def _finite_float(text):
-    """JSON number hook: NaN, Infinity, -Infinity and float literals that
-    overflow a double (1e400) raise ConfigError."""
-    v = float(text)
-    if not math.isfinite(v):
-        raise ConfigError(f"number {text} in config is not a finite double")
-    return v
-
-
 def _load_config(path):
     try:
-        with open(path) as fh:
-            cfg = json.load(fh, parse_float=_finite_float,
-                            parse_constant=_finite_float)
+        cfg = _read_json(path)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError or a non-finite number
         raise ConfigError(f"malformed JSON in {path}: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -118,39 +108,39 @@ def _build_system(cfg):
         raise ConfigError(f"invalid system spec: {e}")
 
 
-def _parse_state(spec, dim):
-    """Decode a state spec: 'e<k>' (1-based basis vector) or a vector.
-
-    Vector entries are reals or [re, im] pairs; the result is checked to be
-    normalized and must match the working dimension.
-    """
+def _parse_state(sec, name, key, dim):
+    """The state spec sec[key] at dimension dim: 'e<k>' (1-based basis
+    vector) or a normalized vector of JSON numbers (not text or booleans)
+    and [re, im] pairs of them.  Errors name the field name.key."""
+    spec, field = sec.get(key), f"{name}.{key}"
     if isinstance(spec, str):
         if not spec.startswith("e"):
-            raise ConfigError(f"unknown state spec {spec!r}")
+            raise ConfigError(f"{field}: unknown state spec {spec!r}")
         try:
             k = int(spec[1:])
         except ValueError:
-            raise ConfigError(f"unknown state spec {spec!r}")
+            raise ConfigError(f"{field}: unknown state spec {spec!r}")
         if not 1 <= k <= dim:
-            raise ConfigError(f"basis index {spec!r} outside 1..{dim}")
+            raise ConfigError(f"{field}: basis index {spec!r} outside 1..{dim}")
         v = np.zeros(dim, dtype=complex)
         v[k - 1] = 1.0
         return v
     if isinstance(spec, list):
-        try:
-            entries = [complex(x[0], x[1]) if isinstance(x, list) else complex(x)
-                       for x in spec]
-        except (TypeError, ValueError, IndexError):
-            raise ConfigError("state vector entries must be reals or [re, im] pairs")
-        v = np.array(entries, dtype=complex)
+        pairs = [x if isinstance(x, list) else [x, 0.0] for x in spec]
+        v = _check_array(pairs, field)
+        if v.shape != (len(spec), 2) or any(
+                isinstance(y, bool) for p in pairs for y in p):
+            raise ConfigError(f"{field} entries must be numbers (not "
+                              "booleans) or [re, im] pairs of them")
+        v = v.view(complex).ravel()  # each row (re, im) is one entry
         if v.size != dim:
-            raise ConfigError(f"state has dimension {v.size}, expected {dim}")
+            raise ConfigError(f"{field} has dimension {v.size}, expected {dim}")
         with np.errstate(over="ignore"):  # an overflowing norm fails below
             nrm = np.linalg.norm(v)
         if not abs(nrm - 1.0) <= 1e-8:
-            raise ConfigError(f"state not normalized (norm = {nrm:.6g})")
+            raise ConfigError(f"{field} not normalized (norm = {nrm:.6g})")
         return v / nrm
-    raise ConfigError(f"unknown state spec of type {type(spec).__name__}")
+    raise ConfigError(f"{field}: no state spec of type {type(spec).__name__}")
 
 
 def _galerkin_at(system, order):
@@ -209,8 +199,8 @@ def _cmd_synthesize(cfg, out_dir, args):
         raise ConfigError(f"synthesize.verify_order ({order}) must be >= "
                           f"synthesize.n ({n})")
     g = _galerkin_at(system, n)
-    x0 = _parse_state(sec.get("from"), n)
-    x1 = _parse_state(sec.get("to"), n)
+    x0 = _parse_state(sec, "synthesize", "from", n)
+    x1 = _parse_state(sec, "synthesize", "to", n)
     seed = (args.seed if args.seed is not None
             else _number(sec, "synthesize", "seed", 0, int))
     result = steer_state(
@@ -268,7 +258,7 @@ def _cmd_simulate(cfg, out_dir, args):
     control = load_control(path)
     order = _number(sec, "simulate", "order", system.levels, int)
     g = _galerkin_at(system, order)
-    psi0 = _parse_state(sec.get("state"), order)
+    psi0 = _parse_state(sec, "simulate", "state", order)
     traj = propagate(g, control, psi0,
                      samples_per_piece=_number(sec, "simulate", "samples", 16,
                                                int))
@@ -281,7 +271,7 @@ def _cmd_simulate(cfg, out_dir, args):
         "norm_drift": traj.norm_drift,
     }
     if sec.get("target") is not None:
-        target = _parse_state(sec["target"], order)
+        target = _parse_state(sec, "simulate", "target", order)
         final = traj.final
         result["fidelity"] = fidelity(target, final)
         result["norm_distance"] = float(np.linalg.norm(final - target))
@@ -299,8 +289,8 @@ def _cmd_bound(cfg, out_dir, args):
     system = _build_system(cfg)
     sec = _section(cfg, "bound")
     dim = system.levels
-    psi0 = _parse_state(sec.get("from"), dim)
-    psi1 = _parse_state(sec.get("to"), dim)
+    psi0 = _parse_state(sec, "bound", "from", dim)
+    psi1 = _parse_state(sec, "bound", "to", dim)
     eps = _number(sec, "bound", "eps", 1e-3)
     delta = _number(sec, "bound", "delta", 0.1)
     value = steering_time_lower_bound(system, psi0, psi1, eps, delta)

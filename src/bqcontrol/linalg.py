@@ -66,20 +66,24 @@ def _check_int(x, name, lo, hi=math.inf):
     return int(x)
 
 
-def _check_reals(x, name):
-    """x as a float array when it holds numbers only (numeric text does not
-    count), else ValueError naming the argument."""
-    a = np.asarray(x)
-    if a.dtype.kind not in "biuf":
-        raise ValueError(f"{name} must hold numbers, got {a.dtype} data")
-    return a.astype(float)
-
-
-def _as_square(X, name="matrix"):
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {X.shape}")
-    return X.astype(complex, copy=False)
+def _check_array(x, name, dtype=float, square=False):
+    """x as a `dtype` (float or complex) array of finite numbers, square when
+    `square`, else ValueError naming the argument: numeric text, None, ragged
+    lists and, for float, complex values fail."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged list
+        raise ValueError(f"{name} must be a rectangular array") from None
+    real = dtype is float
+    if a.dtype.kind not in ("biuf" if real else "biufc"):
+        raise ValueError(f"{name} must hold {'real ' if real else ''}numbers, "
+                         f"got {a.dtype} data")
+    if square and (a.ndim != 2 or a.shape[0] != a.shape[1]):
+        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    a = a.astype(dtype, copy=False)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
 def skew_hermitian(X, atol=SKEW_ATOL):
@@ -90,8 +94,8 @@ def skew_hermitian(X, atol=SKEW_ATOL):
     Inputs whose Hermitian part exceeds `atol` in max-abs norm are rejected as
     likely bugs rather than silently repaired.
     """
-    X = _as_square(X)
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails below
+    X = _check_array(X, "X", complex, square=True)
+    with np.errstate(invalid="ignore", over="ignore"):  # overflow fails below
         M = (X - X.conj().T) / 2.0
         defect = np.max(np.abs(X - M)) if X.size else 0.0
     if not defect <= atol:
@@ -102,7 +106,7 @@ def skew_hermitian(X, atol=SKEW_ATOL):
 
 
 def is_skew_hermitian(M, atol=SKEW_ATOL):
-    M = np.asarray(M)
+    M = _check_array(M, "M", complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         return False
     return bool(np.max(np.abs(M + M.conj().T)) <= 2 * atol) if M.size else True
@@ -110,30 +114,27 @@ def is_skew_hermitian(M, atol=SKEW_ATOL):
 
 def unitarity_defect(U):
     """max-abs norm of U^H U - I."""
-    U = _as_square(U, "U")
+    U = _check_array(U, "U", complex, square=True)
     n = U.shape[0]
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN: not unitary
+    with np.errstate(invalid="ignore", over="ignore"):  # overflow: not unitary
         return float(np.max(np.abs(U.conj().T @ U - np.eye(n)))) if n else 0.0
 
 
 def assert_unitary(U, atol=UNITARY_ATOL):
+    U = _check_array(U, "U", complex, square=True)
     d = unitarity_defect(U)
     if not d <= atol:
         raise ValueError(f"matrix is not unitary within {atol:g} (defect {d:.3e})")
-    return np.asarray(U, dtype=complex)
+    return U
 
 
-def skew_eigensystem(M, validate=True):
+def skew_eigensystem(M):
     """Eigendecomposition of a skew-Hermitian M as M = V diag(-i w) V^H.
 
     Returns (w, V) with w real (the spectrum of the Hermitian matrix i M) and
     V unitary, so expm(t M) = V diag(exp(-i t w)) V^H.
     """
-    if validate:
-        M = skew_hermitian(M)
-    else:
-        M = _as_square(M)
-    return _eigh(1j * M)
+    return _eigh(1j * skew_hermitian(M))
 
 
 def _eigh(H):
@@ -145,24 +146,33 @@ def _eigh(H):
         raise EigendecompositionError(H.shape[-1], norm) from None
 
 
-def expm_skew(M, t=1.0, validate=True):
-    """Unitary propagator expm(t M) for skew-Hermitian M.
+def _expm_stack(G, t):
+    """expm(t_k G_k) for a (k, n, n) stack of skew-Hermitian G_k and times t_k.
 
-    Computed through the Hermitian eigendecomposition of i M, which keeps the
-    result unitary to machine precision regardless of ||t M||.
-    """
-    w, V = skew_eigensystem(M, validate=validate)
-    phases = np.exp(-1j * _check_real(t, "t") * w)
-    return (V * phases) @ V.conj().T
+    One batched eigendecomposition of i G_k gives V diag(exp(-i t_k w)) V^H,
+    unitary to machine precision for any ||t_k G_k||.  Call it under
+    np.errstate(over="ignore", invalid="ignore"): an overflow in G_k or t_k w
+    gives a non-finite phase, which raises ValueError."""
+    w, V = _eigh(1j * G)
+    phases = np.exp(-1j * t[:, None] * w)
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("the propagator overflows: a generator or a time "
+                         "gives a non-finite phase exp(-i t w)")
+    return (V * phases[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
+
+
+def expm_skew(M, t=1.0):
+    """Unitary propagator expm(t M) for skew-Hermitian M (see _expm_stack)."""
+    M = skew_hermitian(M)[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _expm_stack(M, np.array([_check_real(t, "t")]))[0]
 
 
 def _piece_unitaries(A, B, durations, values, frame):
     """Exact factors expm(t_k G_k) of a piecewise-constant control, as (k, n, n).
 
     G_k = A + u_k B in the "original" frame and u_k A + B in the
-    "reparametrized" one.  One batched eigendecomposition of i G_k gives each
-    factor as V diag(exp(-i t_k w)) V^H.  Raises ValueError when a phase factor
-    is not finite, which is how an overflow in u A or in t w shows.
+    "reparametrized" one; an overflow raises ValueError (see _expm_stack).
     """
     durations = np.asarray(durations, dtype=float)
     u = np.asarray(values, dtype=float)[:, None, None]
@@ -173,13 +183,7 @@ def _piece_unitaries(A, B, durations, values, frame):
             stack = u * A + B
         else:
             raise ValueError(f"unknown frame {frame!r}")
-        w, V = _eigh(1j * stack)
-        phases = np.exp(-1j * durations[:, None] * w)
-    if not np.all(np.isfinite(phases)):
-        raise ValueError(
-            "control overflows the propagator: a piece gives a non-finite phase"
-        )
-    return (V * phases[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
+        return _expm_stack(stack, durations)
 
 
 def _partial_products(x, factors):
@@ -193,8 +197,8 @@ def _partial_products(x, factors):
 
 def commutator(X, Y):
     """[X, Y] = XY - YX.  Skew-Hermitian inputs give a skew-Hermitian result."""
-    X = _as_square(X, "X")
-    Y = _as_square(Y, "Y")
+    X = _check_array(X, "X", complex, square=True)
+    Y = _check_array(Y, "Y", complex, square=True)
     if X.shape != Y.shape:
         raise ValueError(f"shape mismatch {X.shape} vs {Y.shape}")
     return X @ Y - Y @ X

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .linalg import _check_int, _check_real, _check_reals
+from .linalg import _check_array, _check_int, _check_real
 
 __all__ = [
     "DiscreteSpectrumSystem",
@@ -109,15 +109,13 @@ def custom_system(lam, W, labels=None, meta=None):
     non-decreasing and the same permutation is applied to W's rows and columns
     (and to labels).
     """
-    lam = _check_reals(lam, "lambda").ravel()
+    lam = _check_array(lam, "lambda").ravel()
     L = lam.shape[0]
     if L < 2:
         raise ValueError(f"need at least 2 levels, got {L}")
-    W = _check_reals(W, "W")
+    W = _check_array(W, "W")
     if W.shape != (L, L):
         raise ValueError(f"W must have shape {(L, L)}, got {W.shape}")
-    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(W))):
-        raise ValueError("lambda and W must be finite")
     defect = float(np.max(np.abs(W - W.T))) if L else 0.0
     if defect > SYMMETRY_ATOL:
         raise ValueError(f"W asymmetry {defect:.3e} exceeds {SYMMETRY_ATOL:g}")
@@ -277,7 +275,7 @@ def _box_triples(l, levels):
     Raises ValueError past that bound and when a 1/l_d^2 is not positive and
     finite.
     """
-    l = np.asarray(l, dtype=float)
+    l = np.array(l)
     with np.errstate(over="ignore", divide="ignore"):
         inv = 1.0 / l**2
     if not np.all(np.isfinite(inv) & (inv > 0.0)):
@@ -499,6 +497,17 @@ def _write_json(path, doc):
     _write_text(path, json.dumps(_plain(doc), indent=2, allow_nan=False) + "\n")
 
 
-def load_system(path):
+def _read_json(path):
+    """The JSON document at path; NaN, Infinity and float literals that
+    overflow a double (1e400) raise ValueError, as JSON has none."""
+    def finite(text):
+        v = float(text)
+        if not math.isfinite(v):
+            raise ValueError(f"number {text} is not a finite double")
+        return v
     with open(path) as fh:
-        return system_from_json(json.load(fh))
+        return json.load(fh, parse_float=finite, parse_constant=finite)
+
+
+def load_system(path):
+    return system_from_json(_read_json(path))

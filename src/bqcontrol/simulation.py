@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_int, _check_real, _partial_products, _piece_unitaries
+from .linalg import (_check_array, _check_int, _check_real, _partial_products,
+                     _piece_unitaries)
 from .models import Record, _write_table
 
 __all__ = [
@@ -38,10 +39,10 @@ DRIFT_SLACK = 1e-8  # margin shortfall modulus_drift_check forgives
 
 def as_state(x):
     """Validate a state vector: dimension >= 2, norm 1 within STATE_ATOL."""
-    x = np.asarray(x, dtype=complex).ravel()
+    x = _check_array(x, "state", complex).ravel()
     if x.size < 2:
         raise ValueError("state must have dimension >= 2")
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails below
+    with np.errstate(over="ignore"):  # an overflowing norm fails below
         nrm = float(np.linalg.norm(x))
     if not abs(nrm - 1.0) <= STATE_ATOL:
         raise ValueError(f"state norm deviates from 1 by {abs(nrm - 1):.3e}")
@@ -51,10 +52,8 @@ def as_state(x):
 def as_density(R):
     """Validate a density matrix: Hermitian within DENSITY_HERM_ATOL, unit
     trace within STATE_ATOL, eigenvalues >= -DENSITY_EIG_ATOL."""
-    R = np.asarray(R, dtype=complex)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ValueError(f"density matrix must be square, got {R.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails below
+    R = _check_array(R, "density matrix", complex, square=True)
+    with np.errstate(invalid="ignore", over="ignore"):  # overflow fails below
         herm = float(np.max(np.abs(R - R.conj().T)))
         tr = complex(np.trace(R))
     if not herm <= DENSITY_HERM_ATOL:
@@ -71,8 +70,8 @@ def as_density(R):
 
 def fidelity(psi, phi):
     """|<phi, psi>|^2 for state vectors."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    phi = np.asarray(phi, dtype=complex).ravel()
+    psi = _check_array(psi, "psi", complex).ravel()
+    phi = _check_array(phi, "phi", complex).ravel()
     if psi.shape != phi.shape:
         raise ValueError(f"dimension mismatch {psi.shape} vs {phi.shape}")
     return float(abs(np.vdot(phi, psi)) ** 2)
@@ -197,10 +196,10 @@ def steering_time_lower_bound(sys, psi0, psi1, eps, delta):
 
 def modulus_margins(psi_start, psi_end, duration, column_norms):
     """Margins duration * ||B phi_k|| - | |psi_start_k| - |psi_end_k| |."""
-    a = np.abs(np.asarray(psi_start, dtype=complex))
-    b = np.abs(np.asarray(psi_end, dtype=complex))
+    a = np.abs(_check_array(psi_start, "psi_start", complex))
+    b = np.abs(_check_array(psi_end, "psi_end", complex))
     duration = _check_real(duration, "duration", 0.0, closed=True)
-    return duration * np.asarray(column_norms, dtype=float) - np.abs(
+    return duration * _check_array(column_norms, "column_norms") - np.abs(
         a - b
     )
 

@@ -20,7 +20,6 @@ order, which decoupling_error quantifies.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import warnings
@@ -29,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certification import nonresonance
-from .linalg import (_check_int, _check_real, _partial_products,
-                     _piece_unitaries, assert_unitary)
-from .models import _write_json
+from .linalg import (_check_array, _check_int, _check_real,
+                     _partial_products, _piece_unitaries, assert_unitary)
+from .models import _read_json, _write_json
 from .simulation import as_state
 
 __all__ = [
@@ -187,8 +186,7 @@ def dump_control(c, path):
 
 
 def load_control(path):
-    with open(path) as fh:
-        return control_from_json(json.load(fh))
+    return control_from_json(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +198,7 @@ def final_state(g, control, x):
     """Apply a control's exact piecewise propagator to a state vector."""
     F = _piece_unitaries(g.A, g.B, control.durations, control.values,
                          control.frame)
-    return _partial_products(np.asarray(x, dtype=complex), F)[-1]
+    return _partial_products(_check_array(x, "x", complex), F)[-1]
 
 
 @dataclass(frozen=True)
@@ -707,7 +705,7 @@ def phase_correction(lam, v1, delta, eps, tau_max, coupling_bound=None):
     eps / (2 * coupling_bound).  Non-finite eigenvalues or v1, and an eps,
     delta, tau_max or coupling_bound not finite and > 0, raise ValueError.
     """
-    lam = np.asarray(lam, dtype=float).ravel()
+    lam = _check_array(lam, "lambda").ravel()
     if lam.size == 0:
         raise ValueError("need at least one eigenvalue")
     eps = _check_real(eps, "eps", 0.0)
@@ -718,7 +716,7 @@ def phase_correction(lam, v1, delta, eps, tau_max, coupling_bound=None):
         coupling_bound = _check_real(coupling_bound, "coupling_bound", 0.0)
     lo = max(0.0, -v1) + 1e-12
 
-    lmax = _check_real(np.max(np.abs(lam)), "max |lambda_j|")
+    lmax = float(np.max(np.abs(lam)))
     if lmax == 0.0:
         v2 = lo + 1.0
     else:

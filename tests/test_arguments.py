@@ -1,8 +1,9 @@
-"""Every scalar argument of the public API fails closed.
+"""Every scalar and array argument of the public API fails closed.
 
 NaN, +inf and -inf, values outside a parameter's stated range and numeric
 text where a number belongs raise ValueError: never another exception and
-never a result.
+never a result.  So do None entries, complex entries where reals belong,
+ragged lists and non-square matrices where a square one belongs.
 """
 
 import math
@@ -18,12 +19,16 @@ from bqcontrol import (
     box3d_lambda_prime,
     box3d_system,
     certify,
+    commutator,
     connectedness,
     constructive_generators,
     custom_system,
     decoupling_error,
     expm_skew,
+    fidelity,
+    final_state,
     frequently_connected,
+    is_skew_hermitian,
     lie_rank,
     lift_control,
     modulus_margins,
@@ -34,12 +39,14 @@ from bqcontrol import (
     phase_correction,
     propagate,
     propagate_density,
+    skew_eigensystem,
     skew_hermitian,
     steer_state,
     steer_unitary,
     steering_time_lower_bound,
     tail_cutoff,
     truncate,
+    unitarity_defect,
 )
 
 SYS = custom_system([0.0, 1.0, 1.0 + math.sqrt(2)],
@@ -184,6 +191,66 @@ TEXT_ARGS = [
 ]
 
 
+SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
+UNIT = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+# (label, call taking the array, a valid array, real, square): the call is
+# fed that array with its first entry made numeric text, None, NaN, +-inf
+# and (when real) complex, and as a ragged list and (when square) a
+# non-square matrix
+ARRAY_ARGS = [
+    ("custom_system.lam", lambda x: custom_system(x, SYS.W), SYS.lam, True,
+     False),
+    ("custom_system.W", lambda x: custom_system(SYS.lam, x), SYS.W, True,
+     True),
+    ("connectedness.W", connectedness, SYS.W + 0j, False, True),
+    ("nonresonance.gaps", nonresonance, [1.0, math.sqrt(2)], True, False),
+    ("pairwise_gap_distinct.lam", pairwise_gap_distinct, SYS.lam, True,
+     False),
+    ("phase_correction.lam", lambda x: pc(lam=x), [1.0, 2.0], True, False),
+    ("as_state", as_state, E0, False, False),
+    ("as_density", as_density, np.diag([1.0, 0.0]), False, True),
+    ("fidelity.psi", lambda x: fidelity(x, E0), E0, False, False),
+    ("fidelity.phi", lambda x: fidelity(E0, x), E0, False, False),
+    ("modulus_margins.psi_start",
+     lambda x: modulus_margins(x, E1, 1.0, [1.0, 1.0, 1.0]), E0, False, False),
+    ("modulus_margins.psi_end",
+     lambda x: modulus_margins(E0, x, 1.0, [1.0, 1.0, 1.0]), E1, False, False),
+    ("modulus_margins.column_norms",
+     lambda x: modulus_margins(E0, E1, 1.0, x), [1.0, 1.0, 1.0], True, False),
+    ("final_state.x", lambda x: final_state(G, C, x), E0, False, False),
+    ("skew_hermitian", skew_hermitian, SKEW, False, True),
+    ("is_skew_hermitian", is_skew_hermitian, SKEW, False, False),
+    ("unitarity_defect", unitarity_defect, UNIT, False, True),
+    ("assert_unitary", assert_unitary, UNIT, False, True),
+    ("skew_eigensystem", skew_eigensystem, SKEW, False, True),
+    ("expm_skew", expm_skew, SKEW, False, True),
+    ("commutator.X", lambda x: commutator(x, SKEW), SKEW, False, True),
+    ("commutator.Y", lambda x: commutator(SKEW, x), SKEW, False, True),
+]
+
+
+def bad_arrays(good, real, square):
+    """(kind, bad value) pairs derived from a valid array."""
+    good = np.asarray(good)
+
+    def first(v):  # good with its first entry replaced by v
+        a = good.astype(object)
+        a.flat[0] = v
+        return a.tolist()
+
+    bad = [("text", first(str(good.flat[0]))), ("None", first(None))]
+    bad += [(repr(v), first(v)) for v in NONFINITE]
+    if real:
+        bad.append(("complex", first(1j)))
+    rows = good.tolist()
+    bad.append(("ragged", [rows[0][:-1]] + rows[1:] if good.ndim == 2
+                else [rows, rows[:-1]]))
+    if square:
+        bad.append(("non-square", rows[:-1]))
+    return bad
+
+
 def cases(table, bad):
     return [pytest.param(call, x, id=f"{label}={x!r}")
             for label, call, extra in table for x in bad + extra]
@@ -205,6 +272,26 @@ def test_bad_integer_argument_raises_value_error(call, value):
 def test_numeric_text_raises_value_error(call, value):
     with pytest.raises(ValueError):
         call(value)
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, x, id=f"{label}:{kind}")
+    for label, call, good, real, square in ARRAY_ARGS
+    for kind, x in bad_arrays(good, real, square)])
+def test_bad_array_argument_raises_value_error(call, value):
+    with pytest.raises(ValueError):
+        call(value)
+
+
+def test_non_square_matrix_is_not_skew_hermitian():
+    assert not is_skew_hermitian(np.zeros((2, 3)))
+
+
+def test_overflowing_spectrum_spread_raises_value_error():
+    # finite levels whose gaps overflow: at tol = 0 the threshold 0 * inf
+    # would be NaN, and no collision could be found
+    with pytest.raises(ValueError, match="lambda"):
+        pairwise_gap_distinct([-1e308, 0.5, 1e308, 3.0], tol=0.0)
 
 
 def test_integral_floats_count_as_integers():

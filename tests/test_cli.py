@@ -485,11 +485,20 @@ BOX = {"model": "box3d", "l": [1.0, 1.3, 1.7], "alpha": [0.5, 0.7, 0.9],
     ("simulate", {"control": "u.json", "state": "e1"},
      {**CONTROL, "pieces": [{"duration": "0.8", "value": 0.3}]}, "duration",
      THREE_LEVEL),
+    ("bound", {"from": ["1", "0", "0"], "to": "e2"}, None, "bound.from",
+     THREE_LEVEL),
+    ("bound", {"from": [True, 0, 0], "to": "e2"}, None, "bound.from",
+     THREE_LEVEL),
+    ("simulate", {"control": "u.json", "state": [[1, "0"], 0, 0]}, CONTROL,
+     "simulate.state", THREE_LEVEL),
+    ("simulate", {"control": "u.json", "state": "e1"},
+     {**CONTROL, "meta": {"x": math.nan}}, "NaN", THREE_LEVEL),
 ], ids=["tol-list", "Q-list", "max_depth-list", "Q-fraction", "n-null",
         "budget-list", "eps-object", "order-list", "piece-no-duration",
         "pieces-null", "certify-n-text", "certify-n-bool", "oscillator-a-text",
         "simple_spectrum-text", "box-simple_spectrum-text", "lambda-text",
-        "levels-text", "duration-text"])
+        "levels-text", "duration-text", "state-text", "state-bool",
+        "state-pair-text", "control-meta-nan"])
 def test_mistyped_config_fails_closed(capsys, tmp_path, command, sec, control,
                                       named, system):
     if control is not None:

@@ -70,8 +70,10 @@ def test_expm_skew_group_law():
 def test_expm_skew_validates():
     with pytest.raises(ValueError):
         expm_skew(np.eye(2, dtype=complex), 1.0)
-    # validate=False skips the check entirely
-    expm_skew(np.eye(2, dtype=complex), 1.0, validate=False)
+    # the kernel's finite-phase check: t w overflows instead of giving NaN
+    M = random_skew(np.random.default_rng(9), 2)
+    with pytest.raises(ValueError, match="non-finite phase"):
+        expm_skew(M * 1e300, 1e10)
 
 
 def test_skew_eigensystem_reconstruction():

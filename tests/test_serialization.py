@@ -1,5 +1,5 @@
-"""Report records serialize from their dataclass fields, and the package
-imports without scipy."""
+"""Report records serialize from their dataclass fields, documents load
+strictly, and the package imports without scipy or a thread pool."""
 
 import dataclasses
 import json
@@ -8,14 +8,17 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bqcontrol
 from bqcontrol.certification import certify
-from bqcontrol.models import Record, custom_system, truncate
+from bqcontrol.models import (Record, custom_system, dump_system, load_system,
+                              truncate)
 from bqcontrol.simulation import modulus_drift_check
-from bqcontrol.synthesis import PiecewiseConstantControl
+from bqcontrol.synthesis import (PiecewiseConstantControl, dump_control,
+                                 load_control)
 
 
 def records(r):
@@ -53,10 +56,27 @@ def test_to_json_keys_are_fields_and_round_trip(case):
         assert json.loads(json.dumps(doc, allow_nan=False)) == doc
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize("dump, load, obj", [
+    (dump_system, load_system,
+     custom_system([0.0, 1.0], [[0, 1], [1, 0]], meta={"x": 0.25})),
+    (dump_control, load_control,
+     PiecewiseConstantControl("original", [(0.5, 0.05)], 0.1, {"x": 0.25})),
+], ids=["system", "control"])
+def test_loaders_refuse_nonfinite_numbers(tmp_path, dump, load, obj, literal):
+    path = tmp_path / "doc.json"
+    dump(obj, str(path))
+    path.write_text(path.read_text().replace("0.25", literal))
+    with pytest.raises(ValueError, match=literal):
+        load(str(path))
+
+
 def test_import_loads_no_scipy():
+    # nor the unused thread pool behind bqcontrol._parallel
     src = os.path.dirname(os.path.dirname(os.path.abspath(bqcontrol.__file__)))
     code = ("import sys, bqcontrol, bqcontrol.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m in ('concurrent.futures', 'bqcontrol._parallel')))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
