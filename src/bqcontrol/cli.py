@@ -99,9 +99,7 @@ def _number(sec, name, key, default, kind=float):
 
 
 def _build_system(cfg):
-    spec = cfg.get("system")
-    if not isinstance(spec, dict):
-        raise ConfigError("config must contain a 'system' object")
+    spec = _section(cfg, "system")
     try:
         return system_from_config(spec)
     except (ValueError, KeyError, TypeError) as e:
@@ -127,7 +125,10 @@ def _parse_state(sec, name, key, dim):
         return v
     if isinstance(spec, list):
         pairs = [x if isinstance(x, list) else [x, 0.0] for x in spec]
-        v = _check_array(pairs, field)
+        try:
+            v = _check_array(pairs, field)
+        except ValueError as e:  # text, null or a ragged entry
+            raise ConfigError(str(e)) from None
         if v.shape != (len(spec), 2) or any(
                 isinstance(y, bool) for p in pairs for y in p):
             raise ConfigError(f"{field} entries must be numbers (not "
@@ -164,14 +165,7 @@ def _galerkin_at(system, order):
     return truncate(custom_system(lam, W), order)
 
 
-def _cmd_model(cfg, out_dir, args):
-    dump_system(_build_system(cfg), os.path.join(out_dir, "system.json"))
-    return EXIT_OK
-
-
-def _cmd_certify(cfg, out_dir, args):
-    system = _build_system(cfg)
-    sec = _section(cfg, "certify")
+def _cmd_certify(system, sec, out_dir, args):
     n = _number(sec, "certify", "n", None, int)
     if n is None or n < 2:
         raise ConfigError(f"certify.n must be an integer >= 2, got {n!r}")
@@ -182,17 +176,11 @@ def _cmd_certify(cfg, out_dir, args):
         tol=_number(sec, "certify", "tol", 1e-9),
         max_depth=_number(sec, "certify", "max_depth", None, int),
     )
-    _write_report(out_dir, {
-        "command": "certify",
-        "config": cfg,
-        "result": report,
-    })
-    return EXIT_REFUTED if report.overall == "refuted" else EXIT_OK
+    code = EXIT_REFUTED if report.overall == "refuted" else EXIT_OK
+    return {"result": report}, code
 
 
-def _cmd_synthesize(cfg, out_dir, args):
-    system = _build_system(cfg)
-    sec = _section(cfg, "synthesize")
+def _cmd_synthesize(system, sec, out_dir, args):
     n = _number(sec, "synthesize", "n", system.levels, int)
     order = _number(sec, "synthesize", "verify_order", None, int)
     if order is not None and order < n:
@@ -226,28 +214,20 @@ def _cmd_synthesize(cfg, out_dir, args):
             "norm_drift": traj.norm_drift,
         }
 
-    _write_report(out_dir, {
-        "command": "synthesize",
-        "config": cfg,
-        "seed": seed,
-        "result": {
-            "converged": result.converged,
-            "infidelity": result.infidelity,
-            "fidelity": 1.0 - result.infidelity,
-            "evaluations": result.evaluations,
-            "pieces": result.control.npieces,
-            "total_duration": result.control.total_duration,
-            "verify": verify,
-        },
-    })
     if args.plot:
         _plot_control(result.control, os.path.join(out_dir, "control.plot.dat"))
-    return EXIT_OK if result.converged else EXIT_UNCONVERGED
+    return {"seed": seed, "result": {
+        "converged": result.converged,
+        "infidelity": result.infidelity,
+        "fidelity": 1.0 - result.infidelity,
+        "evaluations": result.evaluations,
+        "pieces": result.control.npieces,
+        "total_duration": result.control.total_duration,
+        "verify": verify,
+    }}, EXIT_OK if result.converged else EXIT_UNCONVERGED
 
 
-def _cmd_simulate(cfg, out_dir, args):
-    system = _build_system(cfg)
-    sec = _section(cfg, "simulate")
+def _cmd_simulate(system, sec, out_dir, args):
     path = sec.get("control")
     if not isinstance(path, str):
         raise ConfigError("simulate.control must be a file path")
@@ -255,7 +235,10 @@ def _cmd_simulate(cfg, out_dir, args):
         path = os.path.join(os.path.dirname(os.path.abspath(args.config)), path)
     if not os.path.exists(path):
         raise ConfigError(f"control file not found: {path}")
-    control = load_control(path)
+    try:
+        control = load_control(path)
+    except ValueError as e:  # malformed JSON, a bad piece or a non-finite number
+        raise ConfigError(f"simulate.control {path}: {e}") from None
     order = _number(sec, "simulate", "order", system.levels, int)
     g = _galerkin_at(system, order)
     psi0 = _parse_state(sec, "simulate", "state", order)
@@ -275,35 +258,23 @@ def _cmd_simulate(cfg, out_dir, args):
         final = traj.final
         result["fidelity"] = fidelity(target, final)
         result["norm_distance"] = float(np.linalg.norm(final - target))
-    _write_report(out_dir, {
-        "command": "simulate",
-        "config": cfg,
-        "result": result,
-    })
     if args.plot:
         _plot_trajectory(traj, os.path.join(out_dir, "trajectory.plot.dat"))
-    return EXIT_OK
+    return {"result": result}, EXIT_OK
 
 
-def _cmd_bound(cfg, out_dir, args):
-    system = _build_system(cfg)
-    sec = _section(cfg, "bound")
+def _cmd_bound(system, sec, out_dir, args):
     dim = system.levels
     psi0 = _parse_state(sec, "bound", "from", dim)
     psi1 = _parse_state(sec, "bound", "to", dim)
     eps = _number(sec, "bound", "eps", 1e-3)
     delta = _number(sec, "bound", "delta", 0.1)
     value = steering_time_lower_bound(system, psi0, psi1, eps, delta)
-    _write_report(out_dir, {
-        "command": "bound",
-        "config": cfg,
-        "result": {
-            "bound": "inf" if math.isinf(value) else value,
-            "eps": eps,
-            "delta": delta,
-        },
-    })
-    return EXIT_OK
+    return {"result": {
+        "bound": "inf" if math.isinf(value) else value,
+        "eps": eps,
+        "delta": delta,
+    }}, EXIT_OK
 
 
 def _plot_control(control, path):
@@ -323,19 +294,20 @@ def _plot_trajectory(traj, path):
     _write_table(path, names, table.tolist(), sep=" ", prefix="# ")
 
 
+# each writes its artifacts and returns (report fields, exit code); `model`,
+# which writes system.json and no report, is handled in dispatch
 _COMMANDS = {
     "certify": _cmd_certify,
     "synthesize": _cmd_synthesize,
     "simulate": _cmd_simulate,
     "bound": _cmd_bound,
-    "model": _cmd_model,
 }
 
 
 def _build_parser():
     parser = _Parser(prog="bqc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in _COMMANDS:
+    for name in [*_COMMANDS, "model"]:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
@@ -355,9 +327,16 @@ def dispatch(argv=None):
         if args.seed is not None and not 0 <= args.seed < 2 ** 64:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         cfg = _load_config(args.config)
-        out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir, args)
+        os.makedirs(args.out, exist_ok=True)
+        system = _build_system(cfg)
+        if args.command == "model":
+            dump_system(system, os.path.join(args.out, "system.json"))
+            return EXIT_OK
+        fields, code = _COMMANDS[args.command](
+            system, _section(cfg, args.command), args.out, args)
+        _write_report(args.out, {"command": args.command, "config": cfg,
+                                 **fields})
+        return code
     except ConfigError as e:
         _diagnostic("config", e)
         return EXIT_CONFIG

@@ -332,14 +332,29 @@ def _search(g, x0, h, m, delta, tol, rng, max_evals):
     return p_best, s_best, used
 
 
-def _escalate(g, x0, h, delta, tol, budget, seed):
-    """Search with growing piece counts (PIECE_COUNTS) until one reaches tol.
+def _steer(g, x0, h, delta, tol, budget, seed, meta):
+    """Search for a control bringing h(F_{m-1} ... F_0 x0) to tol or below.
 
-    Each piece count gets a slice of the remaining budget, so failing to
+    The driver of steer_state and steer_unitary.  After the checks of delta,
+    tol, budget and seed, a target that h(x0) <= tol already meets gets the
+    empty control.  Otherwise the search escalates through PIECE_COUNTS, each
+    piece count getting a slice of the remaining budget, so failing to
     converge with few pieces still leaves room to escalate; a budget whose
     first slice cannot exceed the N_STARTS random starts raises ValueError.
-    Returns (params, score, piece count, evaluations) of the best search.
+    control.meta holds seed and target ("state" for a vector x0, "unitary"
+    for a matrix), then for a searched control the fields meta(control,
+    score) and "unconverged": True when the score is above tol.  Returns
+    (control, fields, converged, evaluations).
     """
+    delta = _check_real(delta, "delta", 0.0, DELTA_CEILING)
+    tol = _check_real(tol, "tol", 0.0, closed=True)
+    budget = _check_int(budget, "budget", 0)
+    seed = _check_int(seed, "seed", 0)
+    info = {"seed": seed, "target": "state" if x0.ndim == 1 else "unitary"}
+    best_s = h(x0)
+    if best_s <= tol:
+        c = PiecewiseConstantControl("reparametrized", [], delta, meta=info)
+        return c, meta(c, best_s), True, 0
     if budget // len(PIECE_COUNTS) <= N_STARTS:
         raise ValueError(
             f"budget {budget} leaves no room to search: need at least "
@@ -347,8 +362,7 @@ def _escalate(g, x0, h, delta, tol, budget, seed):
             f"{len(PIECE_COUNTS)} piece counts of {N_STARTS} starts each"
         )
     rng = np.random.default_rng(seed)
-    used = 0
-    best_p, best_s, best_m = None, np.inf, 0
+    used, best_s = 0, np.inf
     for k, m in enumerate(PIECE_COUNTS):
         slice_ = (budget - used) // (len(PIECE_COUNTS) - k)
         p, s, ev = _search(g, x0, h, m, delta, tol, rng, slice_)
@@ -357,12 +371,14 @@ def _escalate(g, x0, h, delta, tol, budget, seed):
             best_p, best_s, best_m = p, s, m
         if best_s <= tol:
             break
-    return best_p, best_s, best_m, used
-
-
-def _params_to_control(p, m, delta, meta):
-    pieces = list(zip(p[:m], np.exp(p[m:])))
-    return PiecewiseConstantControl("reparametrized", pieces, delta, meta=meta)
+    c = PiecewiseConstantControl("reparametrized", zip(
+        best_p[:best_m], np.exp(best_p[best_m:])), delta)
+    fields = meta(c, best_s)
+    converged = bool(best_s <= tol)
+    c.meta.update(info, **fields)
+    if not converged:
+        c.meta["unconverged"] = True
+    return c, fields, converged, used
 
 
 def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0):
@@ -378,26 +394,10 @@ def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0):
     x1 = as_state(x1)
     if x0.shape != (g.order,) or x1.shape != (g.order,):
         raise ValueError(f"states must have shape ({g.order},)")
-    delta = _check_real(delta, "delta", 0.0, DELTA_CEILING)
-    tol = _check_real(tol, "tol", 0.0, closed=True)
-    budget = _check_int(budget, "budget", 0)
-    seed = _check_int(seed, "seed", 0)
-
-    base = 1.0 - abs(np.vdot(x1, x0)) ** 2
-    meta = {"seed": seed, "target": "state"}
-    if base <= tol:
-        c = PiecewiseConstantControl("reparametrized", [], delta, meta=meta)
-        return StateSteeringResult(c, base, True, 0)
-
-    best_p, best_s, best_m, used = _escalate(
+    c, fields, converged, used = _steer(
         g, x0, lambda x: 1.0 - abs(np.vdot(x1, x)) ** 2, delta, tol, budget,
-        seed)
-    converged = bool(best_s <= tol)
-    meta["infidelity"] = float(best_s)
-    if not converged:
-        meta["unconverged"] = True
-    c = _params_to_control(best_p, best_m, delta, meta)
-    return StateSteeringResult(c, float(best_s), converged, used)
+        seed, lambda c, s: {"infidelity": float(s)})
+    return StateSteeringResult(c, fields["infidelity"], converged, used)
 
 
 def _phase_distance(U, G, sector):
@@ -440,37 +440,22 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0):
     n = g.order
     if g0.shape != (n, n) or g1.shape != (n, n):
         raise ValueError(f"g0, g1 must have shape {(n, n)}")
-    delta = _check_real(delta, "delta", 0.0, DELTA_CEILING)
-    tol = _check_real(tol, "tol", 0.0, closed=True)
-    budget = _check_int(budget, "budget", 0)
-    seed = _check_int(seed, "seed", 0)
     traceless = (
         abs(complex(np.trace(g.A))) <= 1e-12
         and abs(complex(np.trace(g.B))) <= 1e-12
     )
     sector = 2.0 * math.pi / n if traceless else 2.0 * math.pi
-
-    meta = {"seed": seed, "target": "unitary"}
-    d0, th0 = _phase_distance(g0, g1, sector)
-    if d0 <= tol:
-        c = PiecewiseConstantControl("reparametrized", [], delta, meta=meta)
-        return UnitarySteeringResult(c, th0, d0, True, 0, traceless)
-
     eye = np.eye(n, dtype=complex)
-    best_p, _, m, used = _escalate(
+
+    def fit(c, score):  # distance and theta at the final propagator of c
+        dist, theta = _phase_distance(final_state(g, c, eye) @ g0, g1, sector)
+        return {"distance": float(dist), "theta": float(theta)}
+
+    c, fields, converged, used = _steer(
         g, eye, lambda U: _phase_distance(U @ g0, g1, sector)[0], delta, tol,
-        budget, seed)
-    U = _partial_products(eye, _factors(g, best_p[:m], best_p[m:]))[-1]
-    dist, theta = _phase_distance(U @ g0, g1, sector)
-    converged = bool(dist <= tol)
-    meta["distance"] = float(dist)
-    meta["theta"] = float(theta)
-    if not converged:
-        meta["unconverged"] = True
-    c = _params_to_control(best_p, m, delta, meta)
-    return UnitarySteeringResult(
-        c, float(theta), float(dist), converged, used, traceless
-    )
+        budget, seed, fit)
+    return UnitarySteeringResult(c, fields["theta"], fields["distance"],
+                                 converged, used, traceless)
 
 
 # ---------------------------------------------------------------------------

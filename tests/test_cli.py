@@ -4,9 +4,12 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import bqcontrol
 from bqcontrol.cli import dispatch
 from bqcontrol.synthesis import PiecewiseConstantControl, dump_control
 
@@ -75,6 +78,63 @@ def test_missing_section(capsys, tmp_path):
     code, err = run(capsys, "certify", "--config", cfg)
     assert code == 4
     assert "certify" in diagnostic(err)["detail"]
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("bound", '[1, 2]', "config root must be a JSON object"),
+    ("model", '{"system": 3}', "config must contain a 'system' object"),
+    ("certify", '{"system": %s, "certify": {"n": 1}}' % json.dumps(THREE_LEVEL),
+     "certify.n must be an integer >= 2"),
+    ("simulate", '{"system": %s, "simulate": {"control": 5}}'
+     % json.dumps(THREE_LEVEL), "simulate.control must be a file path"),
+    ("simulate", '{"system": %s, "simulate": {"control": "u.json", '
+     '"state": "e1", "order": 1}}' % json.dumps(THREE_LEVEL),
+     "order must be >= 2, got 1"),
+], ids=["root-list", "system-number", "certify-n-1", "control-number",
+        "simulate-order-1"])
+def test_config_shape_fails_closed(capsys, tmp_path, command, text, named):
+    (tmp_path / "u.json").write_text(json.dumps(CONTROL))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    code, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 4
+    doc = diagnostic(err)
+    assert doc["error"] == "config" and named in doc["detail"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_out_naming_a_file_is_an_io_error(capsys, tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "system": TWO_LEVEL,
+        "bound": {"from": "e1", "to": "e2"},
+    })
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code, err = run(capsys, "bound", "--config", cfg, "--out", str(out))
+    assert code == 4
+    assert diagnostic(err)["error"] == "io"
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("bound, code", [({"from": "e1", "to": "e2"}, 0),
+                                         ({"from": "e9", "to": "e2"}, 4)],
+                         ids=["ok", "config-error"])
+def test_module_entry_point_exit_code(tmp_path, bound, code):
+    cfg = write_json(tmp_path / "c.json", {"system": TWO_LEVEL,
+                                           "bound": bound})
+    src = os.path.dirname(os.path.dirname(bqcontrol.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bqcontrol.cli", "bound", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert (tmp_path / "out" / "report.json").exists() == (code == 0)
+    if code:
+        assert "bound.from" in diagnostic(proc.stderr)["detail"]
+    else:
+        assert proc.stderr == ""
 
 
 def test_negative_seed_rejected(capsys, tmp_path):
@@ -493,12 +553,24 @@ BOX = {"model": "box3d", "l": [1.0, 1.3, 1.7], "alpha": [0.5, 0.7, 0.9],
      "simulate.state", THREE_LEVEL),
     ("simulate", {"control": "u.json", "state": "e1"},
      {**CONTROL, "meta": {"x": math.nan}}, "NaN", THREE_LEVEL),
+    ("bound", {"from": "x2", "to": "e2"}, None, "bound.from", THREE_LEVEL),
+    ("bound", {"from": "e", "to": "e2"}, None, "bound.from", THREE_LEVEL),
+    ("bound", {"from": "e0", "to": "e2"}, None, "bound.from", THREE_LEVEL),
+    ("simulate", {"control": "u.json", "state": "e4", "order": 3}, CONTROL,
+     "simulate.state", THREE_LEVEL),
+    ("synthesize", {"from": "e1", "to": [0, 1]}, None, "synthesize.to",
+     THREE_LEVEL),
+    ("bound", {"from": "e1", "to": 2}, None, "bound.to", THREE_LEVEL),
+    ("bound", {"from": {"re": 1.0}, "to": "e2"}, None, "bound.from",
+     THREE_LEVEL),
 ], ids=["tol-list", "Q-list", "max_depth-list", "Q-fraction", "n-null",
         "budget-list", "eps-object", "order-list", "piece-no-duration",
         "pieces-null", "certify-n-text", "certify-n-bool", "oscillator-a-text",
         "simple_spectrum-text", "box-simple_spectrum-text", "lambda-text",
         "levels-text", "duration-text", "state-text", "state-bool",
-        "state-pair-text", "control-meta-nan"])
+        "state-pair-text", "control-meta-nan", "state-x2", "state-e",
+        "state-e0", "state-e4-order3", "state-wrong-length", "state-number",
+        "state-object"])
 def test_mistyped_config_fails_closed(capsys, tmp_path, command, sec, control,
                                       named, system):
     if control is not None:
@@ -507,8 +579,27 @@ def test_mistyped_config_fails_closed(capsys, tmp_path, command, sec, control,
     out = tmp_path / "out"
     code, err = run(capsys, command, "--config", cfg, "--out", str(out))
     assert code == 4
-    assert named in diagnostic(err)["detail"]
+    doc = diagnostic(err)
+    # every mistake in a config field, the control file included, is "config"
+    assert doc["error"] == "config" and named in doc["detail"]
     assert not (out / "report.json").exists()
+
+
+def test_control_file_errors_name_the_field_and_path(capsys, tmp_path):
+    (tmp_path / "u.json").write_text(
+        json.dumps({**CONTROL, "meta": {"x": math.nan}}))
+    cfg = write_json(tmp_path / "c.json", {
+        "system": THREE_LEVEL,
+        "simulate": {"control": "u.json", "state": "e1"},
+    })
+    code, err = run(capsys, "simulate", "--config", cfg, "--out",
+                    str(tmp_path / "out"))
+    assert code == 4
+    assert diagnostic(err) == {
+        "error": "config",
+        "detail": f"simulate.control {tmp_path / 'u.json'}: number NaN is "
+                  "not a finite double",
+    }
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
@@ -554,3 +645,29 @@ def test_bound_infinite_serialized_as_string(capsys, tmp_path):
     code, _ = run(capsys, "bound", "--config", cfg, "--out", str(out))
     assert code == 0
     assert read_report(out)["result"]["bound"] == "inf"
+
+
+@pytest.mark.parametrize("command, key", [("bound", "to"),
+                                          ("simulate", "target")])
+def test_vector_state_specs_match_basis_spec(capsys, tmp_path, command, key):
+    # a real vector, [re, im] pairs and a vector 1e-9 off unit norm (taken
+    # and normalized) all name e2; the reports and artifacts match "e2"'s
+    (tmp_path / "u.json").write_text(json.dumps(CONTROL))
+    base = {"from": "e1"} if command == "bound" else {
+        "control": "u.json", "state": [1.0 + 1e-9, 0, 0], "samples": 3}
+    specs = ["e2", [0, 1, 0], [[0, 0], [1, 0], [0, 0]], [0, 1.0 + 1e-9, 0]]
+    reports = []
+    for i, spec in enumerate(specs):
+        cfg = write_json(tmp_path / f"c{i}.json", {
+            "system": THREE_LEVEL, command: {**base, key: spec}})
+        out = tmp_path / f"out{i}"
+        code, err = run(capsys, command, "--config", cfg, "--out", str(out))
+        assert code == 0 and err == ""
+        files = {f.name: f.read_bytes() for f in out.iterdir()
+                 if f.name != "report.json"}
+        reports.append((read_report(out)["result"], files))
+    assert all(r == reports[0] for r in reports[1:])
+    if command == "simulate":
+        # the state 1e-9 off unit norm starts the trajectory at e1 exactly
+        rows = reports[0][1]["trajectory.csv"].decode().splitlines()
+        assert reports[0][0]["norm_drift"] <= 1e-12 and len(rows) == 5

@@ -253,6 +253,65 @@ def test_steer_unitary_unconverged_theta_matches_distance():
         assert abs(r.distance - phased) <= 1e-9
 
 
+def test_steering_meta_keys_in_order():
+    # control.json bytes follow the key order of control.meta
+    g2, g3 = truncate(TWO_LEVEL, 2), truncate(THREE_LEVEL, 3)
+    cases = [
+        (steer_state(g2, basis(2, 0), basis(2, 1), delta=0.1, seed=0),
+         ["seed", "target", "infidelity"]),
+        (steer_state(g3, basis(3, 0), basis(3, 2), delta=0.1, tol=1e-12,
+                     budget=300, seed=0),
+         ["seed", "target", "infidelity", "unconverged"]),
+        (steer_state(g2, basis(2, 0), basis(2, 0), delta=0.1, seed=4),
+         ["seed", "target"]),
+    ]
+    for r, keys in cases:
+        assert list(r.control.meta) == keys
+        assert r.control.meta["target"] == "state"
+        assert r.converged == ("unconverged" not in keys)
+        if "infidelity" in keys:
+            assert r.control.meta["infidelity"] == r.infidelity
+    assert cases[2][0].control.meta["seed"] == 4
+
+
+def test_steering_unitary_meta_keys_in_order():
+    g = truncate(TWO_LEVEL, 2)
+    eye = np.eye(2, dtype=complex)
+    target = expm_skew(0.8 * g.A + g.B, 1.3)
+    r = steer_unitary(g, eye, target, delta=0.1, tol=1e-3, seed=0)
+    assert r.converged
+    assert list(r.control.meta) == ["seed", "target", "distance", "theta"]
+    assert r.control.meta["target"] == "unitary"
+    assert r.control.meta["distance"] == r.distance
+    assert r.control.meta["theta"] == r.theta
+
+    s = custom_system([-1.1, 0.2, 0.9],
+                      [[0.0, 0.5, 0.2], [0.5, 0.0, 0.4], [0.2, 0.4, 0.0]])
+    g3 = truncate(s, 3)
+    target3 = expm_skew(0.7 * g3.A + g3.B, 1.9)
+    r = steer_unitary(g3, np.eye(3, dtype=complex), target3, delta=0.1,
+                      tol=1e-12, budget=300, seed=0)
+    assert not r.converged
+    assert list(r.control.meta) == ["seed", "target", "distance", "theta",
+                                    "unconverged"]
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3])
+def test_trivial_unitary_target_keeps_phase_distance(phase):
+    # g1 = e^{i phase} g0 is met at g0: the empty control, with theta and
+    # the distance of g0 itself
+    g = truncate(THREE_LEVEL, 3)
+    g0 = expm_skew(g.B, 0.5)
+    g1 = np.exp(1j * phase) * g0
+    r = steer_unitary(g, g0, g1, delta=0.1, seed=2)
+    assert r.converged and r.control.npieces == 0 and r.evaluations == 0
+    assert list(r.control.meta) == ["seed", "target"]
+    assert not r.traceless
+    assert (r.distance, r.theta) == synthesis._phase_distance(
+        g0, g1, 2.0 * math.pi)
+    assert r.theta == pytest.approx(phase, abs=1e-12)
+
+
 @st.composite
 def unitary_pairs(draw):
     """(U, G, sector): random n x n unitaries, sector 2 pi / n or 2 pi."""
