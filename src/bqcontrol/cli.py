@@ -102,7 +102,7 @@ def _build_system(cfg):
     spec = _section(cfg, "system")
     try:
         return system_from_config(spec)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise ConfigError(f"invalid system spec: {e}")
 
 
@@ -319,6 +319,7 @@ def _build_parser():
 def dispatch(argv=None):
     """Run one subcommand; returns the exit code, artifacts land in --out."""
     parser = _build_parser()
+    where = ""  # the config section an invalid-input detail starts with
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -332,8 +333,9 @@ def dispatch(argv=None):
         if args.command == "model":
             dump_system(system, os.path.join(args.out, "system.json"))
             return EXIT_OK
-        fields, code = _COMMANDS[args.command](
-            system, _section(cfg, args.command), args.out, args)
+        sec = _section(cfg, args.command)
+        where = f"{args.command}: "
+        fields, code = _COMMANDS[args.command](system, sec, args.out, args)
         _write_report(args.out, {"command": args.command, "config": cfg,
                                  **fields})
         return code
@@ -350,7 +352,7 @@ def dispatch(argv=None):
         _diagnostic("io", e)
         return EXIT_CONFIG
     except (ValueError, OverflowError) as e:  # a number too large for a double
-        _diagnostic("invalid-input", e)
+        _diagnostic("invalid-input", f"{where}{e}")
         return EXIT_CONFIG
 
 

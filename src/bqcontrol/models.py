@@ -252,19 +252,21 @@ def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL):
 def _box1d_coupling(k, h, alpha, length):
     """(2/l) integral_0^l exp(alpha x) sin(k pi x / l) sin(h pi x / l) dx.
 
-    Raises ValueError naming alpha when exp(alpha l) makes it overflow.
+    Raises ValueError naming alpha when exp(alpha l) or (alpha l)^2 makes
+    it overflow.
     """
     if alpha == 0.0:
         return 1.0 if k == h else 0.0
     al = alpha * length
     sign = 1.0 if (k + h) % 2 == 0 else -1.0
-    den = (al**2 + (k - h) ** 2 * math.pi**2) * (al**2 + (k + h) ** 2 * math.pi**2)
     try:
+        den = ((al**2 + (k - h) ** 2 * math.pi**2)
+               * (al**2 + (k + h) ** 2 * math.pi**2))
         out = 4.0 * k * h * math.pi**2 * al * (sign * math.exp(al) - 1.0) / den
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
-        raise ValueError(f"alpha={alpha!r} overflows exp(alpha * l) at "
+        raise ValueError(f"alpha={alpha!r} overflows the coupling at "
                          f"l={length!r}")
     return out
 

@@ -7,19 +7,25 @@ Controls are finite lists of (duration, value) pieces in one of two frames:
 * "reparametrized": the generator is u A + B with u > delta.  The frames are
   exchanged by the exact change of variables (t, u) -> (t u, 1/u).
 
-Steering works directly in the reparametrized frame by seeded multi-start
-direct search plus coordinate descent, both scoring a point as
-h(F_{m-1} ... F_0 x0) over its piece factors F_k.  The descent keeps the
-current point's factors and partial products F_{k-1} ... F_0 x0 in locals:
-a probe that moves one piece continues the cached product from that piece,
-and the probes from one point in a sweep share a single batched kernel
-call.  The oscillation-based lift turns a low-order control into one whose
-conjugated coupling time-averages to its block-diagonal part at a higher
-order, which decoupling_error quantifies.
+Steering works directly in the reparametrized frame, scoring a point as
+h(F_{m-1} ... F_0 x0) over its piece factors F_k: seeded random starts,
+all scored from one batched kernel call, and a projected L-BFGS refinement
+of the best of them.  Each point a refinement tries costs one
+objective+gradient call: one batched eigendecomposition of the piece
+generators gives the factors, a forward and a backward pass give the
+running products and the cotangents, and the Daleckii-Krein form of the
+derivative of the matrix exponential gives the exact gradient in the
+durations and log values (Najfeld & Havel, Adv. Appl. Math. 16 (1995) 321;
+Khaneja et al., J. Magn. Reson. 172 (2005) 296).  The oscillation-based
+lift turns a low-order control into one whose conjugated coupling
+time-averages to its block-diagonal part at a higher order, which
+decoupling_error quantifies.
 """
 
 from __future__ import annotations
 
+import cmath
+import collections
 import math
 import sys
 import warnings
@@ -29,7 +35,8 @@ import numpy as np
 
 from .certification import nonresonance
 from .linalg import (_check_array, _check_int, _check_real,
-                     _partial_products, _piece_unitaries, assert_unitary)
+                     _partial_products, _piece_eigensystems, _piece_unitaries,
+                     _unitaries, assert_unitary)
 from .models import _read_json, _write_json
 from .simulation import as_state
 
@@ -63,6 +70,12 @@ MAX_SCAN_POINTS = 2**24  # work bound of one torus-return scan, in grid points
 SUBDIVISIONS = 8  # plateaus per target piece in lift_control
 _FINE = 129  # fine points per coarse cell of a torus-return scan
 _SCAN_CHUNK = 65536  # coarse points evaluated per vectorized pass
+_HISTORY = 10  # curvature pairs an L-BFGS refinement keeps
+_ARMIJO = 1e-4  # fraction of the predicted drop a step must achieve
+_HALVINGS = 20  # step halvings before a line search fails
+_GRAD_FLOOR = 1e-12  # a projected gradient this small has vanished
+_STALL = 10  # a refinement stops when this many accepted steps together
+_STALL_DROP = 1e-6  # lower the score by less than this relative amount
 
 
 class PhaseSearchError(RuntimeError):
@@ -190,7 +203,7 @@ def load_control(path):
 
 
 # ---------------------------------------------------------------------------
-# direct search in the reparametrized frame
+# multi-start search in the reparametrized frame
 # ---------------------------------------------------------------------------
 
 
@@ -220,74 +233,135 @@ class UnitarySteeringResult:
 
 
 def _factors(g, t, w):
-    """Factors expm(t_k (e^{w_k} A + B)) of durations t and log values w."""
-    return _piece_unitaries(g.A, g.B, t, np.exp(w), "reparametrized")
+    """(omega, V, phases, F) of the pieces of durations t and log values w.
+
+    One batched eigh of i (e^{w_k} A + B) = V_k diag(omega_k) V_k^H gives
+    the phases exp(-i t_k omega_k) and the factors F_k = V_k diag(phases_k)
+    V_k^H = expm(t_k (e^{w_k} A + B)), bit for bit those of
+    _piece_unitaries.
+    """
+    omega, V, phases = _piece_eigensystems(g.A, g.B, t, np.exp(w),
+                                           "reparametrized")
+    return omega, V, phases, _unitaries(V, phases)
 
 
-def _coordinate_descent(g, x0, h, p, lo, hi, step, cap, tol):
-    """Cyclic coordinate descent on h(F_{m-1} ... F_0 x0) inside box bounds.
+def _value_and_gradient(g, x0, h, p):
+    """(h(x_m), gradient of h(x_m) in p) for x_{k+1} = F_k x_k from x0.
 
-    Coordinates of p = [durations..., log values...] are probed in order,
-    +step before -step; the first probe scoring below best - 1e-16 is taken
-    and the sweep goes on with the next coordinate, and a sweep without a
-    move halves the steps.  The current point's factors F and partial
-    products xs = [x0, F_0 x0, ...] are kept, so a probe of piece k
-    continues xs[k] through its new factor and F[k+1:].  The probes from one
-    point up to the next move or the end of the sweep get their factors
-    from one kernel call, whose slices have the bits of single calls, so a
-    probe scores exactly what a full pass would.  Scores at most `cap`
-    points; returns (params, score, points scored).
+    p = [durations t..., log values w...] and h(x) returns (value, C) with
+    C the cotangent of the value: dh = Re sum(conj(C) dx).  One kernel call
+    gives the factors and their eigensystems; the forward pass keeps the
+    running products x_k, and a backward pass carries C through F^H, so
+    lam_k is the cotangent at x_{k+1}.  In the eigenbasis of piece k, with
+    O_k = conj(V^H lam_k) (V^H x_k)^T:
+      dh/dt_k = Re <lam_k, G_k x_{k+1}> = Re sum_i (-i omega_i) phases_i O_ii,
+      dh/dw_k = Re sum_ij Gamma_ij M_ij O_ij, M = V^H (t_k e^{w_k} A) V,
+    where the Daleckii-Krein divided differences of the exponential,
+    Gamma_ij = e^{a_j} expm1(a_i - a_j) / (a_i - a_j) with a = -i t_k omega
+    and Gamma_ii = e^{a_i}, are computed as e^{a_i / 2} e^{a_j / 2}
+    sin(D) / D with D = (a_i - a_j) / 2i real; since Gamma_ii = phases_i,
+    dh/dt_k = Im sum_i omega_i (Gamma o O)_ii.  x0 is an (n, c) array.
     """
     m = len(p) // 2
-    F = _factors(g, p[:m], p[m:])
+    t, w = p[:m], p[m:]
+    omega, V, phases, F = _factors(g, t, w)
     xs = _partial_products(x0, F)
-    best = h(xs[-1])
+    value, C = h(xs[-1])
+    lams = _partial_products(C, np.swapaxes(F[:0:-1].conj(), -1, -2))[::-1]
+    Vh = np.swapaxes(V.conj(), -1, -2)
+    O = (Vh @ np.array(lams)).conj() @ np.swapaxes(Vh @ np.array(xs[:-1]),
+                                                   -1, -2)
+    half = 0.5 * t[:, None] * omega  # the exponents are -2i half
+    diff = half[:, :, None] - half[:, None, :]
+    sinc = np.divide(np.sin(diff), diff, out=np.ones_like(diff),
+                     where=diff != 0.0)
+    root = np.exp(-1j * half)
+    GO = root[:, :, None] * root[:, None, :] * sinc * O  # Gamma o O
+    grad_t = np.imag(np.sum(np.diagonal(GO, axis1=1, axis2=2) * omega, axis=1))
+    grad_w = np.real(np.sum(GO * (Vh @ g.A @ V), axis=(1, 2))) * t * np.exp(w)
+    return value, np.concatenate([grad_t, grad_w])
+
+
+def _two_loop(grad, pairs):
+    """The L-BFGS product H grad from the curvature pairs (s, y, 1 / s.y),
+    oldest first, with H_0 = s.y / y.y of the newest."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    _, y, rho = pairs[-1]
+    q /= rho * (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q
+
+
+def _lbfgs(g, x0, h, p, lo, hi, cap, tol):
+    """Projected L-BFGS on h(F_{m-1} ... F_0 x0) inside the box [lo, hi].
+
+    Coordinates at a bound whose gradient points out of the box are held;
+    the others move along the L-BFGS direction (steepest descent after a
+    history reset, scaled to move no coordinate by more than 1), and the
+    step is projected onto the box and halved until the score falls by the
+    Armijo fraction of the predicted drop.  Each trial point is one
+    objective+gradient evaluation.  Stops when the score is at most tol,
+    after `cap` evaluations, when the projected gradient vanishes, when
+    the line search fails right after a history reset, or when _STALL
+    accepted steps together lower the score by less than a relative
+    _STALL_DROP.  Returns (params, score, evaluations).
+    """
+    f, grad = _value_and_gradient(g, x0, h, p)
     used = 1
-    p = p.copy()
-    step = step.copy()
-    while best > tol and used < cap:
-        improved = False
-        first = 0
-        while first < len(p):  # one run of probes from the point p
-            up = np.minimum(hi, np.maximum(lo, p + step))
-            down = np.minimum(hi, np.maximum(lo, p - step))
-            probes = [(i, q) for i in range(first, len(p))
-                      for q in (up[i], down[i]) if q != p[i]]
-            first = len(p)
-            G = _factors(g, [q if i < m else p[i - m] for i, q in probes],
-                         [p[i + m] if i < m else q for i, q in probes])
-            for (i, q), Gk in zip(probes, G):
-                if used >= cap:
-                    return p, best, used
-                k = i % m
-                tail = _partial_products(Gk @ xs[k], F[k + 1:])
-                v = h(tail[-1])
-                used += 1
-                if v < best - 1e-16:
-                    F[k], xs[k + 1:] = Gk, tail
-                    p[i], best = q, v
-                    improved = True
-                    if best <= tol:
-                        return p, best, used
-                    first = i + 1
-                    break
-        if not improved:
-            step *= 0.5
-            if np.max(step) < 1e-6:
+    pairs = collections.deque(maxlen=_HISTORY)  # (s, y, 1 / s.y)
+    recent = collections.deque([f], maxlen=_STALL + 1)  # accepted scores
+    while f > tol and used < cap:
+        free = ~(((p <= lo) & (grad > 0)) | ((p >= hi) & (grad < 0)))
+        top = np.max(np.abs(grad * free))
+        if not top > _GRAD_FLOOR:  # the projected gradient vanishes
+            break
+        if pairs:
+            d = -_two_loop(grad * free, pairs) * free
+        if not pairs or not d @ grad < 0:  # restart by steepest descent
+            pairs.clear()
+            d = -grad * free / top
+        step, moved = 1.0, False
+        for _ in range(_HALVINGS):
+            q = np.minimum(hi, np.maximum(lo, p + step * d))
+            if used >= cap or not np.any(q != p):
                 break
-    return p, best, used
+            fq, gq = _value_and_gradient(g, x0, h, q)
+            used += 1
+            if fq <= tol or fq < f and fq - f <= _ARMIJO * (grad @ (q - p)):
+                moved = True
+                break
+            step *= 0.5
+        if not moved:
+            if not pairs:
+                break
+            pairs.clear()  # retry from p by steepest descent
+            continue
+        s, y = q - p, gq - grad
+        sy = s @ y
+        if sy > 1e-10 * (y @ y):  # keep only positive curvature
+            pairs.append((s, y, 1.0 / sy))
+        p, f, grad = q, fq, gq
+        recent.append(f)
+        if len(recent) > _STALL and recent[0] - f < _STALL_DROP * recent[0]:
+            break
+    return p, f, used
 
 
 def _search(g, x0, h, m, delta, tol, rng, max_evals):
-    """Multi-start + coordinate descent on h(F_{m-1} ... F_0 x0) over m pieces.
+    """Multi-start + projected L-BFGS on h(F_{m-1} ... F_0 x0) over m pieces.
 
     Parameter vector layout: [durations..., log(values)...].  Values are kept
     in (delta, delta * 1e3]; half the starts are biased toward the low end of
     the value band (weak detuning), where transfers are easiest, and all
-    N_STARTS are scored from one kernel call.  The best
-    few candidates are refined, ties broken by lexicographically smallest
-    parameters, so the outcome is a deterministic function of the seed.
-    Returns (params, score, evaluations).
+    N_STARTS are scored from one kernel call.  The best few candidates are
+    refined by _lbfgs with exact gradients, ties broken by lexicographically
+    smallest parameters, so the outcome is a deterministic function of the
+    seed.  Returns (params, score, evaluations).
     """
     v_lo = math.log(delta * (1.0 + 1e-9))
     v_hi = math.log(delta * VALUE_CEILING_FACTOR)
@@ -304,8 +378,8 @@ def _search(g, x0, h, m, delta, tol, rng, max_evals):
             w = rng.uniform(v_lo, v_hi, size=m)
         cands.append(np.concatenate([d, w]))
     P = np.array(cands)
-    F = _factors(g, P[:, :m].ravel(), P[:, m:].ravel())
-    scores = [h(_partial_products(x0, F[k:k + m])[-1])
+    F = _factors(g, P[:, :m].ravel(), P[:, m:].ravel())[-1]
+    scores = [h(_partial_products(x0, F[k:k + m])[-1])[0]
               for k in range(0, len(F), m)]
     used = len(cands)
     order = sorted(
@@ -315,15 +389,12 @@ def _search(g, x0, h, m, delta, tol, rng, max_evals):
     if s_best <= tol or used >= max_evals:
         return p_best, s_best, used
 
-    step0 = np.array([0.25 * MAX_DURATION] * m + [0.8] * m)
     refine = order[: min(4, len(order))]
     for rank, idx in enumerate(refine):
         cap = (max_evals - used) // (len(refine) - rank)
         if cap < 10:
             break
-        p, s, ev = _coordinate_descent(
-            g, x0, h, cands[idx], lo, hi, step0, cap, tol
-        )
+        p, s, ev = _lbfgs(g, x0, h, cands[idx], lo, hi, cap, tol)
         used += ev
         if s < s_best:
             p_best, s_best = p, s
@@ -341,17 +412,19 @@ def _steer(g, x0, h, delta, tol, budget, seed, meta):
     piece count getting a slice of the remaining budget, so failing to
     converge with few pieces still leaves room to escalate; a budget whose
     first slice cannot exceed the N_STARTS random starts raises ValueError.
-    control.meta holds seed and target ("state" for a vector x0, "unitary"
-    for a matrix), then for a searched control the fields meta(control,
-    score) and "unconverged": True when the score is above tol.  Returns
-    (control, fields, converged, evaluations).
+    h(x) returns (value, cotangent) on (n, c) arrays; a state x0 is searched
+    as an (n, 1) column.  control.meta holds seed and target ("state" for a
+    vector x0, "unitary" for a matrix), then for a searched control the
+    fields meta(control, score) and "unconverged": True when the score is
+    above tol.  Returns (control, fields, converged, evaluations).
     """
     delta = _check_real(delta, "delta", 0.0, DELTA_CEILING)
     tol = _check_real(tol, "tol", 0.0, closed=True)
     budget = _check_int(budget, "budget", 0)
     seed = _check_int(seed, "seed", 0)
     info = {"seed": seed, "target": "state" if x0.ndim == 1 else "unitary"}
-    best_s = h(x0)
+    x0 = x0.reshape(len(x0), -1)  # a state is searched as an (n, 1) column
+    best_s = h(x0)[0]
     if best_s <= tol:
         c = PiecewiseConstantControl("reparametrized", [], delta, meta=info)
         return c, meta(c, best_s), True, 0
@@ -385,19 +458,51 @@ def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0):
     """Search for a control steering x0 to x1 up to phase within tol.
 
     Operates in the reparametrized frame (piece values in (delta,
-    delta * 1e3]), escalating through the piece counts PIECE_COUNTS.  The
-    objective is the projective infidelity 1 - |<x1, x(T)>|^2.
-    Deterministic for a fixed seed.  When the budget runs out first, the
-    best control found is returned tagged unconverged.
+    delta * 1e3]), escalating through the piece counts PIECE_COUNTS; at
+    each, N_STARTS random starts are scored and the best are refined by
+    projected L-BFGS on the exact gradient.  The objective is the
+    projective infidelity 1 - |<x1, x(T)>|^2.  `evaluations` counts start
+    scores and objective+gradient calls.  Deterministic for a fixed seed.
+    When the budget runs out first, the best control found is returned
+    tagged unconverged.
     """
     x0 = as_state(x0)
     x1 = as_state(x1)
     if x0.shape != (g.order,) or x1.shape != (g.order,):
         raise ValueError(f"states must have shape ({g.order},)")
     c, fields, converged, used = _steer(
-        g, x0, lambda x: 1.0 - abs(np.vdot(x1, x)) ** 2, delta, tol, budget,
-        seed, lambda c, s: {"infidelity": float(s)})
+        g, x0, _infidelity(x1), delta, tol, budget, seed,
+        lambda c, s: {"infidelity": float(s)})
     return StateSteeringResult(c, fields["infidelity"], converged, used)
+
+
+def _infidelity(x1):
+    """h(x) = (1 - |<x1, x>|^2, its cotangent -2 <x1, x> x1) on (n, 1)
+    columns x."""
+    col = x1.reshape(-1, 1)
+
+    def h(x):
+        z = np.vdot(col, x)
+        return 1.0 - abs(z) ** 2, -2.0 * z * col
+
+    return h
+
+
+def _phase_fit(g0, g1, sector):
+    """h(U) = (||e^{i theta} U g0 - g1||_F at the theta of _phase_distance,
+    its cotangent -e^{-i theta} g1 g0^H / distance), zero at distance 0.
+
+    The cotangent holds theta fixed, which the minimum over theta allows,
+    also where theta is clamped to an end of the sector."""
+    g1g0 = g1 @ g0.conj().T
+
+    def h(U):
+        dist, theta = _phase_distance(U @ g0, g1, sector)
+        if dist == 0.0:
+            return dist, np.zeros_like(g1g0)
+        return dist, (-np.exp(-1j * theta) / dist) * g1g0
+
+    return h
 
 
 def _phase_distance(U, G, sector):
@@ -408,9 +513,9 @@ def _phase_distance(U, G, sector):
     otherwise the end of the sector nearer to it on the circle.  A sector of
     2 pi is the whole circle: theta lies in [0, 2 pi).
     """
-    z = complex(np.trace(U.conj().T @ G))
+    z = complex(np.vdot(U, G))  # tr(U^H G)
     n = U.shape[0]
-    theta = float(np.angle(z)) % (2.0 * math.pi) if z != 0 else 0.0
+    theta = cmath.phase(z) % (2.0 * math.pi) if z != 0 else 0.0
     if theta == 2.0 * math.pi:  # float mod maps a hair-below-zero angle here
         theta = 0.0
     off = 0.0  # |phi - theta| on the circle
@@ -424,13 +529,14 @@ def _phase_distance(U, G, sector):
 def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0):
     """Steer the propagator from g0 to g1 up to a global phase.
 
-    One search, escalating through the piece counts PIECE_COUNTS, minimizes
-    ||e^{i theta} g_final - g1||_F over the control and over theta in a
-    sector, with theta in closed form from the phase of
-    tr(g_final^H g1).  When both generators are traceless, det g_final is
-    fixed, so the phases that solve e^{i theta} g_final = g1 are 2 pi / n
-    apart and the sector is [0, 2 pi / n]: theta lies in that closed
-    interval, and is 2 pi / n itself when the best phase lies just past it.
+    One search, escalating through the piece counts PIECE_COUNTS as in
+    steer_state, minimizes ||e^{i theta} g_final - g1||_F over the control
+    and over theta in a sector, with theta in closed form from the phase of
+    tr(g_final^H g1); the gradient in the control holds that theta fixed.
+    When both generators are traceless, det g_final is fixed, so the phases
+    that solve e^{i theta} g_final = g1 are 2 pi / n apart and the sector is
+    [0, 2 pi / n]: theta lies in that closed interval, and is 2 pi / n
+    itself when the best phase lies just past it.
     Otherwise theta lies in [0, 2 pi).  The reported theta and distance come
     from one evaluation, so the distance is ||e^{i theta} g_final - g1||_F
     at the reported theta.
@@ -452,8 +558,7 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0):
         return {"distance": float(dist), "theta": float(theta)}
 
     c, fields, converged, used = _steer(
-        g, eye, lambda U: _phase_distance(U @ g0, g1, sector)[0], delta, tol,
-        budget, seed, fit)
+        g, eye, _phase_fit(g0, g1, sector), delta, tol, budget, seed, fit)
     return UnitarySteeringResult(c, fields["theta"], fields["distance"],
                                  converged, used, traceless)
 

@@ -335,6 +335,41 @@ def test_certify_negative_max_depth_exit_four(capsys, tmp_path):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command, sec, start", [
+    ("certify", {"n": 3, "tol": -1}, "certify: tol=-1.0 "),
+    ("synthesize", {"from": "e1", "to": "e2", "budget": 100},
+     "synthesize: budget 100 leaves no room"),
+    ("simulate", {"control": "u.json", "state": "e1"},
+     "simulate: the propagator overflows"),
+    ("bound", {"from": "e1", "to": "e2", "delta": 1e-320}, "bound: "),
+], ids=["certify", "synthesize", "simulate", "bound"])
+def test_invalid_input_names_its_section(capsys, tmp_path, command, sec,
+                                         start):
+    # a value the library refuses is reported under the section holding it
+    (tmp_path / "u.json").write_text(json.dumps(
+        {"frame": "reparametrized", "delta": 0.1,
+         "pieces": [{"duration": 1e308, "value": 1e308}]}))
+    cfg = write_json(tmp_path / "c.json", {"system": THREE_LEVEL,
+                                           command: sec})
+    code, err = run(capsys, command, "--config", cfg, "--out",
+                    str(tmp_path / "out"))
+    assert code == 4
+    doc = diagnostic(err)
+    assert doc["error"] == "invalid-input"
+    assert doc["detail"].startswith(start)
+
+
+def test_system_overflow_is_a_system_spec_error(capsys, tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "system": {**BOX, "alpha": [1e300, 0.7, 0.9]}})
+    code, err = run(capsys, "model", "--config", cfg, "--out", str(tmp_path))
+    assert code == 4
+    assert diagnostic(err) == {
+        "error": "config",
+        "detail": "invalid system spec: alpha=1e+300 overflows the coupling "
+                  "at l=1.0"}
+
+
 # -- synthesize ---------------------------------------------------------------
 
 

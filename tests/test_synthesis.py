@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from bqcontrol import synthesis
 from bqcontrol.linalg import expm_skew
-from bqcontrol.models import custom_system, oscillator_system, truncate
+from bqcontrol.models import (box3d_system, custom_system, oscillator_system,
+                              truncate)
 from bqcontrol.simulation import propagate
 from bqcontrol.synthesis import (
     PhaseSearchError,
@@ -165,6 +166,10 @@ def test_steer_state_two_level_transfer():
     assert np.all(r.control.values <= 0.1 * 1e3)
 
 
+def hex_pieces(c):
+    return [(float.hex(t), float.hex(u)) for t, u in c.pieces]
+
+
 def test_steer_state_deterministic_per_seed():
     g = truncate(TWO_LEVEL, 2)
     a = steer_state(g, basis(2, 0), basis(2, 1), delta=0.1, seed=7)
@@ -172,6 +177,15 @@ def test_steer_state_deterministic_per_seed():
     assert np.array_equal(a.control.durations, b.control.durations)
     assert np.array_equal(a.control.values, b.control.values)
     assert a.infidelity == b.infidelity
+    # the same for a unitary search: bit-identical pieces, count and phase
+    g3 = truncate(THREE_LEVEL, 3)
+    eye = np.eye(3, dtype=complex)
+    target = expm_skew(0.7 * g3.A + g3.B, 1.9)
+    a, b = (steer_unitary(g3, eye, target, delta=0.1, seed=7) for _ in "ab")
+    assert a.control.npieces > 0
+    assert hex_pieces(a.control) == hex_pieces(b.control)
+    assert a.evaluations == b.evaluations
+    assert float.hex(a.theta) == float.hex(b.theta)
 
 
 def test_steer_state_budget_exhaustion_tags_unconverged():
@@ -336,25 +350,29 @@ def test_phase_distance_is_sector_minimum(p):
 
 
 def test_reported_evaluations_are_objective_calls(monkeypatch):
-    # evaluations count objective values scored, and steer_state scores each
-    # point through one _partial_products call; one kernel call may build
-    # the factors of several probes, so it counts kernel calls apart
+    # evaluations count objective(+gradient) calls of the search: each start
+    # score and each L-BFGS trial point calls h once, and one more call
+    # scores x0 itself before the search; the starts of a piece count share
+    # one kernel call, so kernel calls stay fewer than evaluations
     scored, calls = [], []
+    steer, factors = synthesis._steer, synthesis._factors
 
-    def counting(f, log):
-        def wrapped(*args):
-            log.append(1)
-            return f(*args)
-        return wrapped
+    def counted_steer(g, x0, h, *args):
+        def counted(x):
+            scored.append(1)
+            return h(x)
+        return steer(g, x0, counted, *args)
 
-    monkeypatch.setattr(synthesis, "_partial_products",
-                        counting(synthesis._partial_products, scored))
-    monkeypatch.setattr(synthesis, "_piece_unitaries",
-                        counting(synthesis._piece_unitaries, calls))
+    def counted_factors(*args):
+        calls.append(1)
+        return factors(*args)
+
+    monkeypatch.setattr(synthesis, "_steer", counted_steer)
+    monkeypatch.setattr(synthesis, "_factors", counted_factors)
     g = truncate(oscillator_system(-0.5, 0.3), 3)
     res = steer_state(g, basis(3, 0), basis(3, 1), delta=0.1, seed=1,
                       budget=5000)
-    assert res.evaluations == len(scored) <= 5000
+    assert res.evaluations == len(scored) - 1 <= 5000
     assert len(calls) < res.evaluations
 
 
@@ -374,38 +392,7 @@ def test_steer_unitary_rejects_nonunitary():
                       np.eye(2, dtype=complex), delta=0.1)
 
 
-# -- coordinate descent on cached partial products ----------------------------
-
-
-def reference_descent(f, p, lo, hi, step, cap, tol):
-    """Coordinate descent scoring every probe with a full pass of f."""
-    best = f(p)
-    used = 1
-    p = p.copy()
-    step = step.copy()
-    while best > tol and used < cap:
-        improved = False
-        for i in range(len(p)):
-            for sgn in (1.0, -1.0):
-                q = p.copy()
-                q[i] = min(hi[i], max(lo[i], p[i] + sgn * step[i]))
-                if q[i] == p[i]:
-                    continue
-                if used >= cap:
-                    return p, best, used
-                v = f(q)
-                used += 1
-                if v < best - 1e-16:
-                    p, best = q, v
-                    improved = True
-                    break
-            if best <= tol:
-                return p, best, used
-        if not improved:
-            step *= 0.5
-            if np.max(step) < 1e-6:
-                break
-    return p, best, used
+# -- exact gradients and the L-BFGS refinement -------------------------------
 
 
 def random_unitary(rng, n):
@@ -413,57 +400,150 @@ def random_unitary(rng, n):
     return np.linalg.qr(z)[0]
 
 
-@st.composite
-def descent_cases(draw):
-    """A system, a finish h with its start x0, and a descent's arguments."""
-    # a long run of two pieces at tol 0 stalls until the steps fall below 1e-6
-    stall = draw(st.booleans())
-    n, m = draw(st.integers(2, 5)), 2 if stall else draw(st.integers(2, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def random_generators(rng, n):
     W = rng.normal(size=(n, n))
-    g = truncate(custom_system(np.sort(rng.uniform(0.0, 4.0, n)), W + W.T), n)
-    if draw(st.booleans()):
-        x0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x0 /= np.linalg.norm(x0)
-        x1 = np.eye(n, dtype=complex)[draw(st.integers(0, n - 1))]
-        h = lambda x: 1.0 - abs(np.vdot(x1, x)) ** 2  # noqa: E731
-    else:
-        x0 = np.eye(n, dtype=complex)
-        g0, g1 = random_unitary(rng, n), random_unitary(rng, n)
-        sector = draw(st.sampled_from([2.0 * math.pi / n, 2.0 * math.pi]))
-        h = lambda U: synthesis._phase_distance(U @ g0, g1, sector)[0]  # noqa
+    return truncate(custom_system(np.sort(rng.uniform(0.0, 4.0, n)), W + W.T),
+                    n)
+
+
+def full_pass(g, x0, q):
+    """x_m for the parameters q, one factor at a time."""
+    m = len(q) // 2
+    x = x0
+    for F in synthesis._piece_unitaries(g.A, g.B, q[:m], np.exp(q[m:]),
+                                        "reparametrized"):
+        x = F @ x
+    return x
+
+
+@st.composite
+def objectives(draw):
+    """(g, x0, h, p, end) with n = 2-5 and m = 1-8: h is a state
+    infidelity, a phase fit over either sector, or a phase fit whose best
+    phase lies off the sector, so theta sits at its end; then end holds
+    (g0, g1, sector), else None."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_generators(rng, n)
+    p = np.concatenate([rng.uniform(0.05, 2.0, m),
+                        rng.uniform(math.log(0.1), math.log(5.0), m)])
+    kind = draw(st.sampled_from(["state", "unitary", "sector-end"]))
+    if kind == "state":
+        x0 = random_unitary(rng, n)[:, :1]
+        return g, x0, synthesis._infidelity(np.eye(n)[draw(
+            st.integers(0, n - 1))]), p, None
+    x0 = np.eye(n, dtype=complex)
+    g0 = random_unitary(rng, n)
+    sector = 2.0 * math.pi / n
+    if kind == "sector-end":
+        # the best phase lies a third of the way into the arc past the
+        # sector, so theta is clamped to its upper end near p
+        phase = sector + (2.0 * math.pi - sector) / 3.0
+        tilt = expm_skew(0.05j * (lambda H: H + H.conj().T)(
+            rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
+        g1 = np.exp(1j * phase) * full_pass(g, x0, p) @ g0 @ tilt
+        return g, x0, synthesis._phase_fit(g0, g1, sector), p, (g0, g1,
+                                                                sector)
+    g1 = random_unitary(rng, n)
+    sector = draw(st.sampled_from([sector, 2.0 * math.pi]))
+    return g, x0, synthesis._phase_fit(g0, g1, sector), p, None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(objectives())
+def test_gradient_matches_central_differences(case):
+    g, x0, h, p, end = case
+    value, grad = synthesis._value_and_gradient(g, x0, h, p)
+    assert value == h(full_pass(g, x0, p))[0]
+    if end is not None:  # theta sits at the sector end, also near p
+        g0, g1, sector = end
+        for q in (p, p + 1e-6, p - 1e-6):
+            U = full_pass(g, x0, q) @ g0
+            assert synthesis._phase_distance(U, g1, sector)[1] == sector
+    eps = 1e-6
+    central = np.array([
+        (h(full_pass(g, x0, p + eps * e))[0]
+         - h(full_pass(g, x0, p - eps * e))[0]) / (2.0 * eps)
+        for e in np.eye(len(p))])
+    scale = max(1.0, np.max(np.abs(central)))
+    assert np.max(np.abs(grad - central)) <= 1e-6 * scale
+
+
+def test_phase_fit_gradient_is_zero_at_distance_zero():
+    eye = np.eye(3, dtype=complex)
+    value, C = synthesis._phase_fit(eye, eye, 2.0 * math.pi)(eye)
+    assert value == 0.0 and C.shape == (3, 3) and not np.any(C)
+
+
+@st.composite
+def refinements(draw):
+    """An objective, a start in a box with pinned coordinates, a cap and
+    a tol between 0 and the start's score."""
+    g, x0, h, p, _ = draw(objectives())
+    m = len(p) // 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lo = np.array([1e-3] * m + [math.log(0.1)] * m)
     hi = np.array([synthesis.MAX_DURATION] * m + [math.log(100.0)] * m)
     p = rng.uniform(lo, hi)
     pinned = rng.random(2 * m) < draw(st.sampled_from([0.0, 0.3]))
     p[pinned] = np.where(rng.random(2 * m) < 0.5, lo, hi)[pinned]
-    scale = 0.8 if stall else draw(st.sampled_from([1e-5, 0.05, 0.8, 4.0]))
-    step = scale * rng.uniform(0.5, 1.5, 2 * m)
-    cap = 2000 if stall else draw(st.integers(1, 150))
-    frac = 0.0 if stall else draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
-    return g, x0, h, p, lo, hi, step, cap, frac
+    cap = draw(st.integers(1, 120))
+    frac = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    return g, x0, h, p, lo, hi, cap, frac * h(full_pass(g, x0, p))[0]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(descent_cases())
-def test_chain_descent_equals_full_pass_reference(case):
-    g, x0, h, p, lo, hi, step, cap, frac = case
-    m = len(p) // 2
+@given(refinements())
+def test_lbfgs_invariants(case):
+    g, x0, h, p, lo, hi, cap, tol = case
+    trials = []  # (point, value) of every objective+gradient call
+    value_and_gradient = synthesis._value_and_gradient
 
-    def full_pass(q):
-        x = x0
-        for F in synthesis._piece_unitaries(g.A, g.B, q[:m], np.exp(q[m:]),
-                                            "reparametrized"):
-            x = F @ x
-        return h(x)
+    def spy(g, x0, h, q):
+        out = value_and_gradient(g, x0, h, q)
+        trials.append((q.copy(), out[0]))
+        return out
 
-    tol = frac * full_pass(p)
-    ref = reference_descent(full_pass, p, lo, hi, step, cap, tol)
-    got = synthesis._coordinate_descent(g, x0, h, p, lo, hi, step, cap, tol)
-    assert got[1:] == ref[1:]
-    assert np.array_equal(got[0], ref[0])
+    with mock.patch.object(synthesis, "_value_and_gradient", spy):
+        q, score, used = synthesis._lbfgs(g, x0, h, p, lo, hi, cap, tol)
+    # every iterate stays inside the box, and evaluations are calls <= cap
+    assert all(np.all(lo <= t) and np.all(t <= hi) for t, _ in trials)
+    assert used == len(trials) <= cap
+    # the result is an evaluated point, no worse than the start
+    assert any(np.array_equal(q, t) and score == v for t, v in trials)
+    assert score <= trials[0][1] == h(full_pass(g, x0, p))[0]
+    # the search returns at the first point scoring tol or below
+    hits = [k for k, (_, v) in enumerate(trials) if v <= tol]
+    if hits:
+        assert hits[0] == len(trials) - 1 and score <= tol
+    # the best score never rises: a larger cap follows the same path
+    # and ends no higher
+    if cap > 1:
+        shorter = synthesis._lbfgs(g, x0, h, p, lo, hi, cap // 2, tol)
+        assert score <= shorter[1]
 
+
+def test_lbfgs_returns_at_tol_even_short_of_armijo():
+    # the first trial scores 0.99 <= tol, far less of a drop than the
+    # gradient predicts; the search still stops there
+    start = np.array([1.0, 1.0])
+
+    def surface(g, x0, h, q):
+        return (1.0 if np.array_equal(q, start) else 0.99), np.full(2, 100.0)
+
+    with mock.patch.object(synthesis, "_value_and_gradient", surface):
+        q, score, used = synthesis._lbfgs(None, None, None, start,
+                                          np.zeros(2), np.full(2, 5.0),
+                                          50, 0.995)
+    assert (score, used) == (0.99, 2) and np.array_equal(q, [0.0, 0.0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(refinements())
+def test_search_starts_score_full_passes(case):
     # the starts of a search, scored from one kernel call, score full passes
+    g, x0, h, p, lo, hi, cap, _ = case
+    m = len(p) // 2
     batches, scores = [], []
 
     def spy(g, t, w):
@@ -471,8 +551,8 @@ def test_chain_descent_equals_full_pass_reference(case):
         return factors(g, t, w)
 
     def recorded(x):
-        scores.append(h(x))
-        return scores[-1]
+        scores.append(h(x)[0])
+        return scores[-1], None
 
     factors = synthesis._factors
     with mock.patch.object(synthesis, "_factors", spy):
@@ -482,8 +562,39 @@ def test_chain_descent_equals_full_pass_reference(case):
     (t, w), = batches
     starts = np.column_stack([t.reshape(-1, m), w.reshape(-1, m)])
     assert used == len(starts) == synthesis.N_STARTS
-    assert scores == [full_pass(q) for q in starts]
+    assert scores == [h(full_pass(g, x0, q))[0] for q in starts]
     assert best == min(scores)
+
+
+def test_steer_unitary_reaches_fixed3_target():
+    # a reachable target built from three reparametrized pieces on the
+    # quick-start system
+    s = custom_system([0.0, 1.0, 1.0 + math.sqrt(2.0)],
+                      [[0.0, 0.4, 0.1], [0.4, 0.0, 0.4], [0.1, 0.4, 0.0]])
+    g = truncate(s, 3)
+    eye = np.eye(3, dtype=complex)
+    target = eye
+    for t, u in ((0.7, 0.5), (1.3, 2.0), (0.4, 0.9)):
+        target = expm_skew(u * g.A + g.B, t) @ target
+    r = steer_unitary(g, eye, target, delta=0.1, tol=1e-3, seed=0)
+    assert r.converged and r.distance <= 1e-3
+    U = final_state(g, r.control, eye)
+    assert np.linalg.norm(np.exp(1j * r.theta) * U - target) <= 1e-3 + 1e-12
+
+
+@pytest.mark.parametrize("s", [0, 3])
+def test_steer_state_reaches_box5_targets(s):
+    # e1 driven by three random pieces on the 5-level box truncation
+    g = truncate(box3d_system((1.0, 1.3, 1.7), (0.5, 0.7, 0.9)), 5)
+    rng = np.random.default_rng(s)
+    pieces = zip(rng.uniform(0.2, 1.0, 3), rng.uniform(0.3, 3.0, 3))
+    x1 = basis(5, 0)
+    for t, u in pieces:
+        x1 = expm_skew(u * g.A + g.B, t) @ x1
+    r = steer_state(g, basis(5, 0), x1, delta=0.1, tol=1e-3, seed=s)
+    assert r.converged and r.infidelity <= 1e-3
+    assert 1.0 - abs(np.vdot(x1, final_state(g, r.control,
+                                             basis(5, 0)))) ** 2 <= 1e-3
 
 
 # -- oscillation lift ----------------------------------------------------------
