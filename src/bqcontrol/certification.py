@@ -252,16 +252,11 @@ def _scan_support(gaps, support, Q, tol, gnorm):
     if not mask.any():
         return None
 
-    vals = [v[mask] for v in vals]
-    maxabs = np.max(np.abs(np.stack(vals)), axis=0)
-    keep = maxabs == maxabs.min()
-    vals = [v[keep] for v in vals]
-    for i in range(s):  # lexicographic tie-break, coordinate by coordinate
-        keep = vals[i] == vals[i].min()
-        vals = [v[keep] for v in vals]
+    hits = np.stack([v[mask] for v in vals])  # (s, hits)
+    # least max |q_i| first, then lexicographic (lexsort's last key leads)
+    best = np.lexsort(np.vstack([hits[::-1], np.abs(hits).max(axis=0)]))[0]
     q = np.zeros(len(gaps), dtype=int)
-    for i, idx in enumerate(support):
-        q[idx] = int(vals[i][0])
+    q[list(support)] = hits[:, best]
     return q
 
 

@@ -3,7 +3,10 @@
 All matrices are plain complex numpy arrays.  Construction helpers validate and
 return arrays rather than wrapping them in classes; downstream code relies on
 the exact algebraic identities enforced here (entrywise skew symmetry, unitary
-propagators from a Hermitian eigendecomposition).
+propagators from a Hermitian eigendecomposition).  Every propagator factor
+comes from one kernel with two entry points, both returning (w, V, phases, F):
+_expm_stack(G, t) for a (k, n, n) generator stack, from one batched eigh, and
+_piece_factors(A, B, durations, values, frame) for the pieces of a control.
 """
 
 from __future__ import annotations
@@ -146,60 +149,41 @@ def _eigh(H):
         raise EigendecompositionError(H.shape[-1], norm) from None
 
 
-def _expm_eigensystems(G, t):
-    """(w, V, phases) with expm(t_k G_k) = V_k diag(phases_k) V_k^H for a
-    (k, n, n) stack of skew-Hermitian G_k and times t_k.
+def _expm_stack(G, t):
+    """(w, V, phases, F) with F_k = expm(t_k G_k) = V_k diag(phases_k) V_k^H
+    for a (k, n, n) stack of skew-Hermitian G_k and times t_k.
 
     One batched eigendecomposition i G_k = V_k diag(w_k) V_k^H gives the
-    phases exp(-i t_k w_k).  Call it under np.errstate(over="ignore",
-    invalid="ignore"): an overflow in G_k or t_k w gives a non-finite phase,
+    phases exp(-i t_k w_k), so each F_k is unitary to machine precision for
+    any ||t_k G_k||.  An overflow in G_k or t_k w gives a non-finite phase,
     which raises ValueError."""
-    w, V = _eigh(1j * G)
-    phases = np.exp(-1j * t[:, None] * w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, V = _eigh(1j * G)
+        phases = np.exp(-1j * t[:, None] * w)
     if not np.all(np.isfinite(phases)):
         raise ValueError("the propagator overflows: a generator or a time "
                          "gives a non-finite phase exp(-i t w)")
-    return w, V, phases
-
-
-def _unitaries(V, phases):
-    """V_k diag(phases_k) V_k^H for each k, unitary to machine precision for
-    any ||t_k G_k||."""
-    return (V * phases[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    return w, V, phases, (V * phases[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
 def expm_skew(M, t=1.0):
-    """Unitary propagator expm(t M) for skew-Hermitian M (see
-    _expm_eigensystems)."""
-    M = skew_hermitian(M)[None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, V, phases = _expm_eigensystems(M, np.array([_check_real(t, "t")]))
-    return _unitaries(V, phases)[0]
+    """Unitary propagator expm(t M) for skew-Hermitian M (see _expm_stack)."""
+    return _expm_stack(skew_hermitian(M)[None],
+                       np.array([_check_real(t, "t")]))[-1][0]
 
 
-def _piece_eigensystems(A, B, durations, values, frame):
-    """(w, V, phases) of _expm_eigensystems for the pieces of a
-    piecewise-constant control, from one batched eigh.
+def _piece_factors(A, B, durations, values, frame):
+    """_expm_stack of the pieces of a piecewise-constant control.
 
     The generator of piece k is G_k = A + u_k B in the "original" frame and
     u_k A + B in the "reparametrized" one; an overflow raises ValueError.
     """
-    durations = np.asarray(durations, dtype=float)
+    if frame not in ("original", "reparametrized"):
+        raise ValueError(f"unknown frame {frame!r}")
     u = np.asarray(values, dtype=float)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        if frame == "original":
-            stack = A + u * B
-        elif frame == "reparametrized":
-            stack = u * A + B
-        else:
-            raise ValueError(f"unknown frame {frame!r}")
-        return _expm_eigensystems(stack, durations)
-
-
-def _piece_unitaries(A, B, durations, values, frame):
-    """Exact factors expm(t_k G_k) of a piecewise-constant control, as
-    (k, n, n) (see _piece_eigensystems)."""
-    return _unitaries(*_piece_eigensystems(A, B, durations, values, frame)[1:])
+        stack = A + u * B if frame == "original" else u * A + B
+    return _expm_stack(stack, np.asarray(durations, dtype=float))
 
 
 def _partial_products(x, factors):

@@ -163,10 +163,9 @@ def tail_cutoff(sys, n, mu):
     suffix = np.concatenate(
         [np.cumsum(sq[:, ::-1], axis=1)[:, ::-1], np.zeros((n, 1))], axis=1
     )
-    for N in range(n, sys.levels + 1):
-        if float(np.max(suffix[:, N])) < mu:
-            return TailCutoff(N, N == sys.levels)
-    return TailCutoff(sys.levels, True)
+    # the first N whose tail is below mu; suffix[:, levels] = 0 < mu holds
+    N = n + int(np.argmax(np.max(suffix[:, n:], axis=0) < mu))
+    return TailCutoff(N, N == sys.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +187,18 @@ def _hermite_rows(x, levels):
 
 
 def _osc_coupling(a, b, c, levels, nodes):
+    """Gauss-Hermite couplings at `nodes` nodes; ValueError naming a, b and c
+    when exp(a x^2 + b x + c) overflows the weights or the couplings."""
     x, wts = hermgauss(nodes)
-    # phi_j phi_k = h_j h_k exp(-x^2); the Gaussian weight is absorbed by the rule.
-    g = wts * np.exp(a * x**2 + b * x + c)
     H = _hermite_rows(x, levels)
-    return (H * g) @ H.T
+    # phi_j phi_k = h_j h_k exp(-x^2); the Gaussian weight is absorbed by the rule.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = wts * np.exp(a * x**2 + b * x + c)
+        W = (H * g) @ H.T
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(W))):
+        raise ValueError(f"the potential exp(a x^2 + b x + c) overflows the "
+                         f"couplings at a={a!r}, b={b!r}, c={c!r}")
+    return W
 
 
 def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL):
@@ -336,21 +342,12 @@ def box3d_system(l, alpha, levels=8, simple_spectrum=False):
                     f"(lambda ~ {lam[i]:.12g})"
                 )
 
-    one_d = []
+    W = 1.0  # W[i, j] = 1.0 * T_0[i, j] * T_1[i, j] * T_2[i, j], in that order
     for d in range(3):
-        ks = sorted({t[d] for t in triples})
-        table = {
-            (k, h): _box1d_coupling(k, h, alpha[d], l[d]) for k in ks for h in ks
-        }
-        one_d.append(table)
-
-    W = np.empty((levels, levels))
-    for i, ti in enumerate(triples):
-        for j, tj in enumerate(triples[: i + 1]):
-            v = 1.0
-            for d in range(3):
-                v *= one_d[d][(ti[d], tj[d])]
-            W[i, j] = W[j, i] = v
+        ks, at = np.unique([t[d] for t in triples], return_inverse=True)
+        T = np.array([[_box1d_coupling(k, h, alpha[d], l[d])
+                       for h in ks.tolist()] for k in ks.tolist()])
+        W = W * T[np.ix_(at, at)]
 
     meta = {"model": "box3d", "l": list(l), "alpha": list(alpha)}
     return custom_system(lam, W, labels=triples, meta=meta)

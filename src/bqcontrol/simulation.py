@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (_check_array, _check_int, _check_real, _partial_products,
-                     _piece_unitaries)
+                     _piece_factors)
 from .models import Record, _write_table
 
 __all__ = [
@@ -100,7 +100,7 @@ def _sample(g, c, x, s):
     propagators up to times[j].  x must have g.order rows."""
     if len(x) != g.order:
         raise ValueError(f"state dimension {len(x)} != order {g.order}")
-    steps = _piece_unitaries(g.A, g.B, c.durations / s, c.values, c.frame)
+    steps = _piece_factors(g.A, g.B, c.durations / s, c.values, c.frame)[-1]
     xs = _partial_products(x, [U for U in steps for _ in range(s)])
     # piece start times, summed one piece at a time
     starts = np.append(0.0, np.cumsum(c.durations)[:-1])
@@ -179,7 +179,7 @@ def steering_time_lower_bound(sys, psi0, psi1, eps, delta):
 
     cols = np.linalg.norm(sys.W[:, :dim], axis=0)
     best = 0.0
-    for k in range(dim):
+    for k in range(dim):  # Python abs: numpy's complex abs rounds differently
         num = abs(abs(psi0[k]) - abs(psi1[k])) - eps
         if num <= 0.0:
             continue

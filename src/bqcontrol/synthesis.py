@@ -35,8 +35,7 @@ import numpy as np
 
 from .certification import nonresonance
 from .linalg import (_check_array, _check_int, _check_real,
-                     _partial_products, _piece_eigensystems, _piece_unitaries,
-                     _unitaries, assert_unitary)
+                     _partial_products, _piece_factors, assert_unitary)
 from .models import _read_json, _write_json
 from .simulation import as_state
 
@@ -190,7 +189,7 @@ def control_from_json(doc):
             doc["frame"], [(p["duration"], p["value"]) for p in pieces],
             doc["delta"], meta=doc.get("meta"),
         )
-    except TypeError as e:  # a list or object where a number belongs
+    except TypeError as e:  # a meta that is not an object
         raise ValueError(f"malformed control document: {e}") from None
 
 
@@ -209,8 +208,8 @@ def load_control(path):
 
 def final_state(g, control, x):
     """Apply a control's exact piecewise propagator to a state vector."""
-    F = _piece_unitaries(g.A, g.B, control.durations, control.values,
-                         control.frame)
+    F = _piece_factors(g.A, g.B, control.durations, control.values,
+                       control.frame)[-1]
     return _partial_products(_check_array(x, "x", complex), F)[-1]
 
 
@@ -232,19 +231,6 @@ class UnitarySteeringResult:
     traceless: bool
 
 
-def _factors(g, t, w):
-    """(omega, V, phases, F) of the pieces of durations t and log values w.
-
-    One batched eigh of i (e^{w_k} A + B) = V_k diag(omega_k) V_k^H gives
-    the phases exp(-i t_k omega_k) and the factors F_k = V_k diag(phases_k)
-    V_k^H = expm(t_k (e^{w_k} A + B)), bit for bit those of
-    _piece_unitaries.
-    """
-    omega, V, phases = _piece_eigensystems(g.A, g.B, t, np.exp(w),
-                                           "reparametrized")
-    return omega, V, phases, _unitaries(V, phases)
-
-
 def _value_and_gradient(g, x0, h, p):
     """(h(x_m), gradient of h(x_m) in p) for x_{k+1} = F_k x_k from x0.
 
@@ -264,7 +250,8 @@ def _value_and_gradient(g, x0, h, p):
     """
     m = len(p) // 2
     t, w = p[:m], p[m:]
-    omega, V, phases, F = _factors(g, t, w)
+    u = np.exp(w)
+    omega, V, _, F = _piece_factors(g.A, g.B, t, u, "reparametrized")
     xs = _partial_products(x0, F)
     value, C = h(xs[-1])
     lams = _partial_products(C, np.swapaxes(F[:0:-1].conj(), -1, -2))[::-1]
@@ -278,7 +265,7 @@ def _value_and_gradient(g, x0, h, p):
     root = np.exp(-1j * half)
     GO = root[:, :, None] * root[:, None, :] * sinc * O  # Gamma o O
     grad_t = np.imag(np.sum(np.diagonal(GO, axis1=1, axis2=2) * omega, axis=1))
-    grad_w = np.real(np.sum(GO * (Vh @ g.A @ V), axis=(1, 2))) * t * np.exp(w)
+    grad_w = np.real(np.sum(GO * (Vh @ g.A @ V), axis=(1, 2))) * t * u
     return value, np.concatenate([grad_t, grad_w])
 
 
@@ -378,7 +365,8 @@ def _search(g, x0, h, m, delta, tol, rng, max_evals):
             w = rng.uniform(v_lo, v_hi, size=m)
         cands.append(np.concatenate([d, w]))
     P = np.array(cands)
-    F = _factors(g, P[:, :m].ravel(), P[:, m:].ravel())[-1]
+    F = _piece_factors(g.A, g.B, P[:, :m].ravel(), np.exp(P[:, m:].ravel()),
+                       "reparametrized")[-1]
     scores = [h(_partial_products(x0, F[k:k + m])[-1])[0]
               for k in range(0, len(F), m)]
     used = len(cands)
@@ -574,7 +562,8 @@ def _circ_dist(a, b):
 
 
 def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
-    """First s >= lo found with max_j arc(freqs_j s, targets_j) <= tol.
+    """(s, residual): the first s >= lo found whose residual
+    max_j arc(freqs_j s, targets_j) is <= tol.
 
     Coarse pass over lo + k step (k < points) with Lipschitz slack, then 129
     fine points around each surviving candidate; a fine minimum within one
@@ -606,7 +595,7 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
                 span *= 2.0 / (_FINE - 1)
             b = int(np.argmin(fr))
             if fr[b] <= tol:
-                return float(fine[b])
+                return float(fine[b]), float(fr[b])
     raise PhaseSearchError(
         f"no s with phase residual <= {tol:.6g} in [{lo:.6g}, "
         f"{lo + points * step:.6g}] ({points} grid points of step {step:.6g}) "
@@ -694,10 +683,7 @@ def lift_control(target, sys, n, N, phase_tol=0.05):
             offsets = base if kind == "w" else flip
             targets = np.mod(freqs * w + offsets, 2.0 * math.pi)
             lo = v_cur + delta_bar * ramp
-            s = _torus_return(freqs, targets, lo, phase_tol, step)
-            resid = float(
-                np.max(_circ_dist(freqs * s, targets)) if len(freqs) else 0.0
-            )
+            s, resid = _torus_return(freqs, targets, lo, phase_tol, step)
             pieces.append((ramp, (s - v_cur) / ramp))
             pieces.append((hold, delta_bar))
             plateaus.append(
@@ -813,8 +799,8 @@ def phase_correction(lam, v1, delta, eps, tau_max, coupling_bound=None):
         step = math.pi / (4.0 * lmax)
         # the floor keeps v2 off lo+, where the residual is small merely by
         # continuity; the arc tolerance is the chord test |e^{i x} - 1| <= eps/2
-        v2 = _torus_return(lam, np.zeros_like(lam), lo + 0.5 * step,
-                           2.0 * math.asin(min(1.0, eps / 4.0)), step)
+        v2, _ = _torus_return(lam, np.zeros_like(lam), lo + 0.5 * step,
+                              2.0 * math.asin(min(1.0, eps / 4.0)), step)
     res = float(np.max(2.0 * np.abs(np.sin(0.5 * lam * v2))))
 
     total = v1 + v2

@@ -1,11 +1,13 @@
-"""Generated-input properties of the array-form certification checks and of
-decoupling_error, each against a direct reference kept here."""
+"""Generated-input properties of the array-form certification checks, of
+decoupling_error and of the box and tail-cutoff model builders, each against
+a direct reference kept here."""
 
 import itertools
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -19,7 +21,8 @@ from bqcontrol.certification import (
     nonresonance,
     pairwise_gap_distinct,
 )
-from bqcontrol.models import custom_system, truncate
+from bqcontrol.models import (_box1d_coupling, _box_triples, box3d_system,
+                              custom_system, tail_cutoff, truncate)
 from bqcontrol.synthesis import PiecewiseConstantControl, decoupling_error
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True,
@@ -277,3 +280,84 @@ def test_decoupling_error_matches_per_time_loop(case):
         return
     ref = decoupling_reference(c, sys, n, N, grid)
     assert abs(got - ref) <= 1e-12 * max(1.0, ref)
+
+
+# -- model builders -------------------------------------------------------------
+
+
+def box_coupling_loop(l, alpha, triples):
+    """W entry by entry from per-axis tables: v = 1.0, then v *= the axis
+    factor for axes 0, 1, 2 in turn."""
+    tables = []
+    for d in range(3):
+        ks = {t[d] for t in triples}
+        tables.append({(k, h): _box1d_coupling(k, h, alpha[d], l[d])
+                       for k in ks for h in ks})
+    W = np.empty((len(triples), len(triples)))
+    for i, ti in enumerate(triples):
+        for j, tj in enumerate(triples[: i + 1]):
+            v = 1.0
+            for d in range(3):
+                v *= tables[d][(ti[d], tj[d])]
+            W[i, j] = W[j, i] = v
+    return W
+
+
+@PROPS
+@given(st.tuples(*[st.floats(0.5, 2.0)] * 3),
+       st.tuples(*[st.one_of(st.just(0.0), st.floats(-2.0, 2.0))] * 3),
+       st.integers(2, 60))
+def test_box_couplings_match_per_entry_loop(l, alpha, levels):
+    kept = _box_triples(l, levels)
+    lam, triples = [v for v, _ in kept], [t for _, t in kept]
+    try:
+        ref = custom_system(lam, box_coupling_loop(l, alpha, triples)).W
+    except ZeroDivisionError:
+        # a diagonal factor divides by (alpha l)^2, which underflows to 0
+        # for |alpha l| below about 1e-162: the builder fails the same way
+        with pytest.raises(ZeroDivisionError):
+            box3d_system(l, alpha, levels=levels)
+        return
+    W = box3d_system(l, alpha, levels=levels).W
+    assert W.tobytes() == ref.tobytes()  # bit for bit, signed zeros too
+
+
+def tail_cutoff_loop(W, n, mu):
+    """The first N in [n, L] with sum_{k >= N} W[j, k]^2 < mu for all j < n,
+    each tail summed from the last column down."""
+    L = len(W)
+    for N in range(n, L + 1):
+        tails = []
+        for j in range(n):
+            t = 0.0
+            for k in range(L - 1, N - 1, -1):
+                t += float(W[j, k]) * float(W[j, k])
+            tails.append(t)
+        if max(tails) < mu:
+            return N
+    raise AssertionError("the empty tail at N = L is below every mu > 0")
+
+
+@st.composite
+def tail_inputs(draw):
+    L = draw(st.integers(2, 12))
+    n = draw(st.integers(2, L))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.normal(size=(L, L)) * np.exp(-draw(st.floats(0.0, 2.0))
+                                         * np.arange(L))
+    W[:, L - draw(st.integers(0, L)):] = 0.0  # a zero tail of any width
+    s = custom_system(np.arange(L, dtype=float), W + W.T)
+    tails = [sum(float(w) * float(w) for w in s.W[j, N:])
+             for j in range(n) for N in range(n, L)]
+    # a mu at a tail value itself puts the strict < at its boundary
+    mu = draw(st.one_of(st.floats(1e-12, 10.0),
+                        st.sampled_from([t for t in tails if t > 0] or [1.0])))
+    return s, n, mu
+
+
+@PROPS
+@given(tail_inputs())
+def test_tail_cutoff_matches_loop_over_orders(case):
+    s, n, mu = case
+    N = tail_cutoff_loop(s.W, n, mu)
+    assert tail_cutoff(s, n, mu) == (N, N == s.levels)

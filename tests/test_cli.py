@@ -248,6 +248,26 @@ def test_model_unsettled_quadrature_exit_four(capsys, tmp_path):
     assert not (tmp_path / "system.json").exists()
 
 
+def test_model_oscillator_overflow_is_one_config_line(tmp_path):
+    # exp(c) overflows every weight: one config line naming c, no numpy
+    # warnings and no quadrature diagnostic (run as a process: a warning
+    # would reach stderr)
+    cfg = write_json(tmp_path / "c.json", {"system": {
+        "model": "oscillator", "a": -0.5, "b": 0.3, "c": 1e300, "levels": 4}})
+    src = os.path.dirname(os.path.dirname(bqcontrol.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bqcontrol.cli", "model", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 4
+    doc = diagnostic(proc.stderr)
+    assert doc["error"] == "config"
+    assert doc["detail"].startswith("invalid system spec:")
+    assert "c=1e+300" in doc["detail"]
+    assert not (tmp_path / "out" / "system.json").exists()
+
+
 @pytest.mark.parametrize("edge", ["1e200", "1e150"])
 def test_model_box_without_separable_spectrum_exit_four(capsys, tmp_path,
                                                         edge):

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqcontrol.linalg import _piece_unitaries, expm_skew, unitarity_defect
+from bqcontrol.linalg import _piece_factors, expm_skew, unitarity_defect
 from bqcontrol.models import custom_system, truncate
 from bqcontrol.simulation import propagate
 from bqcontrol.synthesis import (
@@ -46,7 +46,7 @@ def problems(draw):
 
 
 def _factors(g, c):
-    return _piece_unitaries(g.A, g.B, c.durations, c.values, c.frame)
+    return _piece_factors(g.A, g.B, c.durations, c.values, c.frame)[-1]
 
 
 def _generator(g, u, frame):

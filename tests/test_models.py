@@ -150,6 +150,16 @@ def test_oscillator_rejects_nonnegative_a():
         oscillator_system(0.5, 1.0)
 
 
+@pytest.mark.parametrize("a, b, c", [
+    (-0.5, 0.3, 1e300),  # every weight overflows at 64 nodes
+    (-1e-6, 40.0, 0.0),  # exp(40 x) overflows only at 256 nodes (x ~ 22)
+])
+def test_oscillator_overflow_names_the_potential(a, b, c):
+    # RuntimeWarning is an error in this suite, so no warning leaks either
+    with pytest.raises(ValueError, match=r"overflows .*a=.*b=.*c="):
+        oscillator_system(a, b, c_mode=c, levels=4)
+
+
 def test_oscillator_node_doubling_converged():
     s = oscillator_system(-1.0, 1.0, levels=8)
     assert s.meta["quad_nodes"] <= 4096

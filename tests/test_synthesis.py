@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqcontrol import synthesis
-from bqcontrol.linalg import expm_skew
+from bqcontrol.linalg import _piece_factors, expm_skew
 from bqcontrol.models import (box3d_system, custom_system, oscillator_system,
                               truncate)
 from bqcontrol.simulation import propagate
@@ -355,7 +355,7 @@ def test_reported_evaluations_are_objective_calls(monkeypatch):
     # scores x0 itself before the search; the starts of a piece count share
     # one kernel call, so kernel calls stay fewer than evaluations
     scored, calls = [], []
-    steer, factors = synthesis._steer, synthesis._factors
+    steer, factors = synthesis._steer, synthesis._piece_factors
 
     def counted_steer(g, x0, h, *args):
         def counted(x):
@@ -368,7 +368,7 @@ def test_reported_evaluations_are_objective_calls(monkeypatch):
         return factors(*args)
 
     monkeypatch.setattr(synthesis, "_steer", counted_steer)
-    monkeypatch.setattr(synthesis, "_factors", counted_factors)
+    monkeypatch.setattr(synthesis, "_piece_factors", counted_factors)
     g = truncate(oscillator_system(-0.5, 0.3), 3)
     res = steer_state(g, basis(3, 0), basis(3, 1), delta=0.1, seed=1,
                       budget=5000)
@@ -409,9 +409,14 @@ def random_generators(rng, n):
 def full_pass(g, x0, q):
     """x_m for the parameters q, one factor at a time."""
     m = len(q) // 2
+    return values_pass(g, x0, q[:m], np.exp(q[m:]))
+
+
+def values_pass(g, x0, t, u):
+    """x_m for durations t and reparametrized values u, one factor at a
+    time."""
     x = x0
-    for F in synthesis._piece_unitaries(g.A, g.B, q[:m], np.exp(q[m:]),
-                                        "reparametrized"):
+    for F in _piece_factors(g.A, g.B, t, u, "reparametrized")[-1]:
         x = F @ x
     return x
 
@@ -546,23 +551,23 @@ def test_search_starts_score_full_passes(case):
     m = len(p) // 2
     batches, scores = [], []
 
-    def spy(g, t, w):
-        batches.append((np.array(t), np.array(w)))
-        return factors(g, t, w)
+    def spy(A, B, t, u, frame):
+        batches.append((np.array(t), np.array(u)))
+        return factors(A, B, t, u, frame)
 
     def recorded(x):
         scores.append(h(x)[0])
         return scores[-1], None
 
-    factors = synthesis._factors
-    with mock.patch.object(synthesis, "_factors", spy):
+    factors = synthesis._piece_factors
+    with mock.patch.object(synthesis, "_piece_factors", spy):
         _, best, used = synthesis._search(g, x0, recorded, m, 0.1, 0.0,
                                           np.random.default_rng(cap),
                                           synthesis.N_STARTS)
-    (t, w), = batches
-    starts = np.column_stack([t.reshape(-1, m), w.reshape(-1, m)])
-    assert used == len(starts) == synthesis.N_STARTS
-    assert scores == [h(full_pass(g, x0, q))[0] for q in starts]
+    (t, u), = batches
+    assert used == len(t) // m == synthesis.N_STARTS
+    assert scores == [h(values_pass(g, x0, t[k:k + m], u[k:k + m]))[0]
+                      for k in range(0, len(t), m)]
     assert best == min(scores)
 
 
@@ -689,11 +694,15 @@ def test_torus_return_lands_within_tol_or_raises(freqs, data, lo, tol, step):
     targets = data.draw(st.lists(st.floats(0.0, 2.0 * math.pi),
                                  min_size=len(freqs), max_size=len(freqs)))
     try:
-        s = synthesis._torus_return(np.array(freqs), np.array(targets), lo,
-                                    tol, step, points=3000)
+        s, resid = synthesis._torus_return(np.array(freqs), np.array(targets),
+                                           lo, tol, step, points=3000)
     except PhaseSearchError:
         return
     assert s >= lo
+    # the returned residual is the one the scan accepted, bit for bit
+    assert resid == float(np.max(synthesis._circ_dist(np.array(freqs) * s,
+                                                      np.array(targets))))
+    assert resid <= tol
     for f, t in zip(freqs, targets):
         assert abs(math.remainder(f * s - t, 2.0 * math.pi)) <= tol + 1e-9
 
