@@ -1,36 +1,16 @@
-"""Thread-count policy: BQC_THREADS caps the worker threads of map_ordered.
+"""Serial map_ordered and worker_count, kept for the frozen bench/run.py.
 
-No bqcontrol module uses this any more; it stays only because bench/run.py
-imports map_ordered and worker_count.
+No bqcontrol module calls them.  The benchmark imports both names and reads
+its `parallel.map_ordered_us.c24` metric through map_ordered, so they stay
+until the benchmark refresh (ROADMAP item 1) deletes this module.
 """
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count():
-    """Number of worker threads; BQC_THREADS overrides the default."""
-    env = os.environ.get("BQC_THREADS")
-    if env is not None:
-        try:
-            k = int(env)
-        except ValueError:
-            raise ValueError(f"BQC_THREADS must be an integer, got {env!r}")
-        return max(1, k)
-    return min(4, os.cpu_count() or 1)
+    """Always 1: bqcontrol runs serially."""
+    return 1
 
 
 def map_ordered(fn, items):
-    """Map preserving input order; parallel only when workers > 1.
-
-    Results are reduced in index order, so any downstream tie-breaking is
-    independent of scheduling.
-    """
-    items = list(items)
-    k = worker_count()
-    if k <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], in input order."""
+    return [fn(x) for x in items]

@@ -489,25 +489,22 @@ def constructive_generators(g, j, k):
     S = -(D**2)  # (alpha_jj - alpha_kk)^2, entrywise action of ad_A^2
     target = S[j, k]
 
-    nodes = {0.0}
-    for p, q in itertools.combinations(range(n), 2):
-        if {p, q} != {j, k}:
-            nodes.add(float(S[p, q]))
-    for s in nodes:
-        if abs(target - s) < DENOM_ATOL:
-            colliding = [
-                (p, q)
-                for p, q in itertools.combinations(range(n), 2)
-                if {p, q} != {j, k} and abs(float(S[p, q]) - s) < DENOM_ATOL
-            ]
-            raise ValueError(
-                f"squared gap of pair ({j}, {k}) collides with "
-                f"{colliding or ['the diagonal']} (Lagrange denominator "
-                f"< {DENOM_ATOL:g})"
-            )
+    # every other pair's squared gap; with 0 (the diagonal) they are the nodes
+    p, q = np.triu_indices(n, 1)
+    other = (p != min(j, k)) | (q != max(j, k))
+    p, q = p[other], q[other]
+    gaps = S[p, q]
+    near = np.abs(target - gaps) < DENOM_ATOL
+    if near.any() or abs(target) < DENOM_ATOL:
+        colliding = list(zip(p[near].tolist(), q[near].tolist()))
+        raise ValueError(
+            f"squared gap of pair ({j}, {k}) collides with "
+            f"{colliding or ['the diagonal']} (Lagrange denominator "
+            f"< {DENOM_ATOL:g})"
+        )
 
     N = g.B.astype(complex).copy()
-    for s in sorted(nodes):
+    for s in sorted({0.0, *gaps.tolist()}):
         N = N * (S - s) / (target - s)
 
     ideal = np.zeros((n, n), dtype=complex)

@@ -116,7 +116,7 @@ def custom_system(lam, W, labels=None, meta=None):
     W = _check_array(W, "W")
     if W.shape != (L, L):
         raise ValueError(f"W must have shape {(L, L)}, got {W.shape}")
-    defect = float(np.max(np.abs(W - W.T))) if L else 0.0
+    defect = float(np.max(np.abs(W - W.T)))
     if defect > SYMMETRY_ATOL:
         raise ValueError(f"W asymmetry {defect:.3e} exceeds {SYMMETRY_ATOL:g}")
     W = (W + W.T) / 2.0
@@ -213,30 +213,29 @@ def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL):
 
     Couplings are Gauss-Hermite integrals of exp(a x^2 + b x + c) against
     products of Hermite functions; the node count is doubled from 64 until no
-    entry moves by more than quad_atol, and QuadratureError is raised when
-    that has not happened by QUAD_MAX_NODES nodes.
+    entry moves by more than quad_atol.  QuadratureError is raised when that
+    has not happened by QUAD_MAX_NODES nodes, and before any table is built
+    for more levels than that (an N-node rule resolves at most N levels).
     """
     a = _check_real(a, "a", hi=0.0)
     b = _check_real(b, "b")
     levels = _check_int(levels, "levels", 2)
+    if levels > QUAD_MAX_NODES:
+        raise QuadratureError(f"levels={levels} exceeds the {QUAD_MAX_NODES}"
+                              f"-node quadrature cap, which resolves at most "
+                              f"{QUAD_MAX_NODES} levels")
     quad_atol = _check_real(quad_atol, "quad_atol", 0.0)
     c = b * b / (4.0 * (a - 1.0)) if c_mode == "normalized" else c_mode
     c = _check_real(c, "c")
 
-    nodes = 64
-    W = _osc_coupling(a, b, c, levels, nodes)
-    while True:
-        if 2 * nodes > QUAD_MAX_NODES:
-            raise QuadratureError(
-                f"couplings not stable at {nodes} nodes "
-                f"(doubling still moves entries)"
-            )
-        W2 = _osc_coupling(a, b, c, levels, 2 * nodes)
-        stable = float(np.max(np.abs(W2 - W))) <= quad_atol
-        nodes *= 2
-        W = W2
-        if stable:
+    W = None
+    for nodes in (64, 128, QUAD_MAX_NODES):
+        prev, W = W, _osc_coupling(a, b, c, levels, nodes)
+        if prev is not None and float(np.max(np.abs(W - prev))) <= quad_atol:
             break
+    else:
+        raise QuadratureError(f"couplings not stable at {nodes} nodes "
+                              f"(doubling still moves entries)")
 
     lam = 2.0 * np.arange(levels) + 1.0
     meta = {
@@ -258,17 +257,22 @@ def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL):
 def _box1d_coupling(k, h, alpha, length):
     """(2/l) integral_0^l exp(alpha x) sin(k pi x / l) sin(h pi x / l) dx.
 
-    Raises ValueError naming alpha when exp(alpha l) or (alpha l)^2 makes
-    it overflow.
+    Closed form in al = alpha l: expm1 keeps e^al - 1 accurate for small
+    |al|, the diagonal cancels its al^2, and al = 0 (alpha = 0 or an
+    underflow) takes the limit alpha -> 0.  Raises ValueError naming alpha
+    when exp(alpha l) or (alpha l)^2 makes it overflow.
     """
-    if alpha == 0.0:
-        return 1.0 if k == h else 0.0
     al = alpha * length
-    sign = 1.0 if (k + h) % 2 == 0 else -1.0
+    if al == 0.0:
+        return 1.0 if k == h else 0.0
     try:
-        den = ((al**2 + (k - h) ** 2 * math.pi**2)
-               * (al**2 + (k + h) ** 2 * math.pi**2))
-        out = 4.0 * k * h * math.pi**2 * al * (sign * math.exp(al) - 1.0) / den
+        plus = al**2 + (k + h) ** 2 * math.pi**2
+        if k == h:
+            out = 4.0 * k * k * math.pi**2 * (math.expm1(al) / al) / plus
+        else:
+            rise = math.expm1(al) if (k + h) % 2 == 0 else -math.exp(al) - 1.0
+            out = (4.0 * k * h * math.pi**2 * al * rise
+                   / ((al**2 + (k - h) ** 2 * math.pi**2) * plus))
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
@@ -357,17 +361,14 @@ def box3d_lambda_prime(l, alpha, triple):
     """Derivative of eigenvalue (k1,k2,k3) with respect to the coupling strength.
 
     Equals the diagonal coupling entry of the box system at the same
-    parameters: the product over axes of the 1D diagonal integrals.  Requires
-    every alpha_i nonzero (the closed form divides by alpha_i l_i); the limit
-    alpha -> 0 of each factor is 1.
+    parameters: the product over axes of the 1D diagonal integrals.  An
+    alpha_i of 0 gives that factor's limit alpha -> 0, which is 1.
     """
     l = tuple(_check_real(v, "edge length", 0.0) for v in l)
     alpha = tuple(_check_real(v, "alpha") for v in alpha)
     triple = tuple(_check_int(k, "mode number", 1) for k in triple)
     if len(l) != 3 or len(alpha) != 3 or len(triple) != 3:
         raise ValueError("l, alpha and triple must have length 3")
-    if any(a == 0.0 for a in alpha):
-        raise ValueError(f"alpha components must be nonzero, got {alpha}")
     out = 1.0
     for d in range(3):
         out *= _box1d_coupling(triple[d], triple[d], alpha[d], l[d])
@@ -392,12 +393,17 @@ def system_to_json(sys):
     return doc
 
 
-def system_from_json(doc):
+def _require(doc, what, keys=()):
+    """ValueError unless doc is a JSON object that holds every key."""
     if not isinstance(doc, dict):
-        raise ValueError("system document must be a JSON object")
-    for key in ("levels", "lambda", "W"):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
         if key not in doc:
-            raise ValueError(f"system document missing required key '{key}'")
+            raise ValueError(f"{what} missing required key '{key}'")
+
+
+def system_from_json(doc):
+    _require(doc, "system document", ("levels", "lambda", "W"))
     lam = doc["lambda"]
     if _check_int(doc["levels"], "levels", 0) != len(lam):
         raise ValueError(
@@ -412,8 +418,7 @@ def system_from_json(doc):
 
 def system_from_config(obj):
     """Build a system from CLI config: inline data or a model spec."""
-    if not isinstance(obj, dict):
-        raise ValueError("system config must be a JSON object")
+    _require(obj, "system config")
     if not isinstance(obj.get("simple_spectrum", False), bool):
         raise ValueError("simple_spectrum must be true or false, got "
                          f"{obj['simple_spectrum']!r}")

@@ -225,7 +225,7 @@ def modulus_drift_check(g, c, psi0):
     budget = (c.total_duration if c.frame == "reparametrized"
               else c.integrated_value)
     margins = modulus_margins(psi0, final, budget, cols)
-    worst = float(margins.min()) if margins.size else 0.0
+    worst = float(margins.min())
     return ModulusDriftReport(
         ok=worst >= -DRIFT_SLACK,
         worst_margin=worst,

@@ -36,7 +36,7 @@ import numpy as np
 from .certification import nonresonance
 from .linalg import (_check_array, _check_int, _check_real,
                      _partial_products, _piece_factors, assert_unitary)
-from .models import _read_json, _write_json
+from .models import _read_json, _require, _write_json
 from .simulation import as_state
 
 __all__ = [
@@ -172,11 +172,7 @@ def control_to_json(c):
 
 
 def control_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("control document must be a JSON object")
-    for key in ("frame", "delta", "pieces"):
-        if key not in doc:
-            raise ValueError(f"control document missing required key '{key}'")
+    _require(doc, "control document", ("frame", "delta", "pieces"))
     pieces = doc["pieces"]
     if not isinstance(pieces, list) or not all(
         isinstance(p, dict) and "duration" in p and "value" in p for p in pieces
@@ -208,9 +204,12 @@ def load_control(path):
 
 def final_state(g, control, x):
     """Apply a control's exact piecewise propagator to a state vector."""
+    x = np.atleast_1d(_check_array(x, "x", complex))
+    if len(x) != g.order:
+        raise ValueError(f"state dimension {len(x)} != order {g.order}")
     F = _piece_factors(g.A, g.B, control.durations, control.values,
                        control.frame)[-1]
-    return _partial_products(_check_array(x, "x", complex), F)[-1]
+    return _partial_products(x, F)[-1]
 
 
 @dataclass(frozen=True)
@@ -570,7 +569,7 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
     fine-cell slack of tol is zoomed onto before it is accepted or dropped.
     Raises PhaseSearchError once all `points` coarse points are scanned.
     """
-    lipschitz = float(np.max(np.abs(freqs))) if len(freqs) else 0.0
+    lipschitz = float(np.max(np.abs(freqs)))
     if lipschitz == 0.0:
         points = 1  # the residual is constant: one point settles it
 

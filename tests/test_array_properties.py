@@ -1,11 +1,12 @@
 """Generated-input properties of the array-form certification checks, of
-decoupling_error and of the box and tail-cutoff model builders, each against
-a direct reference kept here."""
+constructive_generators, of decoupling_error and of the box, oscillator and
+tail-cutoff model builders, each against a direct reference kept here."""
 
 import itertools
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,14 +16,19 @@ from scipy.sparse.csgraph import connected_components
 
 from bqcontrol import certification
 from bqcontrol.certification import (
+    DENOM_ATOL,
     EDGE_THRESHOLD,
     connectedness,
+    constructive_generators,
     lie_rank,
     nonresonance,
     pairwise_gap_distinct,
 )
-from bqcontrol.models import (_box1d_coupling, _box_triples, box3d_system,
-                              custom_system, tail_cutoff, truncate)
+from bqcontrol.models import (QUAD_ATOL, QUAD_MAX_NODES, QuadratureError,
+                              _box1d_coupling, _box_triples, _osc_coupling,
+                              box3d_system, custom_system, oscillator_system,
+                              tail_cutoff, truncate)
+from bqcontrol.linalg import commutator
 from bqcontrol.synthesis import PiecewiseConstantControl, decoupling_error
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True,
@@ -221,6 +227,75 @@ def test_lie_rank_matches_bracket_span(g, max_depth):
                 < bracket_span_rank(g.A, g.B, r.depth_reached))
 
 
+# -- constructive generators -------------------------------------------------
+
+
+def lagrange_filter_loop(g, j, k):
+    """(E, F, N, residual) of the Lagrange filter with the nodes gathered in a
+    set by a loop over the pairs, or None when a node collides with the
+    target's squared gap."""
+    n, lam = g.order, g.lam
+    D = lam[:, None] - lam[None, :]
+    S = -(D**2)
+    target = S[j, k]
+    nodes = {0.0}
+    for p, q in itertools.combinations(range(n), 2):
+        if {p, q} != {j, k}:
+            nodes.add(float(S[p, q]))
+    if any(abs(target - s) < DENOM_ATOL for s in nodes):
+        return None
+    b = complex(g.B[j, k])
+    N = g.B.astype(complex).copy()
+    for s in sorted(nodes):
+        N = N * (S - s) / (target - s)
+    ideal = np.zeros((n, n), dtype=complex)
+    ideal[j, k] = b
+    ideal[k, j] = -np.conj(b)
+    K = commutator(g.A, N) / (1j * (lam[j] - lam[k]))
+    e_jk = (N + K) / (2.0 * b)
+    e_kj = (K - N) / (2.0 * np.conj(b))
+    E, F = e_jk - e_kj, 1j * (e_jk + e_kj)
+    return ((E - E.conj().T) / 2.0, (F - F.conj().T) / 2.0, N,
+            float(np.max(np.abs(N - ideal))))
+
+
+@st.composite
+def filter_pairs(draw):
+    """Order-2..6 pairs; small integer levels force equal gaps and
+    degenerate levels, uniform ones are generic."""
+    n = draw(st.integers(2, 6))
+    level = draw(st.sampled_from([st.integers(0, 4).map(float),
+                                  st.floats(0.0, 5.0)]))
+    lam = draw(st.lists(level, min_size=n, max_size=n))
+    entry = st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-1.0, 1.0)
+    W = np.reshape(draw(st.lists(entry, min_size=n * n, max_size=n * n)),
+                   (n, n))
+    return truncate(custom_system(lam, (W + W.T) / 2.0), n)
+
+
+@PROPS
+@given(filter_pairs())
+def test_constructive_generators_match_set_based_filter(g):
+    n, S = g.order, -(np.subtract.outer(g.lam, g.lam) ** 2)
+    for j, k in itertools.permutations(range(n), 2):
+        if g.B[j, k] == 0:
+            continue
+        ref = lagrange_filter_loop(g, j, k)
+        if ref is None:
+            near = [(p, q) for p, q in itertools.combinations(range(n), 2)
+                    if {p, q} != {j, k}
+                    and abs(S[p, q] - S[j, k]) < DENOM_ATOL]
+            with pytest.raises(ValueError) as e:
+                constructive_generators(g, j, k)
+            assert (f"pair ({j}, {k}) collides with "
+                    f"{near or ['the diagonal']} (") in str(e.value)
+            continue
+        got = constructive_generators(g, j, k)
+        for a, b in zip((got.E, got.F, got.N), ref[:3]):
+            assert a.tobytes() == b.tobytes()
+        assert got.residual == ref[3]
+
+
 # -- decoupling error ---------------------------------------------------------
 
 
@@ -310,16 +385,79 @@ def box_coupling_loop(l, alpha, triples):
 def test_box_couplings_match_per_entry_loop(l, alpha, levels):
     kept = _box_triples(l, levels)
     lam, triples = [v for v, _ in kept], [t for _, t in kept]
-    try:
-        ref = custom_system(lam, box_coupling_loop(l, alpha, triples)).W
-    except ZeroDivisionError:
-        # a diagonal factor divides by (alpha l)^2, which underflows to 0
-        # for |alpha l| below about 1e-162: the builder fails the same way
-        with pytest.raises(ZeroDivisionError):
-            box3d_system(l, alpha, levels=levels)
-        return
+    ref = custom_system(lam, box_coupling_loop(l, alpha, triples)).W
     W = box3d_system(l, alpha, levels=levels).W
     assert W.tobytes() == ref.tobytes()  # bit for bit, signed zeros too
+
+
+def box1d_closed_form(k, h, al):
+    """The 1D box coupling at al = alpha l, evaluated at 60 digits:
+    4 k h pi^2 al ((-1)^(k+h) e^al - 1) / ((al^2 + (k-h)^2 pi^2)
+    (al^2 + (k+h)^2 pi^2)), whose al^2 neither underflows nor cancels here."""
+    with mpmath.workdps(60):
+        al, pi2 = mpmath.mpf(al), mpmath.pi**2
+        rise = mpmath.expm1(al) if (k + h) % 2 == 0 else -mpmath.exp(al) - 1
+        return (4 * k * h * pi2 * al * rise
+                / ((al**2 + (k - h) ** 2 * pi2) * (al**2 + (k + h) ** 2 * pi2)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.floats(0.5, 2.0),
+       st.floats(-300.0, math.log10(30.0)), st.sampled_from([1.0, -1.0]))
+@example(1, 1, 1.0, -200.0, 1.0)  # (alpha l)^2 underflows to 0
+@example(2, 2, 1.0, -17.0, 1.0)  # e^al - 1 rounds to 0
+def test_box_coupling_matches_closed_form_at_60_digits(k, h, l, exponent,
+                                                       sign):
+    alpha = sign * 10.0**exponent / l
+    ref = box1d_closed_form(k, h, alpha * l)
+    got = _box1d_coupling(k, h, alpha, l)
+    # relative 1e-12; below the normal range an absolute floor of a few
+    # thousand subnormal spacings
+    assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-320
+
+
+def oscillator_loop(a, b, c, levels, quad_atol):
+    """(W, nodes) by the node doubling written as a while loop: 64 nodes,
+    then doubling while the couplings still move, capped at 256."""
+    nodes = 64
+    W = _osc_coupling(a, b, c, levels, nodes)
+    while True:
+        if 2 * nodes > QUAD_MAX_NODES:
+            raise QuadratureError(
+                f"couplings not stable at {nodes} nodes "
+                f"(doubling still moves entries)"
+            )
+        W2 = _osc_coupling(a, b, c, levels, 2 * nodes)
+        stable = float(np.max(np.abs(W2 - W))) <= quad_atol
+        nodes *= 2
+        W = W2
+        if stable:
+            return W, nodes
+
+
+@PROPS
+@given(st.sampled_from([-3.0, -1.0, -0.5, -0.1, -0.02, -0.001]),
+       st.sampled_from([-2.0, 0.0, 0.3, 1.5, 5.0]),
+       st.sampled_from(["normalized", 0.0, 1.0]),
+       st.integers(2, 100),
+       st.sampled_from([QUAD_ATOL, 1e-6, 1e-14]))
+@example(-3.0, -2.0, "normalized", 2, QUAD_ATOL)  # settles at 128 nodes
+@example(-3.0, -2.0, "normalized", 8, QUAD_ATOL)  # settles at 256 nodes
+@example(-3.0, -2.0, "normalized", 40, QUAD_ATOL)  # never settles
+def test_oscillator_matches_while_loop_doubling(a, b, c_mode, levels,
+                                                quad_atol):
+    c = b * b / (4.0 * (a - 1.0)) if c_mode == "normalized" else c_mode
+    try:
+        W, nodes = oscillator_loop(a, b, c, levels, quad_atol)
+    except QuadratureError as e:
+        with pytest.raises(QuadratureError) as got:
+            oscillator_system(a, b, c_mode, levels, quad_atol)
+        assert str(got.value) == str(e)
+        return
+    s = oscillator_system(a, b, c_mode, levels, quad_atol)
+    assert s.meta["quad_nodes"] == nodes
+    ref = custom_system(2.0 * np.arange(levels) + 1.0, W).W
+    assert s.W.tobytes() == ref.tobytes()
 
 
 def tail_cutoff_loop(W, n, mu):

@@ -283,6 +283,19 @@ def test_model_box_without_separable_spectrum_exit_four(capsys, tmp_path,
     assert not (out / "system.json").exists()
 
 
+def test_model_box_alpha_below_the_least_square_takes_the_limit(capsys,
+                                                                 tmp_path):
+    # (alpha l)^2 underflows to 0 here; the diagonal used to divide by it
+    cfg = write_json(tmp_path / "c.json", {"system": {
+        "model": "box3d", "l": [1, 1, 1], "alpha": [0, 0, 1e-200],
+        "levels": 3}})
+    code, err = run(capsys, "model", "--config", cfg, "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    with open(tmp_path / "system.json") as fh:
+        W = json.load(fh)["W"]
+    assert [W[i][i] for i in range(3)] == [1.0, 1.0, 1.0]
+
+
 # -- certify ------------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bqcontrol import _parallel, linalg, models
+from bqcontrol import linalg, models
 from bqcontrol.certification import (constructive_generators, nonresonance,
                                      pairwise_gap_distinct)
 from bqcontrol.cli import dispatch
@@ -26,7 +26,7 @@ from bqcontrol.simulation import (Trajectory, as_state, fidelity,
                                   propagate_density, steering_time_lower_bound,
                                   write_trajectory_csv)
 from bqcontrol.synthesis import (PiecewiseConstantControl, control_from_json,
-                                 decoupling_error, lift_control,
+                                 decoupling_error, final_state, lift_control,
                                  phase_correction, steer_state, steer_unitary)
 
 SYS = custom_system([0.0, 1.0, 1.0 + math.sqrt(2)],
@@ -208,6 +208,14 @@ def test_control_repr():
                        "npieces=1, delta=0.1)")
 
 
+@pytest.mark.parametrize("pieces", [[], [(0.5, 0.05)]], ids=["empty", "one"])
+def test_final_state_refuses_a_state_of_another_order(pieces):
+    # without pieces the state used to come back unchanged
+    c = PiecewiseConstantControl("original", pieces, 0.1)
+    with pytest.raises(ValueError, match=r"state dimension 2 != order 3"):
+        final_state(G, c, [1.0, 0.0])
+
+
 def test_control_documents_fail_closed():
     doc = {"frame": "reparametrized", "delta": 0.1,
            "pieces": [{"duration": 1.0, "value": 0.5}]}
@@ -243,12 +251,3 @@ def test_phase_correction_without_admissible_tau():
     # tau at 1e-300 / 2e300, which underflows to 0
     with pytest.raises(ValueError, match="no admissible tau"):
         phase_correction([0.0], 0.5, 0.1, 1e-300, 5.0, coupling_bound=1e300)
-
-
-# -- _parallel ------------------------------------------------------------------
-
-
-def test_thread_count_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("BQC_THREADS", "two")
-    with pytest.raises(ValueError, match="BQC_THREADS must be an integer"):
-        _parallel.worker_count()

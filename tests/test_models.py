@@ -9,6 +9,8 @@ from numpy.polynomial.hermite import hermval
 from scipy.integrate import quad
 
 from bqcontrol.models import (
+    QUAD_MAX_NODES,
+    QuadratureError,
     box3d_lambda_prime,
     box3d_system,
     custom_system,
@@ -21,6 +23,7 @@ from bqcontrol.models import (
     tail_cutoff,
     truncate,
 )
+from bqcontrol.synthesis import control_from_json
 
 
 # -- custom systems ---------------------------------------------------------
@@ -160,6 +163,13 @@ def test_oscillator_overflow_names_the_potential(a, b, c):
         oscillator_system(a, b, c_mode=c, levels=4)
 
 
+def test_oscillator_levels_beyond_the_node_cap_are_refused():
+    # an N-node Gauss-Hermite rule resolves at most N levels
+    with pytest.raises(QuadratureError,
+                       match=r"levels=257 exceeds the 256-node quadrature cap"):
+        oscillator_system(-0.5, 0.3, levels=QUAD_MAX_NODES + 1)
+
+
 def test_oscillator_node_doubling_converged():
     s = oscillator_system(-1.0, 1.0, levels=8)
     assert s.meta["quad_nodes"] <= 4096
@@ -224,8 +234,14 @@ def test_box3d_lambda_prime_equals_diagonal():
 def test_box3d_lambda_prime_small_alpha_limit():
     lp = box3d_lambda_prime([1.0, 1.1, 1.3], [1e-5, 1e-5, 1e-5], (1, 1, 1))
     assert abs(lp - 1.0) < 1e-4
-    with pytest.raises(ValueError):
-        box3d_lambda_prime([1.0, 1.1, 1.3], [0.0, 0.1, 0.1], (1, 1, 1))
+    # a zero alpha takes its factor's limit 1, as the builder's diagonal does
+    for alpha in ([0.0, 0.1, 0.1], [0.0, 0.0, 1e-200], [0.0, 0.0, 0.0]):
+        s = box3d_system([1.0, 1.1, 1.3], alpha, levels=6)
+        for idx, triple in enumerate(s.labels):
+            lp = box3d_lambda_prime([1.0, 1.1, 1.3], alpha, triple)
+            assert lp == s.W[idx, idx]
+    assert box3d_lambda_prime([1.0, 1.1, 1.3], [0.0, 0.0, 1e-200],
+                              (1, 2, 3)) == 1.0
 
 
 # -- serialization ----------------------------------------------------------
@@ -253,6 +269,41 @@ def test_system_from_json_validates_levels():
     with pytest.raises(ValueError):
         system_from_json({"levels": 3, "lambda": [0.0, 1.0],
                           "W": [[0.0, 0.1], [0.1, 0.0]]})
+
+
+SYSTEM_DOC = {"levels": 2, "lambda": [0.0, 1.0], "W": [[0.0, 0.5], [0.5, 0.0]]}
+CONTROL_DOC = {"frame": "original", "delta": 0.1,
+               "pieces": [{"duration": 1.0, "value": 0.05}]}
+NOT_OBJECTS = [[0.0, 1.0], "oscillator", None, 3]
+
+
+def document_cases():
+    """(loader, document, exact message): each loader given non-objects and
+    its complete document with each required key missing in turn."""
+    out = []
+    for load, what, full in ((system_from_json, "system document", SYSTEM_DOC),
+                             (control_from_json, "control document",
+                              CONTROL_DOC),
+                             (system_from_config, "system config", None)):
+        out += [pytest.param(load, doc, f"{what} must be a JSON object",
+                             id=f"{what}-{doc!r}") for doc in NOT_OBJECTS]
+        for key in full or ():
+            doc = {k: v for k, v in full.items() if k != key}
+            out.append(pytest.param(
+                load, doc, f"{what} missing required key '{key}'",
+                id=f"{what}-no-{key}"))
+    # an inline config reaches the system document check
+    out.append(pytest.param(
+        system_from_config, {"lambda": [0.0, 1.0]},
+        "system document missing required key 'W'", id="system config-no-W"))
+    return out
+
+
+@pytest.mark.parametrize("load, doc, message", document_cases())
+def test_documents_must_be_objects_with_required_keys(load, doc, message):
+    with pytest.raises(ValueError) as e:
+        load(doc)
+    assert str(e.value) == message
 
 
 def test_system_from_config_dispatch():

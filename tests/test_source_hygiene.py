@@ -3,7 +3,9 @@
 Every imported name is used in its module, and every private module-level
 function, class or constant (a name with one leading underscore) is
 referenced somewhere in src/bqcontrol.  A helper left behind by a refactor,
-or an import it leaves stale, fails here.
+or an import it leaves stale, fails here.  The library also starts no
+threads or processes and reads no environment variable: its behaviour is
+set by its arguments alone.
 """
 
 import ast
@@ -88,3 +90,28 @@ def test_every_private_definition_is_referenced():
             for private, line in private_definitions(parse(name))
             if private not in used]
     assert dead == []
+
+
+CONCURRENCY = {"threading", "multiprocessing", "concurrent"}
+ENVIRONMENT = {"environ", "getenv", "environb", "getenvb"}
+
+
+def test_no_threads_and_no_environment_reads():
+    found = []
+    for name in MODULES:
+        for node in ast.walk(parse(name)):
+            if isinstance(node, ast.Import):
+                mods, names = [a.name for a in node.names], []
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+                names = ([a.name for a in node.names]
+                         if node.module == "os" else [])
+            elif isinstance(node, ast.Attribute):  # os.environ, os.getenv
+                mods, names = [], [node.attr]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}: import {m}" for m in mods
+                      if m.split(".")[0] in CONCURRENCY]
+            found += [f"{name}:{node.lineno}: {n}" for n in names
+                      if n in ENVIRONMENT]
+    assert found == []
