@@ -10,16 +10,16 @@ Controls are finite lists of (duration, value) pieces in one of two frames:
 Steering works directly in the reparametrized frame, scoring a point as
 h(F_{m-1} ... F_0 x0) over its piece factors F_k: seeded random starts,
 all scored from one batched kernel call, and a projected L-BFGS refinement
-of the best of them.  Each point a refinement tries costs one
-objective+gradient call: one batched eigendecomposition of the piece
-generators gives the factors, a forward and a backward pass give the
-running products and the cotangents, and the Daleckii-Krein form of the
-derivative of the matrix exponential gives the exact gradient in the
-durations and log values (Najfeld & Havel, Adv. Appl. Math. 16 (1995) 321;
-Khaneja et al., J. Magn. Reson. 172 (2005) 296).  The oscillation-based
-lift turns a low-order control into one whose conjugated coupling
-time-averages to its block-diagonal part at a higher order, which
-decoupling_error quantifies.
+of the best of them.  Each point a refinement tries is one evaluation,
+scored by value: one batched eigendecomposition of the piece generators
+gives the factors and a forward pass the running products.  The gradient
+is taken only at points the refinement steps from: a backward pass gives
+the cotangents, and the Daleckii-Krein form of the derivative of the
+matrix exponential gives the exact gradient in the durations and log
+values (Najfeld & Havel, Adv. Appl. Math. 16 (1995) 321; Khaneja et al.,
+J. Magn. Reson. 172 (2005) 296).  The oscillation-based lift turns a
+low-order control into one whose conjugated coupling time-averages to its
+block-diagonal part at a higher order, which decoupling_error quantifies.
 """
 
 from __future__ import annotations
@@ -231,14 +231,15 @@ class UnitarySteeringResult:
 
 
 def _value_and_gradient(g, x0, h, p):
-    """(h(x_m), gradient of h(x_m) in p) for x_{k+1} = F_k x_k from x0.
+    """(h(x_m), finish) for x_{k+1} = F_k x_k from x0, where finish() returns
+    the gradient of h(x_m) in p from the same factors and products.
 
     p = [durations t..., log values w...] and h(x) returns (value, C) with
     C the cotangent of the value: dh = Re sum(conj(C) dx).  One kernel call
-    gives the factors and their eigensystems; the forward pass keeps the
-    running products x_k, and a backward pass carries C through F^H, so
-    lam_k is the cotangent at x_{k+1}.  In the eigenbasis of piece k, with
-    O_k = conj(V^H lam_k) (V^H x_k)^T:
+    gives the factors and their eigensystems and the forward pass keeps the
+    running products x_k; finish runs a backward pass that carries C through
+    F^H, so lam_k is the cotangent at x_{k+1}.  In the eigenbasis of piece
+    k, with O_k = conj(V^H lam_k) (V^H x_k)^T:
       dh/dt_k = Re <lam_k, G_k x_{k+1}> = Re sum_i (-i omega_i) phases_i O_ii,
       dh/dw_k = Re sum_ij Gamma_ij M_ij O_ij, M = V^H (t_k e^{w_k} A) V,
     where the Daleckii-Krein divided differences of the exponential,
@@ -253,19 +254,25 @@ def _value_and_gradient(g, x0, h, p):
     omega, V, _, F = _piece_factors(g.A, g.B, t, u, "reparametrized")
     xs = _partial_products(x0, F)
     value, C = h(xs[-1])
-    lams = _partial_products(C, np.swapaxes(F[:0:-1].conj(), -1, -2))[::-1]
-    Vh = np.swapaxes(V.conj(), -1, -2)
-    O = (Vh @ np.array(lams)).conj() @ np.swapaxes(Vh @ np.array(xs[:-1]),
-                                                   -1, -2)
-    half = 0.5 * t[:, None] * omega  # the exponents are -2i half
-    diff = half[:, :, None] - half[:, None, :]
-    sinc = np.divide(np.sin(diff), diff, out=np.ones_like(diff),
-                     where=diff != 0.0)
-    root = np.exp(-1j * half)
-    GO = root[:, :, None] * root[:, None, :] * sinc * O  # Gamma o O
-    grad_t = np.imag(np.sum(np.diagonal(GO, axis1=1, axis2=2) * omega, axis=1))
-    grad_w = np.real(np.sum(GO * (Vh @ g.A @ V), axis=(1, 2))) * t * u
-    return value, np.concatenate([grad_t, grad_w])
+
+    def finish():
+        Fh = np.swapaxes(F[:0:-1].conj(), -1, -2)
+        lams = _partial_products(C, Fh)[::-1]
+        Vh = np.swapaxes(V.conj(), -1, -2)
+        O = (Vh @ np.array(lams)).conj() @ np.swapaxes(Vh @ np.array(xs[:-1]),
+                                                       -1, -2)
+        half = 0.5 * t[:, None] * omega  # the exponents are -2i half
+        diff = half[:, :, None] - half[:, None, :]
+        sinc = np.divide(np.sin(diff), diff, out=np.ones_like(diff),
+                         where=diff != 0.0)
+        root = np.exp(-1j * half)
+        GO = root[:, :, None] * root[:, None, :] * sinc * O  # Gamma o O
+        grad_t = np.imag(np.sum(np.diagonal(GO, axis1=1, axis2=2) * omega,
+                                axis=1))
+        grad_w = np.real(np.sum(GO * (Vh @ g.A @ V), axis=(1, 2))) * t * u
+        return np.concatenate([grad_t, grad_w])
+
+    return value, finish
 
 
 def _two_loop(grad, pairs):
@@ -291,14 +298,15 @@ def _lbfgs(g, x0, h, p, lo, hi, cap, tol):
     history reset, scaled to move no coordinate by more than 1), and the
     step is projected onto the box and halved until the score falls by the
     Armijo fraction of the predicted drop.  Each trial point is one
-    objective+gradient evaluation.  Stops when the score is at most tol,
-    after `cap` evaluations, when the projected gradient vanishes, when
-    the line search fails right after a history reset, or when _STALL
+    evaluation, scored by value; the gradient is taken only at the start and
+    at accepted steps the search goes on from.  Stops when the score is at
+    most tol, after `cap` evaluations, when the projected gradient vanishes,
+    when the line search fails right after a history reset, or when _STALL
     accepted steps together lower the score by less than a relative
     _STALL_DROP.  Returns (params, score, evaluations).
     """
-    f, grad = _value_and_gradient(g, x0, h, p)
-    used = 1
+    f, finish = _value_and_gradient(g, x0, h, p)
+    grad, used = finish(), 1
     pairs = collections.deque(maxlen=_HISTORY)  # (s, y, 1 / s.y)
     recent = collections.deque([f], maxlen=_STALL + 1)  # accepted scores
     while f > tol and used < cap:
@@ -316,7 +324,7 @@ def _lbfgs(g, x0, h, p, lo, hi, cap, tol):
             q = np.minimum(hi, np.maximum(lo, p + step * d))
             if used >= cap or not np.any(q != p):
                 break
-            fq, gq = _value_and_gradient(g, x0, h, q)
+            fq, finish = _value_and_gradient(g, x0, h, q)
             used += 1
             if fq <= tol or fq < f and fq - f <= _ARMIJO * (grad @ (q - p)):
                 moved = True
@@ -327,14 +335,16 @@ def _lbfgs(g, x0, h, p, lo, hi, cap, tol):
                 break
             pairs.clear()  # retry from p by steepest descent
             continue
+        recent.append(fq)
+        if (fq <= tol or used >= cap or len(recent) > _STALL
+                and recent[0] - fq < _STALL_DROP * recent[0]):
+            return q, fq, used  # the search ends here: no gradient needed
+        gq = finish()
         s, y = q - p, gq - grad
         sy = s @ y
         if sy > 1e-10 * (y @ y):  # keep only positive curvature
             pairs.append((s, y, 1.0 / sy))
         p, f, grad = q, fq, gq
-        recent.append(f)
-        if len(recent) > _STALL and recent[0] - f < _STALL_DROP * recent[0]:
-            break
     return p, f, used
 
 
@@ -449,7 +459,9 @@ def steer_state(g, x0, x1, delta, tol=1e-3, budget=40000, seed=0):
     each, N_STARTS random starts are scored and the best are refined by
     projected L-BFGS on the exact gradient.  The objective is the
     projective infidelity 1 - |<x1, x(T)>|^2.  `evaluations` counts start
-    scores and objective+gradient calls.  Deterministic for a fixed seed.
+    scores and refinement trial points, each scored by value; the gradient
+    is taken only at points a refinement steps from.  Deterministic for a
+    fixed seed.
     When the budget runs out first, the best control found is returned
     tagged unconverged.
     """

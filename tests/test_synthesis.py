@@ -1,5 +1,6 @@
 """Tests for control containers, steering search, lift and phase correction."""
 
+import collections
 import json
 import math
 import time
@@ -350,10 +351,12 @@ def test_phase_distance_is_sector_minimum(p):
 
 
 def test_reported_evaluations_are_objective_calls(monkeypatch):
-    # evaluations count objective(+gradient) calls of the search: each start
-    # score and each L-BFGS trial point calls h once, and one more call
-    # scores x0 itself before the search; the starts of a piece count share
-    # one kernel call, so kernel calls stay fewer than evaluations
+    # evaluations count objective calls of the search: each start score and
+    # each L-BFGS trial point, scored by value, calls h once (the gradient,
+    # taken only at points the refinement steps from, reuses that call's
+    # cotangent), and one more call scores x0 itself before the search; the
+    # starts of a piece count share one kernel call, so kernel calls stay
+    # fewer than evaluations
     scored, calls = [], []
     steer, factors = synthesis._steer, synthesis._piece_factors
 
@@ -458,7 +461,8 @@ def objectives(draw):
 @given(objectives())
 def test_gradient_matches_central_differences(case):
     g, x0, h, p, end = case
-    value, grad = synthesis._value_and_gradient(g, x0, h, p)
+    value, finish = synthesis._value_and_gradient(g, x0, h, p)
+    grad = finish()
     assert value == h(full_pass(g, x0, p))[0]
     if end is not None:  # theta sits at the sector end, also near p
         g0, g1, sector = end
@@ -501,7 +505,7 @@ def refinements(draw):
 @given(refinements())
 def test_lbfgs_invariants(case):
     g, x0, h, p, lo, hi, cap, tol = case
-    trials = []  # (point, value) of every objective+gradient call
+    trials = []  # (point, value) of every evaluation
     value_and_gradient = synthesis._value_and_gradient
 
     def spy(g, x0, h, q):
@@ -534,13 +538,153 @@ def test_lbfgs_returns_at_tol_even_short_of_armijo():
     start = np.array([1.0, 1.0])
 
     def surface(g, x0, h, q):
-        return (1.0 if np.array_equal(q, start) else 0.99), np.full(2, 100.0)
+        value = 1.0 if np.array_equal(q, start) else 0.99
+        return value, lambda: np.full(2, 100.0)
 
     with mock.patch.object(synthesis, "_value_and_gradient", surface):
         q, score, used = synthesis._lbfgs(None, None, None, start,
                                           np.zeros(2), np.full(2, 5.0),
                                           50, 0.995)
     assert (score, used) == (0.99, 2) and np.array_equal(q, [0.0, 0.0])
+
+
+def always_gradient_lbfgs(g, x0, h, p, lo, hi, cap, tol, steps_from=None):
+    """The projected L-BFGS refinement as it ran when every trial point took
+    its gradient, kept here as the reference for the value-only trials.
+    steps_from, when given, collects the trial index of each point the
+    search computes a direction from (once per attempt)."""
+    def evaluate(q):
+        value, finish = synthesis._value_and_gradient(g, x0, h, q)
+        return value, finish()
+
+    f, grad = evaluate(p)
+    used, at = 1, 0
+    pairs = collections.deque(maxlen=synthesis._HISTORY)
+    recent = collections.deque([f], maxlen=synthesis._STALL + 1)
+    while f > tol and used < cap:
+        if steps_from is not None:
+            steps_from.append(at)
+        free = ~(((p <= lo) & (grad > 0)) | ((p >= hi) & (grad < 0)))
+        top = np.max(np.abs(grad * free))
+        if not top > synthesis._GRAD_FLOOR:
+            break
+        if pairs:
+            d = -synthesis._two_loop(grad * free, pairs) * free
+        if not pairs or not d @ grad < 0:
+            pairs.clear()
+            d = -grad * free / top
+        step, moved = 1.0, False
+        for _ in range(synthesis._HALVINGS):
+            q = np.minimum(hi, np.maximum(lo, p + step * d))
+            if used >= cap or not np.any(q != p):
+                break
+            fq, gq = evaluate(q)
+            used += 1
+            if fq <= tol or fq < f and fq - f <= synthesis._ARMIJO * (
+                    grad @ (q - p)):
+                moved = True
+                break
+            step *= 0.5
+        if not moved:
+            if not pairs:
+                break
+            pairs.clear()
+            continue
+        s, y = q - p, gq - grad
+        sy = s @ y
+        if sy > 1e-10 * (y @ y):
+            pairs.append((s, y, 1.0 / sy))
+        p, f, grad, at = q, fq, gq, used - 1
+        recent.append(f)
+        if (len(recent) > synthesis._STALL
+                and recent[0] - f < synthesis._STALL_DROP * recent[0]):
+            break
+    return p, f, used
+
+
+def counting_gradients(values, finished):
+    """A _value_and_gradient that appends each trial's value to `values` and
+    the trial index of each gradient it finishes to `finished`."""
+    real = synthesis._value_and_gradient
+
+    def spy(g, x0, h, q):
+        value, finish = real(g, x0, h, q)
+        k = len(values)
+        values.append(value)
+
+        def counted():
+            finished.append(k)
+            return finish()
+
+        return value, counted
+
+    return spy
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(refinements())
+def test_lbfgs_matches_always_gradient_loop(case):
+    g, x0, h, p, lo, hi, cap, tol = case
+    values, finished, steps_from = [], [], []
+    with mock.patch.object(synthesis, "_value_and_gradient",
+                           counting_gradients(values, finished)):
+        q, score, used = synthesis._lbfgs(g, x0, h, p, lo, hi, cap, tol)
+    q0, score0, used0 = always_gradient_lbfgs(g, x0, h, p, lo, hi, cap, tol,
+                                              steps_from)
+    assert q.tobytes() == q0.tobytes()
+    assert float(score).hex() == float(score0).hex() and used == used0
+    # a gradient once at the start, then once per accepted step the search
+    # goes on from: never at a rejected trial, twice at one point, or at a
+    # step that ends the search by reaching tol
+    assert finished == [0] + [k for k in dict.fromkeys(steps_from) if k]
+    assert all(values[k] > tol for k in finished[1:])
+
+
+QUICKSTART = custom_system([0.0, 1.0, 1.0 + math.sqrt(2.0)],
+                           [[0.0, 0.4, 0.1], [0.4, 0.0, 0.4],
+                            [0.1, 0.4, 0.0]])
+
+
+def quickstart_e1_e3():
+    return steer_state(truncate(QUICKSTART, 3), basis(3, 0), basis(3, 2),
+                       delta=0.1, tol=1e-3, seed=1)
+
+
+def fixed3_target(g):
+    """A reachable target: three reparametrized pieces on the quick-start
+    system."""
+    target = np.eye(3, dtype=complex)
+    for t, u in ((0.7, 0.5), (1.3, 2.0), (0.4, 0.9)):
+        target = expm_skew(u * g.A + g.B, t) @ target
+    return target
+
+
+def fixed3_reduced():
+    g = truncate(QUICKSTART, 3)
+    return steer_unitary(g, np.eye(3, dtype=complex), fixed3_target(g),
+                         delta=0.1, tol=1e-3, budget=3000, seed=0)
+
+
+@pytest.mark.parametrize("search", [quickstart_e1_e3, fixed3_reduced])
+def test_seeded_searches_match_always_gradient_loop(search):
+    def answer(r):
+        return ([(t.hex(), u.hex()) for t, u in r.control.pieces],
+                r.evaluations, r.converged,
+                float(getattr(r, "theta", math.nan)).hex(),
+                float(getattr(r, "infidelity", getattr(r, "distance",
+                                                       math.nan))).hex())
+
+    new = answer(search())
+    with mock.patch.object(synthesis, "_lbfgs", always_gradient_lbfgs):
+        assert new == answer(search())
+
+
+def test_quickstart_search_takes_fewer_gradients_than_evaluations():
+    values, finished = [], []
+    with mock.patch.object(synthesis, "_value_and_gradient",
+                           counting_gradients(values, finished)):
+        r = quickstart_e1_e3()
+    assert r.converged and 0 < len(finished) < len(values) < r.evaluations
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -572,15 +716,9 @@ def test_search_starts_score_full_passes(case):
 
 
 def test_steer_unitary_reaches_fixed3_target():
-    # a reachable target built from three reparametrized pieces on the
-    # quick-start system
-    s = custom_system([0.0, 1.0, 1.0 + math.sqrt(2.0)],
-                      [[0.0, 0.4, 0.1], [0.4, 0.0, 0.4], [0.1, 0.4, 0.0]])
-    g = truncate(s, 3)
+    g = truncate(QUICKSTART, 3)
     eye = np.eye(3, dtype=complex)
-    target = eye
-    for t, u in ((0.7, 0.5), (1.3, 2.0), (0.4, 0.9)):
-        target = expm_skew(u * g.A + g.B, t) @ target
+    target = fixed3_target(g)
     r = steer_unitary(g, eye, target, delta=0.1, tol=1e-3, seed=0)
     assert r.converged and r.distance <= 1e-3
     U = final_state(g, r.control, eye)
