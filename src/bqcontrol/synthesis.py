@@ -579,6 +579,9 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
     Coarse pass over lo + k step (k < points) with Lipschitz slack, then 129
     fine points around each surviving candidate; a fine minimum within one
     fine-cell slack of tol is zoomed onto before it is accepted or dropped.
+    The coarse pass filters one frequency at a time, each on the survivors
+    of the ones before: the same candidates, in the same order and bit for
+    bit, as testing the max over all frequencies at every point.
     Raises PhaseSearchError once all `points` coarse points are scanned.
     """
     lipschitz = float(np.max(np.abs(freqs)))
@@ -594,7 +597,9 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
     slack = tol + 0.5 * step * lipschitz
     for start in range(0, points, _SCAN_CHUNK):
         grid = lo + step * np.arange(start, min(start + _SCAN_CHUNK, points))
-        for g in grid[resid(grid) <= slack]:
+        for f, t in zip(freqs, targets):
+            grid = grid[_circ_dist(f * grid, t) <= slack]
+        for g in grid:
             fine = np.clip(g + 0.5 * step * unit, lo, None)
             fr = resid(fine)
             if fr.min() > tol + 0.5 * cell * lipschitz:
@@ -623,9 +628,9 @@ def lift_control(target, sys, n, N, phase_tol=0.05):
     those of w within phase_tol for j <= n, alternating between plateaus
     that also match on the upper block (w-type) and plateaus offset by pi
     there (z-type), which makes the upper off-diagonal block of the
-    conjugated coupling average out.  The output control is the piecewise-constant derivative of the resulting
-    sawtooth: a fast ramp to each plateau time followed by a hold of slope
-    delta_bar = 2 delta.
+    conjugated coupling average out.  The output control is the
+    piecewise-constant derivative of the resulting sawtooth: a fast ramp to
+    each plateau time followed by a hold of slope delta_bar = 2 delta.
 
     Each plateau time is searched on a grid of step pi / (4 max|lambda_1 -
     lambda_j|) over at most MAX_SCAN_POINTS points; PhaseSearchError names the
