@@ -18,19 +18,20 @@ from .certification import certify
 from .linalg import EigendecompositionError, _check_array
 from .models import (
     QuadratureError,
+    _cells,
     _read_json,
     _write_json,
-    _write_table,
+    _write_text,
     custom_system,
     dump_system,
     system_from_config,
     truncate,
 )
 from .simulation import (
+    _write_trajectory,
     fidelity,
     propagate,
     steering_time_lower_bound,
-    write_trajectory_csv,
 )
 from .synthesis import (
     dump_control,
@@ -242,10 +243,14 @@ def _cmd_simulate(system, sec, out_dir, args):
     order = _number(sec, "simulate", "order", system.levels, int)
     g = _galerkin_at(system, order)
     psi0 = _parse_state(sec, "simulate", "state", order)
+    target = (None if sec.get("target") is None
+              else _parse_state(sec, "simulate", "target", order))
     traj = propagate(g, control, psi0,
                      samples_per_piece=_number(sec, "simulate", "samples", 16,
                                                int))
-    write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
+    _write_trajectory(traj, os.path.join(out_dir, "trajectory.csv"),
+                      os.path.join(out_dir, "trajectory.plot.dat")
+                      if args.plot else None)
 
     result = {
         "order": order,
@@ -253,13 +258,10 @@ def _cmd_simulate(system, sec, out_dir, args):
         "total_duration": control.total_duration,
         "norm_drift": traj.norm_drift,
     }
-    if sec.get("target") is not None:
-        target = _parse_state(sec, "simulate", "target", order)
+    if target is not None:
         final = traj.final
         result["fidelity"] = fidelity(target, final)
         result["norm_distance"] = float(np.linalg.norm(final - target))
-    if args.plot:
-        _plot_trajectory(traj, os.path.join(out_dir, "trajectory.plot.dat"))
     return {"result": result}, EXIT_OK
 
 
@@ -285,13 +287,7 @@ def _plot_control(control, path):
         rows.append((t, val))
         t += dur
         rows.append((t, val))
-    _write_table(path, ["t", "u"], rows, sep=" ", prefix="# ")
-
-
-def _plot_trajectory(traj, path):
-    names = ["t"] + [f"pop_{k}" for k in range(traj.populations.shape[1])]
-    table = np.column_stack([traj.times, traj.populations])
-    _write_table(path, names, table.tolist(), sep=" ", prefix="# ")
+    _write_text(path, "# t u\n" + "".join(r + "\n" for r in _cells(rows, " ")))
 
 
 # each writes its artifacts and returns (report fields, exit code); `model`,

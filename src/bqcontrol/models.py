@@ -468,12 +468,13 @@ def _write_text(path, text):
         raise
 
 
-def _write_table(path, names, rows, sep=",", prefix=""):
-    """Atomic text table: a header line of column names, then one line per
-    row with every number printed as %.17g, which round-trips a double."""
-    row = sep.join(["%.17g"] * len(names)) + "\n"
-    _write_text(path, prefix + sep.join(names) + "\n"
-                + "".join(row % tuple(r) for r in rows))
+def _cells(rows, sep=","):
+    """Each row of a table (a 2-D array or a list of rows) as text: its
+    numbers printed %.17g, which round-trips a double, joined by sep."""
+    if len(rows) == 0:
+        return []
+    row = sep.join(["%.17g"] * len(rows[0]))
+    return [row % tuple(r) for r in np.asarray(rows, dtype=float).tolist()]
 
 
 def _plain(x):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import (_check_array, _check_int, _check_real, _partial_products,
                      _piece_factors)
-from .models import Record, _write_table
+from .models import Record, _cells, _write_text
 
 __all__ = [
     "Trajectory",
@@ -35,6 +35,9 @@ STATE_ATOL = 1e-10
 DENSITY_HERM_ATOL = 1e-12
 DENSITY_EIG_ATOL = 1e-10
 DRIFT_SLACK = 1e-8  # margin shortfall modulus_drift_check forgives
+# stored entries a sampled trajectory may hold (rows * n for states, rows * n^2
+# for densities): 256 MiB of complex numbers; larger requests are refused
+MAX_TRAJECTORY_ENTRIES = 2**24
 
 
 def as_state(x):
@@ -97,9 +100,15 @@ def _sample(g, c, x, s):
     """(times, xs): x carried through the control, s equispaced samples per
     piece.  times starts at 0 and holds each piece's sample times, its end
     included; xs[j] is the running product of x with the exact 1/s-step
-    propagators up to times[j].  x must have g.order rows."""
+    propagators up to times[j].  x must have g.order rows.  A trajectory of
+    more than MAX_TRAJECTORY_ENTRIES stored entries raises ValueError before
+    anything is allocated."""
     if len(x) != g.order:
         raise ValueError(f"state dimension {len(x)} != order {g.order}")
+    rows = 1 + c.npieces * s
+    if rows * x.size > MAX_TRAJECTORY_ENTRIES:
+        raise ValueError(f"{rows} samples of {x.size} entries each exceed the "
+                         f"bound of {MAX_TRAJECTORY_ENTRIES} stored entries")
     steps = _piece_factors(g.A, g.B, c.durations / s, c.values, c.frame)[-1]
     xs = _partial_products(x, [U for U in steps for _ in range(s)])
     # piece start times, summed one piece at a time
@@ -244,7 +253,15 @@ def write_trajectory_csv(traj, path):
     State trajectories: t, re_0, im_0, ..., pop_0, ...
     Density trajectories: t, eig_0, ..., purity.
     """
+    _write_trajectory(traj, path)
+
+
+def _write_trajectory(traj, path, plot_path=None):
+    """write_trajectory_csv, and for a state trajectory with plot_path the
+    gnuplot table of t, pop_0, ...: the CSV's own fields, separated by
+    spaces, so every number is formatted once."""
     n = traj.states.shape[1]
+    t = _cells(traj.times[:, None])
     if traj.kind == "state":
         header = (
             ["t"]
@@ -252,15 +269,21 @@ def write_trajectory_csv(traj, path):
             + [f"pop_{k}" for k in range(n)]
         )
         # the float view interleaves re/im in header order
-        states = np.ascontiguousarray(traj.states, dtype=complex).view(float)
-        table = np.column_stack([traj.times, states, traj.populations])
+        amp = _cells(np.ascontiguousarray(traj.states, dtype=complex)
+                     .view(float))
+        pop = _cells(traj.populations)
+        body = [f"{a},{b},{c}\n" for a, b, c in zip(t, amp, pop)]
     elif traj.kind == "density":
         header = ["t"] + [f"eig_{k}" for k in range(n)] + ["purity"]
         purity = np.real(np.trace(traj.states @ traj.states, axis1=1, axis2=2))
-        table = np.column_stack(
-            [traj.times, np.linalg.eigvalsh(traj.states), purity]
-        )
+        rest = _cells(np.column_stack([np.linalg.eigvalsh(traj.states),
+                                       purity]))
+        body = [f"{a},{b}\n" for a, b in zip(t, rest)]
     else:
         raise ValueError(f"unknown trajectory kind {traj.kind!r}")
+    _write_text(path, ",".join(header) + "\n" + "".join(body))
 
-    _write_table(path, header, table.tolist())
+    if plot_path is not None:
+        names = ["t"] + [f"pop_{k}" for k in range(n)]
+        _write_text(plot_path, "# " + " ".join(names) + "\n" + "".join(
+            [f"{a} {c.replace(',', ' ')}\n" for a, c in zip(t, pop)]))

@@ -69,6 +69,7 @@ MAX_SCAN_POINTS = 2**24  # work bound of one torus-return scan, in grid points
 SUBDIVISIONS = 8  # plateaus per target piece in lift_control
 _FINE = 129  # fine points per coarse cell of a torus-return scan
 _SCAN_CHUNK = 65536  # coarse points evaluated per vectorized pass
+_FINE_BLOCK = 2**15  # fine-pass elements (frequencies x points) per pass
 _HISTORY = 10  # curvature pairs an L-BFGS refinement keeps
 _ARMIJO = 1e-4  # fraction of the predicted drop a step must achieve
 _HALVINGS = 20  # step halvings before a line search fails
@@ -572,6 +573,40 @@ def _circ_dist(a, b):
     return np.abs(d)
 
 
+def _reachable(f, t, lo, step, slack, start, stop):
+    """The k in [start, stop), in order, at which _circ_dist(f * (lo + step
+    k), t) <= slack can hold: a superset found in closed form.
+
+    The phase is affine in k, so those k form one run per 2 pi winding.
+    Each run is widened by one grid step plus a bound (64 eps of the
+    magnitudes involved) on the rounding of the scan's test and of the
+    run ends.  All of [start, stop) comes back when the runs would cover
+    it anyway (slack near pi or a coarse phase step) or the phase step
+    f step is zero, subnormal or not finite.
+    """
+    f, t, lo, step, slack = map(float, (f, t, lo, step, slack))  # quiet inf
+    two_pi = 2.0 * math.pi
+    b = f * step
+    B = abs(b)
+    L = stop - start
+    S = slack + 64.0 * math.ulp(1.0) * (
+        abs(f) * (abs(lo) + abs(step) * stop) + abs(t) + 2.0 * two_pi)
+    if not (B >= sys.float_info.min and 2.0 * (S + B) < two_pi):
+        return np.arange(start, stop)
+    x = f * (lo + step * start) - t  # the phase offset at k = start
+    r = math.copysign(1.0, b) * (x - two_pi * round(x / two_pi))
+    # run m holds the j = k - start with |r + B j - 2 pi m| <= S, widened
+    centre = two_pi * np.arange(math.floor((r - S - B) / two_pi),
+                                math.floor((r + S + B * L) / two_pi) + 2) - r
+    first = np.ceil(np.clip(centre - S - B, 0.0, B * L) / B).astype(np.int64)
+    end = np.minimum(np.floor(np.clip(centre + S + B, -B, B * L) / B)
+                     .astype(np.int64) + 1, L)
+    first[1:] = np.maximum(first[1:], end[:-1])  # rounding cannot overlap runs
+    size = np.maximum(end - first, 0)
+    return start + np.arange(size.sum()) + np.repeat(first - np.cumsum(size)
+                                                     + size, size)
+
+
 def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
     """(s, residual): the first s >= lo found whose residual
     max_j arc(freqs_j s, targets_j) is <= tol.
@@ -579,39 +614,57 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
     Coarse pass over lo + k step (k < points) with Lipschitz slack, then 129
     fine points around each surviving candidate; a fine minimum within one
     fine-cell slack of tol is zoomed onto before it is accepted or dropped.
-    The coarse pass filters one frequency at a time, each on the survivors
-    of the ones before: the same candidates, in the same order and bit for
-    bit, as testing the max over all frequencies at every point.
-    Raises PhaseSearchError once all `points` coarse points are scanned.
+    The coarse pass builds the grid only at the k the pivot (the nonzero
+    frequency of least |f|) can pass at (_reachable), then filters one
+    frequency at a time, the pivot included, each on the survivors of the
+    ones before.  The fine pass runs on blocks of survivors, which are then
+    accepted strictly in order.  Candidates, their order and (s, residual)
+    are bit for bit those of testing the max over all frequencies at every
+    point.  Raises PhaseSearchError once all `points` coarse points are
+    scanned; `points` is first cut to keep |lo + k step| below
+    max double / (4 max(1, max|f|)), so no grid point or phase overflows
+    (to 0 when lo or step is not finite).
     """
     lipschitz = float(np.max(np.abs(freqs)))
     if lipschitz == 0.0:
         points = 1  # the residual is constant: one point settles it
+    reach = sys.float_info.max / (4.0 * max(1.0, lipschitz)) - abs(lo)
+    if not float(step) * points <= reach:
+        points = (int(reach // step) + 1 if reach >= 0.0 and math.isfinite(step)
+                  else 0)
+    # a zero pivot (all frequencies zero) scans every point
+    pivot = int(np.argmin(np.where(freqs != 0.0, np.abs(freqs), np.inf)))
 
-    def resid(s):  # (freqs, points) layout: the max runs over long rows
-        d = _circ_dist(np.multiply.outer(freqs, s), targets[:, None])
+    def resid(s):  # (freqs, ...) layout: the max runs over the first axis
+        d = _circ_dist(np.multiply.outer(freqs, s),
+                       targets.reshape((-1,) + (1,) * np.ndim(s)))
         return np.max(d, axis=0)
 
     unit = np.linspace(-1.0, 1.0, _FINE)
     cell = step / (_FINE - 1)  # fine-point spacing around a candidate
     slack = tol + 0.5 * step * lipschitz
+    rows = max(1, _FINE_BLOCK // (_FINE * len(freqs)))
     for start in range(0, points, _SCAN_CHUNK):
-        grid = lo + step * np.arange(start, min(start + _SCAN_CHUNK, points))
+        grid = lo + step * _reachable(freqs[pivot], targets[pivot], lo, step,
+                                      slack, start,
+                                      min(start + _SCAN_CHUNK, points))
         for f, t in zip(freqs, targets):
             grid = grid[_circ_dist(f * grid, t) <= slack]
-        for g in grid:
-            fine = np.clip(g + 0.5 * step * unit, lo, None)
-            fr = resid(fine)
-            if fr.min() > tol + 0.5 * cell * lipschitz:
-                continue
-            span = cell
-            for _ in range(3):  # each zoom narrows the cell 64-fold
-                fine = np.clip(fine[np.argmin(fr)] + span * unit, lo, None)
-                fr = resid(fine)
-                span *= 2.0 / (_FINE - 1)
-            b = int(np.argmin(fr))
-            if fr[b] <= tol:
-                return float(fine[b]), float(fr[b])
+        for i in range(0, len(grid), rows):
+            fines = np.clip(grid[i:i + rows, None] + 0.5 * step * unit, lo,
+                            None)
+            frs = resid(fines)
+            # not <=: a NaN minimum goes on to the zoom, which drops it
+            near = ~(frs.min(axis=1) > tol + 0.5 * cell * lipschitz)
+            for fine, fr in zip(fines[near], frs[near]):
+                span = cell
+                for _ in range(3):  # each zoom narrows the cell 64-fold
+                    fine = np.clip(fine[np.argmin(fr)] + span * unit, lo, None)
+                    fr = resid(fine)
+                    span *= 2.0 / (_FINE - 1)
+                b = int(np.argmin(fr))
+                if fr[b] <= tol:
+                    return float(fine[b]), float(fr[b])
     raise PhaseSearchError(
         f"no s with phase residual <= {tol:.6g} in [{lo:.6g}, "
         f"{lo + points * step:.6g}] ({points} grid points of step {step:.6g}) "
@@ -634,9 +687,11 @@ def lift_control(target, sys, n, N, phase_tol=0.05):
 
     Each plateau time is searched on a grid of step pi / (4 max|lambda_1 -
     lambda_j|) over at most MAX_SCAN_POINTS points; PhaseSearchError names the
-    scanned interval when the bound is hit.  A gap relation that makes the
-    z-type targets unreachable raises PhaseSearchError naming it before any
-    scan.
+    scanned interval when the bound is hit.  The scan tests every frequency
+    only at the grid points where the slowest frequency's phase can pass its
+    own test (one run of points per 2 pi winding, found in closed form).  A
+    gap relation that makes the z-type targets unreachable raises
+    PhaseSearchError naming it before any scan.
     """
     if target.frame != "reparametrized":
         raise ValueError("lift_control expects a reparametrized-frame target")

@@ -7,10 +7,15 @@ import re
 import subprocess
 import sys
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
 import bqcontrol
+from bqcontrol import cli, simulation
 from bqcontrol.cli import dispatch
+from bqcontrol.simulation import Trajectory, propagate
 from bqcontrol.synthesis import PiecewiseConstantControl, dump_control
 
 TWO_LEVEL = {"lambda": [0.0, 1.0], "W": [[0.0, 0.5], [0.5, 0.0]]}
@@ -571,6 +576,119 @@ def test_simulate_nonfinite_control_fails_closed(capsys, tmp_path, piece):
         text = f.read_text()
         assert "NaN" not in text and "Infinity" not in text
         assert "nan" not in text and "inf" not in text
+
+
+def _reference_tables(traj):
+    """trajectory.csv and trajectory.plot.dat of a state trajectory, built
+    by printing every number on its own with "%.17g"."""
+    n = traj.states.shape[1]
+    csv = [",".join(["t"] + [f"{p}_{k}" for k in range(n) for p in ("re", "im")]
+                    + [f"pop_{k}" for k in range(n)])]
+    plot = ["# " + " ".join(["t"] + [f"pop_{k}" for k in range(n)])]
+    for t, psi, pop in zip(traj.times, traj.states, traj.populations):
+        amp = [x for z in psi for x in (z.real, z.imag)]
+        csv.append(",".join("%.17g" % x for x in [t, *amp, *pop]))
+        plot.append(" ".join("%.17g" % x for x in [t, *pop]))
+    return ("".join(line + "\n" for line in csv).encode(),
+            "".join(line + "\n" for line in plot).encode())
+
+
+def _simulate_plot(capsys, tmp_path, system, control, samples, make=None):
+    """Run `bqc simulate --plot`; (the trajectory it wrote, the out dir).
+    make(trajectory) replaces the propagated trajectory when given."""
+    dump_control(control, tmp_path / "u.json")
+    order = len(system["lambda"])
+    cfg = write_json(tmp_path / "c.json", {"system": system, "simulate": {
+        "control": "u.json", "order": order, "state": "e1",
+        "samples": samples}})
+    seen = []
+
+    def spy(*args, **kwargs):
+        traj = propagate(*args, **kwargs)
+        seen.append(make(traj) if make else traj)
+        return seen[-1]
+
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "propagate", spy):
+        code, err = run(capsys, "simulate", "--config", cfg, "--out", str(out),
+                        "--plot")
+    assert code == 0 and err == "" and len(seen) == 1
+    return seen[0], out
+
+
+@pytest.mark.parametrize("order", [2, 40])
+def test_simulate_plot_tables_match_per_number_reference(capsys, tmp_path,
+                                                         order):
+    rng = np.random.default_rng(order)
+    W = rng.normal(0.0, 0.3, (order, order))
+    system = {"lambda": np.cumsum(rng.uniform(0.5, 1.5, order)).tolist(),
+              "W": ((W + W.T) / 2.0).tolist()}
+    control = PiecewiseConstantControl(
+        "reparametrized", [(0.7, 1.3), (0.4, 2.1), (0.9, 0.6)], 0.1)
+    traj, out = _simulate_plot(capsys, tmp_path, system, control, 11)
+    assert len(traj.times) == 34
+    csv, plot = _reference_tables(traj)
+    assert (out / "trajectory.csv").read_bytes() == csv
+    assert (out / "trajectory.plot.dat").read_bytes() == plot
+
+
+EXTREME = [-0.0, 5e-324, -2.2e-311, 1e300, -1e300, 0.1, 1.0]
+
+
+@pytest.mark.parametrize("rows", [1, len(EXTREME)], ids=["one-row", "rows"])
+def test_simulate_plot_tables_print_extreme_values(capsys, tmp_path, rows):
+    # signed zeros, subnormals and 1e300 in every column, through the CLI
+    def extreme(traj):
+        x = np.array(EXTREME[:rows])
+        states = np.stack([x + 1j * x[::-1], x[::-1] - 1j * x], axis=1)
+        return Trajectory(x[::-1], states, np.stack([x, -x], axis=1), "state",
+                          traj.norm_drift)
+
+    control = PiecewiseConstantControl("reparametrized", [(0.8, 0.3)], 0.1)
+    traj, out = _simulate_plot(capsys, tmp_path, TWO_LEVEL, control, 2,
+                               extreme)
+    csv, plot = _reference_tables(traj)
+    assert (out / "trajectory.csv").read_bytes() == csv
+    assert (out / "trajectory.plot.dat").read_bytes() == plot
+    if rows > 1:
+        assert all(v in csv for v in (
+            b",-0,", b"4.9406564584124654e-324", b"-2.2000000000000822e-311",
+            b"1.0000000000000001e+300", b"-1.0000000000000001e+300"))
+
+
+def test_simulate_refuses_oversized_trajectory_before_allocating(capsys,
+                                                                 tmp_path):
+    # 1 + 2 pieces * 1e8 samples rows of 2 entries: refused up front
+    dump_control(PiecewiseConstantControl("reparametrized",
+                                          [(0.5, 0.3), (0.5, 0.7)], 0.1),
+                 tmp_path / "u.json")
+    cfg = write_json(tmp_path / "c.json", {"system": TWO_LEVEL, "simulate": {
+        "control": "u.json", "state": "e1", "samples": 100000000}})
+    out = tmp_path / "out"
+    with mock.patch.object(simulation, "_piece_factors",
+                           side_effect=AssertionError("allocated")):
+        code, err = run(capsys, "simulate", "--config", cfg, "--out", str(out))
+    assert code == 4
+    doc = diagnostic(err)
+    assert doc["error"] == "invalid-input"
+    assert doc["detail"].startswith("simulate: 200000001 samples")
+    assert str(simulation.MAX_TRAJECTORY_ENTRIES) in doc["detail"]
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_bad_target_fails_before_any_artifact(capsys, tmp_path):
+    dump_control(PiecewiseConstantControl("reparametrized", [(0.8, 0.3)], 0.1),
+                 tmp_path / "u.json")
+    cfg = write_json(tmp_path / "c.json", {"system": TWO_LEVEL, "simulate": {
+        "control": "u.json", "state": "e1", "target": "e9"}})
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "propagate",
+                           side_effect=AssertionError("propagated")):
+        code, err = run(capsys, "simulate", "--config", cfg, "--out", str(out),
+                        "--plot")
+    assert code == 4
+    assert "simulate.target" in diagnostic(err)["detail"]
+    assert list(out.iterdir()) == []
 
 
 CONTROL = {"frame": "reparametrized", "delta": 0.1,

@@ -2,12 +2,14 @@
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from bqcontrol.linalg import expm_skew
 from bqcontrol.models import custom_system, truncate
+from bqcontrol import simulation
 from bqcontrol.simulation import (
     Trajectory,
     as_density,
@@ -222,6 +224,38 @@ def test_modulus_drift_check_flags_violations():
     assert margins.min() < 0  # 0.1 * 0.5 budget cannot bridge a full swap
 
 
+# -- trajectory size bound ----------------------------------------------------
+
+
+def test_oversized_trajectories_refused_before_allocating():
+    c = PiecewiseConstantControl("reparametrized", [(0.5, 0.3), (0.5, 0.7)],
+                                 0.1)
+    g = truncate(THREE_LEVEL, 3)
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    with mock.patch.object(simulation, "_piece_factors",
+                           side_effect=AssertionError("allocated")):
+        with pytest.raises(ValueError, match=r"^200000001 samples of 3 "):
+            propagate(g, c, basis(3, 0), samples_per_piece=10**8)
+        # 3,000,001 rows are 9,000,003 state entries but 27,000,009 density ones
+        with pytest.raises(ValueError, match=r"^3000001 samples of 9 entries "
+                           r"each exceed the bound of 16777216 stored"):
+            propagate_density(g, c, rho0, samples_per_piece=1500000)
+
+
+def test_trajectory_bound_counts_stored_entries():
+    # 1 + 2 pieces * 4 samples = 9 rows of 3 entries: 27 pass a bound of 27
+    c = PiecewiseConstantControl("reparametrized", [(0.5, 0.3), (0.5, 0.7)],
+                                 0.1)
+    g = truncate(THREE_LEVEL, 3)
+    with mock.patch.object(simulation, "MAX_TRAJECTORY_ENTRIES", 27):
+        assert len(propagate(g, c, basis(3, 0), samples_per_piece=4).times) == 9
+        with pytest.raises(ValueError, match="9 samples of 9 entries"):
+            propagate_density(g, c, np.eye(3) / 3.0, samples_per_piece=4)
+    with mock.patch.object(simulation, "MAX_TRAJECTORY_ENTRIES", 26):
+        with pytest.raises(ValueError, match="bound of 26 stored entries"):
+            propagate(g, c, basis(3, 0), samples_per_piece=4)
+
+
 # -- CSV export -------------------------------------------------------------------
 
 
@@ -292,6 +326,11 @@ def test_trajectory_csv_matches_per_number_reference(tmp_path):
                    np.array([[1.0, 0.0], [-0.0, 1.0]]), "state", 0.0),
         Trajectory(np.array([-0.0]), signed_zero[None], np.ones((1, 2)),
                    "density", 0.0),
+        # subnormals and 1e300 in the times, eigenvalues and purities
+        Trajectory(np.array([5e-324, 1e300]),
+                   np.array([np.diag([1e150, 5e-324]),
+                             np.diag([-2.2e-311, 1e-160])]).astype(complex),
+                   np.ones((2, 2)), "density", 0.0),
     ]
     for i, traj in enumerate(trajs):
         path = tmp_path / f"t{i}.csv"

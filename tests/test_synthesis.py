@@ -3,11 +3,12 @@
 import collections
 import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bqcontrol import synthesis
@@ -848,10 +849,15 @@ def test_torus_return_lands_within_tol_or_raises(freqs, data, lo, tol, step):
 def _all_frequency_scan(freqs, targets, lo, tol, step,
                         points=synthesis.MAX_SCAN_POINTS):
     """Reference scan: the coarse pass tests the max over all frequencies at
-    every grid point, the fine and zoom stages as in synthesis."""
+    every grid point; the overflow cut of `points` and the fine and zoom
+    stages as in synthesis."""
     lipschitz = float(np.max(np.abs(freqs)))
     if lipschitz == 0.0:
         points = 1
+    reach = sys.float_info.max / (4.0 * max(1.0, lipschitz)) - abs(lo)
+    if not float(step) * points <= reach:
+        points = (int(reach // step) + 1 if reach >= 0.0 and math.isfinite(step)
+                  else 0)
 
     def resid(s):
         d = synthesis._circ_dist(np.multiply.outer(freqs, s), targets[:, None])
@@ -899,24 +905,31 @@ def _outcome(fn, *args, **kwargs):
 # zeros and repeated values come from the short pool
 _FREQ = st.one_of(st.sampled_from([0.0, 1.25, -2.5, 3.0]),
                   st.floats(-4.0, 4.0))
+# plus subnormal and large frequencies, whose phases f s reach 1e10 at lo = 1e6
+_WIDE_FREQ = st.one_of(_FREQ, st.sampled_from([5e-324, -2.2e-311, 1e-300]),
+                       st.floats(1e3, 1e4), st.floats(-1e4, -1e3))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    freqs=st.lists(_FREQ, min_size=1, max_size=6),
+    freqs=st.lists(_WIDE_FREQ, min_size=1, max_size=6),
     data=st.data(),
-    lo=st.floats(0.0, 50.0),
+    lo=st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e6)),
     tol=st.floats(1e-3, 0.5),
     step=st.floats(0.01, 1.0),
+    lift_step=st.booleans(),
     chunk=st.integers(1, 64),
     points=st.integers(1, 400),
 )
 def test_torus_return_matches_all_frequency_scan(freqs, data, lo, tol, step,
-                                                 chunk, points):
+                                                 lift_step, chunk, points):
     targets = np.array(data.draw(st.lists(
         st.floats(0.0, 2.0 * math.pi), min_size=len(freqs),
         max_size=len(freqs))))
     freqs = np.array(freqs)
+    fastest = float(np.max(np.abs(freqs)))
+    if lift_step and fastest >= 1.0:  # the lift's step: pi/4 per fastest cell
+        step = math.pi / (4.0 * fastest)
     # small chunks: scans cross chunks, end on a partial one and hit `points`
     with mock.patch.object(synthesis, "_SCAN_CHUNK", chunk):
         got = _outcome(synthesis._torus_return, freqs, targets, lo, tol, step,
@@ -924,6 +937,36 @@ def test_torus_return_matches_all_frequency_scan(freqs, data, lo, tol, step,
         want = _outcome(_all_frequency_scan, freqs, targets, lo, tol, step,
                         points=points)
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f=st.one_of(st.floats(1e-8, 1e4), st.floats(-1e4, -1e-8),
+                st.sampled_from([5e-324, 2.2e-311, 1e-300])),
+    ratio=st.floats(1.0, 1e3),
+    lo=st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e6),
+                 st.floats(0.0, 1e12)),
+    tol=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+    step=st.one_of(st.none(), st.floats(1e-9, 1.0)),
+    t=st.floats(0.0, 2.0 * math.pi),
+    start=st.integers(0, synthesis.MAX_SCAN_POINTS),
+    length=st.integers(1, 5000),
+)
+def test_reachable_keeps_every_passing_point(f, ratio, lo, tol, step, t,
+                                             start, length):
+    """The pivot pre-filter returns, in increasing order, every k of the
+    chunk whose coarse test passes; slack is the scan's, with the pivot
+    `ratio` times slower than the fastest frequency."""
+    if step is None:  # the lift's step, finite over the chunk
+        assume(abs(f) >= 1e-300)
+        step = math.pi / (4.0 * abs(f) * ratio)
+    slack = tol + 0.5 * step * abs(f) * ratio
+    stop = start + length
+    k = synthesis._reachable(f, t, lo, step, slack, start, stop)
+    assert np.all(np.diff(k) > 0) and np.all((start <= k) & (k < stop))
+    every = np.arange(start, stop)
+    passing = every[synthesis._circ_dist(f * (lo + step * every), t) <= slack]
+    assert np.isin(passing, k).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -953,8 +996,9 @@ def test_phase_correction_matches_all_frequency_scan(lam, v1, eps, chunk,
 
 def test_lift_scan_filters_frequencies_on_survivors():
     """4-frequency lift on the benchmark's 5-level lift spectrum: the scan
-    evaluates at most 40 % of the arcs the all-frequency scan does, and the
-    lift is bit for bit the same."""
+    evaluates at most 40 % of the arcs the all-frequency scan does, and at
+    most half of the 13,206,002 the per-frequency scan evaluated before the
+    pivot pre-filter; the lift is bit for bit the same."""
     lam = [0.0, 1.050147, 2.029601, 2.975209, 4.463352]
     W = 0.3 * (np.ones((5, 5)) - np.eye(5))
     raw = PiecewiseConstantControl("reparametrized", [(0.5, 0.8), (0.7, 1.5)],
@@ -979,6 +1023,7 @@ def test_lift_scan_filters_frequencies_on_survivors():
     assert new.pieces == old.pieces
     assert new.meta["plateaus"] == old.meta["plateaus"]
     assert n_new <= 0.4 * n_old
+    assert n_new <= 13_206_002 // 2
 
 
 def test_decoupling_error_trivial_cases():
@@ -1008,6 +1053,16 @@ def test_phase_correction_commensurate():
     assert pc.tau * pc.u == 1.0 + pc.v2  # product identity, exact
     assert pc.u > 0.5
     assert pc.tau <= 1.0
+
+
+@pytest.mark.parametrize("lam, points", [
+    (2.2250738585072014e-308, 1),  # step 3.5e307: a second point would be inf
+    (5e-324, 0),  # the step pi / 2e-323 itself overflows
+])
+def test_phase_correction_tiny_eigenvalue_ends_before_overflow(lam, points):
+    with pytest.raises(PhaseSearchError,
+                       match=rf"\({points} grid points of step"):
+        phase_correction([lam], 0.0, 0.1, 1e-3, 2.0)
 
 
 def test_phase_correction_single_eigenvalue():
