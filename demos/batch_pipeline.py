@@ -1,7 +1,9 @@
 """Drive the bqc command line end to end from one script.
 
-Writes a config, synthesizes a transfer, simulates the result at a higher
-truncation order, and prints the reports.  Everything lands in ./pipeline_out.
+Writes a config for an 8-level box, synthesizes a transfer on its lowest 3
+levels, verifies and simulates the control on the order-6 truncation of the
+stored levels, and prints the reports (the order-6 fidelity is whatever the
+coupling to levels 4-6 leaves).  Everything lands in ./pipeline_out.
 
 Run:  python3 demos/batch_pipeline.py
 """
@@ -16,10 +18,13 @@ os.makedirs(OUT, exist_ok=True)
 
 config = {
     "system": {
-        "lambda": [0.0, 1.0, 2.414213562373095],
-        "W": [[0.0, 0.4, 0.1], [0.4, 0.0, 0.4], [0.1, 0.4, 0.0]],
+        "model": "box3d",
+        "l": [1.0, 1.3, 1.7],
+        "alpha": [0.5, 0.7, 0.9],
+        "levels": 8,
     },
     "synthesize": {
+        "n": 3,
         "from": "e1",
         "to": "e3",
         "delta": 0.1,

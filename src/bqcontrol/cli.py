@@ -22,7 +22,6 @@ from .models import (
     _read_json,
     _write_json,
     _write_text,
-    custom_system,
     dump_system,
     system_from_config,
     truncate,
@@ -128,12 +127,11 @@ def _parse_state(sec, name, key, dim):
         pairs = [x if isinstance(x, list) else [x, 0.0] for x in spec]
         try:
             v = _check_array(pairs, field)
-        except ValueError as e:  # text, null or a ragged entry
+        except ValueError as e:  # text, a boolean, null or a ragged entry
             raise ConfigError(str(e)) from None
-        if v.shape != (len(spec), 2) or any(
-                isinstance(y, bool) for p in pairs for y in p):
-            raise ConfigError(f"{field} entries must be numbers (not "
-                              "booleans) or [re, im] pairs of them")
+        if v.shape != (len(spec), 2):
+            raise ConfigError(f"{field} entries must be numbers or [re, im] "
+                              "pairs of them")
         v = v.view(complex).ravel()  # each row (re, im) is one entry
         if v.size != dim:
             raise ConfigError(f"{field} has dimension {v.size}, expected {dim}")
@@ -145,25 +143,15 @@ def _parse_state(sec, name, key, dim):
     raise ConfigError(f"{field}: no state spec of type {type(spec).__name__}")
 
 
-def _galerkin_at(system, order):
-    """Truncation at `order`, zero-padding the coupling beyond stored levels.
-
-    Padding extends the spectrum with strictly growing gaps and leaves the
-    extra levels uncoupled, so trajectories started inside the stored block
-    are unchanged; it exists to let verification run at a higher order.
-    """
+def _galerkin_at(system, order, field):
+    """truncate(system, order) for the order read from config field `field`,
+    which must lie in [2, system.levels]: only stored levels are propagated."""
     if order < 2:
-        raise ConfigError(f"order must be >= 2, got {order}")
-    if order <= system.levels:
-        return truncate(system, order)
-    lam = list(system.lam)
-    gap = (lam[-1] - lam[0]) / max(1, len(lam) - 1) + 1.0
-    while len(lam) < order:
-        lam.append(lam[-1] + gap)
-        gap += 1.0
-    W = np.zeros((order, order))
-    W[: system.levels, : system.levels] = system.W
-    return truncate(custom_system(lam, W), order)
+        raise ConfigError(f"{field}: order must be >= 2, got {order}")
+    if order > system.levels:
+        raise ConfigError(f"{field}={order} exceeds the {system.levels} "
+                          "stored levels")
+    return truncate(system, order)
 
 
 def _cmd_certify(system, sec, out_dir, args):
@@ -187,7 +175,9 @@ def _cmd_synthesize(system, sec, out_dir, args):
     if order is not None and order < n:
         raise ConfigError(f"synthesize.verify_order ({order}) must be >= "
                           f"synthesize.n ({n})")
-    g = _galerkin_at(system, n)
+    g = _galerkin_at(system, n, "synthesize.n")
+    gv = (None if order is None
+          else _galerkin_at(system, order, "synthesize.verify_order"))
     x0 = _parse_state(sec, "synthesize", "from", n)
     x1 = _parse_state(sec, "synthesize", "to", n)
     seed = (args.seed if args.seed is not None
@@ -203,7 +193,6 @@ def _cmd_synthesize(system, sec, out_dir, args):
 
     verify = None
     if order is not None:
-        gv = _galerkin_at(system, order)
         pad = np.zeros(gv.order, dtype=complex)
         pad[:n] = x0
         traj = propagate(gv, result.control, pad, samples_per_piece=1)
@@ -241,7 +230,7 @@ def _cmd_simulate(system, sec, out_dir, args):
     except ValueError as e:  # malformed JSON, a bad piece or a non-finite number
         raise ConfigError(f"simulate.control {path}: {e}") from None
     order = _number(sec, "simulate", "order", system.levels, int)
-    g = _galerkin_at(system, order)
+    g = _galerkin_at(system, order, "simulate.order")
     psi0 = _parse_state(sec, "simulate", "state", order)
     target = (None if sec.get("target") is None
               else _parse_state(sec, "simulate", "target", order))

@@ -45,11 +45,12 @@ class EigendecompositionError(RuntimeError):
 
 
 def _check_real(x, name, lo=-math.inf, hi=math.inf, closed=False):
-    """float(x) when x is a number (numeric text is not), finite and
-    lo < x < hi (lo <= x when `closed`), else ValueError naming the argument;
-    NaN fails every test here."""
+    """float(x) when x is a number (numeric text and booleans are not),
+    finite and lo < x < hi (lo <= x when `closed`), else ValueError naming
+    the argument; NaN fails every test here."""
     try:
-        v = math.nan if isinstance(x, (str, bytes)) else float(x)
+        v = (math.nan if isinstance(x, (str, bytes, bool, np.bool_))
+             else float(x))
     except (TypeError, ValueError, OverflowError):
         v = math.nan
     if not (math.isfinite(v) and (lo <= v if closed else lo < v) and v < hi):
@@ -69,16 +70,26 @@ def _check_int(x, name, lo, hi=math.inf):
     return int(x)
 
 
+def _holds_bool(x):
+    """True when x is a boolean or a (nested) list or tuple holding one."""
+    if isinstance(x, (list, tuple)):
+        return any(map(_holds_bool, x))
+    return isinstance(x, (bool, np.bool_))
+
+
 def _check_array(x, name, dtype=float, square=False):
     """x as a `dtype` (float or complex) array of finite numbers, square when
-    `square`, else ValueError naming the argument: numeric text, None, ragged
-    lists and, for float, complex values fail."""
+    `square`, else ValueError naming the argument: numeric text, booleans
+    (in a list of numbers too), None, ragged lists and, for float, complex
+    values fail."""
     try:
         a = np.asarray(x)
     except ValueError:  # a ragged list
         raise ValueError(f"{name} must be a rectangular array") from None
+    if a.dtype.kind == "b" or _holds_bool(x):
+        raise ValueError(f"{name} must hold numbers, not booleans")
     real = dtype is float
-    if a.dtype.kind not in ("biuf" if real else "biufc"):
+    if a.dtype.kind not in ("iuf" if real else "iufc"):
         raise ValueError(f"{name} must hold {'real ' if real else ''}numbers, "
                          f"got {a.dtype} data")
     if square and (a.ndim != 2 or a.shape[0] != a.shape[1]):
@@ -187,11 +198,13 @@ def _piece_factors(A, B, durations, values, frame):
 
 
 def _partial_products(x, factors):
-    """[x, F_0 x, F_1 F_0 x, ...]: the running products of x with `factors`
-    in order, the one place a piecewise propagation is multiplied out."""
-    xs = [x]
-    for F in factors:
-        xs.append(F @ xs[-1])
+    """[x, F_0 x, F_1 F_0 x, ...] as one complex array of len(factors) + 1
+    rows: the running products of x with `factors` in order, the one place
+    a piecewise propagation is multiplied out."""
+    xs = np.empty((len(factors) + 1, *np.shape(x)), dtype=complex)
+    xs[0] = x
+    for F, a, b in zip(factors, xs, xs[1:]):
+        np.matmul(F, a, out=b)
     return xs
 
 

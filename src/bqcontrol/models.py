@@ -71,7 +71,7 @@ class DiscreteSpectrumSystem:
 
     def gaps(self, n=None):
         """Consecutive eigenvalue gaps lambda[k+1] - lambda[k] for k < n-1."""
-        n = self.levels if n is None else int(n)
+        n = self.levels if n is None else _check_int(n, "n", 1, self.levels)
         return np.diff(self.lam[:n])
 
 

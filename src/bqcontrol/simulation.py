@@ -99,10 +99,10 @@ class Trajectory:
 def _sample(g, c, x, s):
     """(times, xs): x carried through the control, s equispaced samples per
     piece.  times starts at 0 and holds each piece's sample times, its end
-    included; xs[j] is the running product of x with the exact 1/s-step
-    propagators up to times[j].  x must have g.order rows.  A trajectory of
-    more than MAX_TRAJECTORY_ENTRIES stored entries raises ValueError before
-    anything is allocated."""
+    included; row j of the array xs is the running product of x with the
+    exact 1/s-step propagators up to times[j].  x must have g.order rows.  A
+    trajectory of more than MAX_TRAJECTORY_ENTRIES stored entries raises
+    ValueError before anything is allocated."""
     if len(x) != g.order:
         raise ValueError(f"state dimension {len(x)} != order {g.order}")
     rows = 1 + c.npieces * s
@@ -128,7 +128,6 @@ def propagate(g, c, psi0, samples_per_piece=16):
     s = _check_int(samples_per_piece, "samples_per_piece", 1)
 
     times, states = _sample(g, c, psi, s)
-    states = np.array(states)
     pops = np.abs(states) ** 2
     drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     return Trajectory(times, states, pops, "state", drift)
@@ -146,16 +145,15 @@ def propagate_density(g, c, rho0, samples_per_piece=16):
         raise ValueError(f"density dimension {rho0.shape} != order {n}")
     s = _check_int(samples_per_piece, "samples_per_piece", 1)
 
-    ref = np.sort(np.linalg.eigvalsh(rho0))
-    times, Us = _sample(g, c, np.eye(n, dtype=complex), s)
-    mats = np.empty((len(Us), n, n), dtype=complex)  # no list to copy
+    ref = np.linalg.eigvalsh(rho0)  # ascending, as for every row below
+    times, mats = _sample(g, c, np.eye(n, dtype=complex), s)
     mats[0] = rho0
-    for k in range(1, len(Us)):
-        mats[k] = Us[k] @ rho0 @ Us[k].conj().T
+    for U in mats[1:]:  # overwrite each propagator U with U rho0 U^H
+        U[...] = U @ rho0 @ U.conj().T
     pops = np.real(np.einsum("tkk->tk", mats))
     traces = np.real(np.einsum("tkk->t", mats))
     drift = float(np.max(np.abs(traces - 1.0)))
-    spec = np.sort(np.linalg.eigvalsh(mats), axis=1)
+    spec = np.linalg.eigvalsh(mats)
     spec_drift = float(np.max(np.abs(spec - ref[None, :])))
     return Trajectory(times, mats, pops, "density", drift, spec_drift)
 

@@ -260,8 +260,7 @@ def _value_and_gradient(g, x0, h, p):
         Fh = np.swapaxes(F[:0:-1].conj(), -1, -2)
         lams = _partial_products(C, Fh)[::-1]
         Vh = np.swapaxes(V.conj(), -1, -2)
-        O = (Vh @ np.array(lams)).conj() @ np.swapaxes(Vh @ np.array(xs[:-1]),
-                                                       -1, -2)
+        O = (Vh @ lams).conj() @ np.swapaxes(Vh @ xs[:-1], -1, -2)
         half = 0.5 * t[:, None] * omega  # the exponents are -2i half
         diff = half[:, :, None] - half[:, None, :]
         sinc = np.divide(np.sin(diff), diff, out=np.ones_like(diff),

@@ -1,9 +1,10 @@
 """Every scalar and array argument of the public API fails closed.
 
-NaN, +inf and -inf, values outside a parameter's stated range and numeric
-text where a number belongs raise ValueError: never another exception and
-never a result.  So do None entries, complex entries where reals belong,
-ragged lists and non-square matrices where a square one belongs.
+NaN, +inf and -inf, values outside a parameter's stated range, and numeric
+text or booleans where a number belongs raise ValueError: never another
+exception and never a result.  So do None or boolean entries, complex
+entries where reals belong, ragged lists and non-square matrices where a
+square one belongs.
 """
 
 import math
@@ -56,6 +57,7 @@ C = PiecewiseConstantControl("reparametrized", [(0.5, 0.8)], 0.1)
 E0, E1 = np.eye(3, dtype=complex)[:2]
 BOX_L, BOX_ALPHA = (1.0, 1.3, 1.7), (0.5, 0.7, 0.9)
 NONFINITE = [math.nan, math.inf, -math.inf]
+NOT_REALS = NONFINITE + [True]
 
 
 def pc(**kw):
@@ -64,7 +66,8 @@ def pc(**kw):
     return phase_correction(**args)
 
 
-# (label, call taking the bad value, out-of-range finite values)
+# (label, call taking the bad value, out-of-range finite values); each also
+# gets NaN, +-inf and True
 REAL_ARGS = [
     ("tail_cutoff.mu", lambda x: tail_cutoff(SYS, 2, x), [0.0, -1.0]),
     ("oscillator_system.a", lambda x: oscillator_system(x, 0.3), [0.0, 1.0]),
@@ -93,7 +96,7 @@ REAL_ARGS = [
     ("steer_state.tol", lambda x: steer_state(G, E0, E1, delta=0.1, tol=x),
      [-1.0]),
     ("steer_state.x1",
-     lambda x: steer_state(G, E0, np.array([x, 0.0, 0.0]), delta=0.1), []),
+     lambda x: steer_state(G, E0, [x, 0.0, 0.0], delta=0.1), []),
     ("steer_unitary.delta",
      lambda x: steer_unitary(G, np.eye(3), np.eye(3), delta=x),
      [0.0, -1.0, 1e308]),
@@ -160,6 +163,7 @@ INT_ARGS = [
     ("propagate_density.samples_per_piece",
      lambda x: propagate_density(G, C, np.diag([1.0, 0.0, 0.0]),
                                  samples_per_piece=x), [0]),
+    ("DiscreteSpectrumSystem.gaps.n", lambda x: SYS.gaps(x), [-1, 2.7, 99]),
 ]
 NOT_INTEGERS = [math.nan, math.inf, -math.inf, 2.5, True]
 
@@ -195,8 +199,8 @@ SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
 UNIT = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # (label, call taking the array, a valid array, real, square): the call is
-# fed that array with its first entry made numeric text, None, NaN, +-inf
-# and (when real) complex, and as a ragged list and (when square) a
+# fed that array with its first entry made numeric text, None, NaN, +-inf,
+# True and (when real) complex, and as a ragged list and (when square) a
 # non-square matrix
 ARRAY_ARGS = [
     ("custom_system.lam", lambda x: custom_system(x, SYS.W), SYS.lam, True,
@@ -241,6 +245,7 @@ def bad_arrays(good, real, square):
 
     bad = [("text", first(str(good.flat[0]))), ("None", first(None))]
     bad += [(repr(v), first(v)) for v in NONFINITE]
+    bad.append(("bool", first(True)))
     if real:
         bad.append(("complex", first(1j)))
     rows = good.tolist()
@@ -256,7 +261,7 @@ def cases(table, bad):
             for label, call, extra in table for x in bad + extra]
 
 
-@pytest.mark.parametrize("call, value", cases(REAL_ARGS, NONFINITE))
+@pytest.mark.parametrize("call, value", cases(REAL_ARGS, NOT_REALS))
 def test_bad_real_argument_raises_value_error(call, value):
     with pytest.raises(ValueError):
         call(value)

@@ -15,13 +15,20 @@ import pytest
 import bqcontrol
 from bqcontrol import cli, simulation
 from bqcontrol.cli import dispatch
-from bqcontrol.simulation import Trajectory, propagate
-from bqcontrol.synthesis import PiecewiseConstantControl, dump_control
+from bqcontrol.models import system_from_config, truncate
+from bqcontrol.simulation import Trajectory, fidelity, propagate
+from bqcontrol.synthesis import (PiecewiseConstantControl, dump_control,
+                                 load_control)
 
 TWO_LEVEL = {"lambda": [0.0, 1.0], "W": [[0.0, 0.5], [0.5, 0.0]]}
 THREE_LEVEL = {
     "lambda": [0.0, 1.0, 2.5],
     "W": [[0.0, 0.4, 0.1], [0.4, 0.0, 0.4], [0.1, 0.4, 0.0]],
+}
+FOUR_LEVEL = {  # TWO_LEVEL's pair coupled to two more stored levels
+    "lambda": [0.0, 1.0, 2.5, 4.2],
+    "W": [[0.0, 0.5, 0.1, 0.05], [0.5, 0.0, 0.4, 0.1], [0.1, 0.4, 0.0, 0.3],
+          [0.05, 0.1, 0.3, 0.0]],
 }
 
 
@@ -95,8 +102,18 @@ def test_missing_section(capsys, tmp_path):
     ("simulate", '{"system": %s, "simulate": {"control": "u.json", '
      '"state": "e1", "order": 1}}' % json.dumps(THREE_LEVEL),
      "order must be >= 2, got 1"),
+    ("synthesize", '{"system": %s, "synthesize": {"from": "e1", "to": "e2", '
+     '"n": 4}}' % json.dumps(THREE_LEVEL),
+     "synthesize.n=4 exceeds the 3 stored levels"),
+    ("synthesize", '{"system": %s, "synthesize": {"from": "e1", "to": "e2", '
+     '"n": 2, "verify_order": 4}}' % json.dumps(THREE_LEVEL),
+     "synthesize.verify_order=4 exceeds the 3 stored levels"),
+    ("simulate", '{"system": %s, "simulate": {"control": "u.json", '
+     '"state": "e1", "order": 4}}' % json.dumps(THREE_LEVEL),
+     "simulate.order=4 exceeds the 3 stored levels"),
 ], ids=["root-list", "system-number", "certify-n-1", "control-number",
-        "simulate-order-1"])
+        "simulate-order-1", "synthesize-n-above-levels",
+        "verify-order-above-levels", "simulate-order-above-levels"])
 def test_config_shape_fails_closed(capsys, tmp_path, command, text, named):
     (tmp_path / "u.json").write_text(json.dumps(CONTROL))
     cfg = tmp_path / "c.json"
@@ -411,16 +428,16 @@ def test_system_overflow_is_a_system_spec_error(capsys, tmp_path):
 # -- synthesize ---------------------------------------------------------------
 
 
-def synth_cfg(tmp_path, **extra):
+def synth_cfg(tmp_path, system=TWO_LEVEL, **extra):
     sec = {"from": "e1", "to": "e2", "delta": 0.1, "tol": 1e-3,
            "budget": 20000, "seed": 7}
     sec.update(extra)
-    return write_json(tmp_path / "c.json", {"system": TWO_LEVEL,
+    return write_json(tmp_path / "c.json", {"system": system,
                                             "synthesize": sec})
 
 
 def test_synthesize_converges_and_verifies(capsys, tmp_path):
-    cfg = synth_cfg(tmp_path, verify_order=4)
+    cfg = synth_cfg(tmp_path, FOUR_LEVEL, n=2, verify_order=4)
     out = tmp_path / "out"
     code, err = run(capsys, "synthesize", "--config", cfg, "--out", str(out))
     assert code == 0 and err == ""
@@ -428,11 +445,14 @@ def test_synthesize_converges_and_verifies(capsys, tmp_path):
     result = report["result"]
     assert result["converged"] is True
     assert result["infidelity"] <= 1e-3
-    # the padded levels are uncoupled, so verification cannot lose fidelity
+    # verification propagates the control on the stored order-4 truncation
+    control = load_control(out / "control.json")
+    g = truncate(system_from_config(FOUR_LEVEL), 4)
+    e1, e2 = np.eye(4, dtype=complex)[:2]
+    final = propagate(g, control, e1, samples_per_piece=1).final
     assert result["verify"]["order"] == 4
-    assert result["verify"]["fidelity"] >= 1.0 - 2e-3
+    assert result["verify"]["fidelity"] == fidelity(e2, final)
     assert result["verify"]["norm_drift"] <= 1e-10
-    assert (out / "control.json").exists()
 
 
 def test_synthesize_unconverged_exit_three(capsys, tmp_path):
@@ -749,6 +769,13 @@ BOX = {"model": "box3d", "l": [1.0, 1.3, 1.7], "alpha": [0.5, 0.7, 0.9],
     ("bound", {"from": "e1", "to": 2}, None, "bound.to", THREE_LEVEL),
     ("bound", {"from": {"re": 1.0}, "to": "e2"}, None, "bound.from",
      THREE_LEVEL),
+    ("bound", {"from": "e1", "to": "e2"}, None, "lambda",
+     {**THREE_LEVEL, "lambda": [0.0, 1.0, True]}),
+    ("bound", {"from": "e1", "to": "e2"}, None, "b=True",
+     {**OSCILLATOR, "b": True}),
+    ("simulate", {"control": "u.json", "state": "e1"},
+     {**CONTROL, "pieces": [{"duration": True, "value": 0.3}]}, "duration",
+     THREE_LEVEL),
 ], ids=["tol-list", "Q-list", "max_depth-list", "Q-fraction", "n-null",
         "budget-list", "eps-object", "order-list", "piece-no-duration",
         "pieces-null", "certify-n-text", "certify-n-bool", "oscillator-a-text",
@@ -756,7 +783,7 @@ BOX = {"model": "box3d", "l": [1.0, 1.3, 1.7], "alpha": [0.5, 0.7, 0.9],
         "levels-text", "duration-text", "state-text", "state-bool",
         "state-pair-text", "control-meta-nan", "state-x2", "state-e",
         "state-e0", "state-e4-order3", "state-wrong-length", "state-number",
-        "state-object"])
+        "state-object", "lambda-bool", "oscillator-b-bool", "duration-bool"])
 def test_mistyped_config_fails_closed(capsys, tmp_path, command, sec, control,
                                       named, system):
     if control is not None:

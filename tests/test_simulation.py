@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -254,6 +255,36 @@ def test_trajectory_bound_counts_stored_entries():
     with mock.patch.object(simulation, "MAX_TRAJECTORY_ENTRIES", 26):
         with pytest.raises(ValueError, match="bound of 26 stored entries"):
             propagate(g, c, basis(3, 0), samples_per_piece=4)
+
+
+def _forty_level_density_run():
+    rng = np.random.default_rng(0)
+    W = rng.normal(size=(40, 40))
+    g = truncate(custom_system(np.cumsum(rng.uniform(0.5, 1.5, 40)),
+                               (W + W.T) / 2), 40)
+    c = random_control(rng, "reparametrized", 4)
+    rho0 = np.diag(np.arange(40.0, 0.0, -1.0) / 820.0)
+    return propagate_density(g, c, rho0, samples_per_piece=32)
+
+
+@pytest.mark.parametrize("run, multiple", [
+    (lambda: propagate(truncate(TWO_LEVEL, 2), PiecewiseConstantControl(
+        "reparametrized", [(0.7, 0.9), (1.1, 0.4)], 0.1), basis(2, 0),
+        samples_per_piece=20000), 3.0),
+    (_forty_level_density_run, 1.5),
+], ids=["state-n2-s20000", "density-n40-s32"])
+def test_trajectory_peak_memory_is_a_small_multiple_of_its_arrays(run,
+                                                                  multiple):
+    # the running products are written once, into the returned array: the
+    # peak is about 2.2x the returned bytes for states and 1.03x for
+    # densities, while one more copy of the rows would exceed each multiple
+    tracemalloc.start()
+    try:
+        traj = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= multiple * (traj.states.nbytes + traj.populations.nbytes)
 
 
 # -- CSV export -------------------------------------------------------------------
