@@ -45,10 +45,11 @@ cfg_path = os.path.join(OUT, "config.json")
 with open(cfg_path, "w") as fh:
     json.dump(config, fh, indent=2)
 
-for cmd, sub in (("synthesize", "synth"), ("simulate", "sim"),
-                 ("bound", "bound")):
+for cmd, sub, flags in (("synthesize", "synth", ["--plot"]),
+                        ("simulate", "sim", ["--plot"]),
+                        ("bound", "bound", [])):
     out_dir = os.path.join(OUT, sub)
-    code = dispatch([cmd, "--config", cfg_path, "--out", out_dir, "--plot"])
+    code = dispatch([cmd, "--config", cfg_path, "--out", out_dir, *flags])
     with open(os.path.join(out_dir, "report.json")) as fh:
         report = json.load(fh)
     print(f"$ bqc {cmd}  -> exit {code}")

@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -112,16 +113,14 @@ def _parse_state(sec, name, key, dim):
     and [re, im] pairs of them.  Errors name the field name.key."""
     spec, field = sec.get(key), f"{name}.{key}"
     if isinstance(spec, str):
-        if not spec.startswith("e"):
+        # ASCII digits only: no sign, space, underscore or leading zero
+        if not re.fullmatch(r"e(0|[1-9][0-9]*)", spec):
             raise ConfigError(f"{field}: unknown state spec {spec!r}")
-        try:
-            k = int(spec[1:])
-        except ValueError:
-            raise ConfigError(f"{field}: unknown state spec {spec!r}")
-        if not 1 <= k <= dim:
+        k = spec[1:]  # more digits than dim is above dim; int() is spared them
+        if len(k) > len(str(dim)) or not 1 <= int(k) <= dim:
             raise ConfigError(f"{field}: basis index {spec!r} outside 1..{dim}")
         v = np.zeros(dim, dtype=complex)
-        v[k - 1] = 1.0
+        v[int(k) - 1] = 1.0
         return v
     if isinstance(spec, list):
         pairs = [x if isinstance(x, list) else [x, 0.0] for x in spec]
@@ -156,8 +155,9 @@ def _galerkin_at(system, order, field):
 
 def _cmd_certify(system, sec, out_dir, args):
     n = _number(sec, "certify", "n", None, int)
-    if n is None or n < 2:
-        raise ConfigError(f"certify.n must be an integer >= 2, got {n!r}")
+    if n is None:
+        raise ConfigError("certify.n (the truncation order) must be given")
+    _galerkin_at(system, n, "certify.n")  # certify truncates on its own
     report = certify(
         system,
         n,
@@ -180,6 +180,8 @@ def _cmd_synthesize(system, sec, out_dir, args):
           else _galerkin_at(system, order, "synthesize.verify_order"))
     x0 = _parse_state(sec, "synthesize", "from", n)
     x1 = _parse_state(sec, "synthesize", "to", n)
+    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
+        raise ConfigError("--seed must fit in an unsigned 64-bit integer")
     seed = (args.seed if args.seed is not None
             else _number(sec, "synthesize", "seed", 0, int))
     result = steer_state(
@@ -279,25 +281,33 @@ def _plot_control(control, path):
     _write_text(path, "# t u\n" + "".join(r + "\n" for r in _cells(rows, " ")))
 
 
-# each writes its artifacts and returns (report fields, exit code); `model`,
-# which writes system.json and no report, is handled in dispatch
+# per subcommand: the function that writes its artifacts and returns (report
+# fields, exit code), the flags it takes besides --config and --out, and the
+# keys of its config section it reads; `model`, which reads `system` alone and
+# writes system.json and no report, is handled in dispatch
 _COMMANDS = {
-    "certify": _cmd_certify,
-    "synthesize": _cmd_synthesize,
-    "simulate": _cmd_simulate,
-    "bound": _cmd_bound,
+    "certify": (_cmd_certify, (), ("n", "Q", "tol", "max_depth")),
+    "synthesize": (_cmd_synthesize, ("--seed", "--plot"),
+                   ("n", "verify_order", "from", "to", "seed", "delta", "tol",
+                    "budget")),
+    "simulate": (_cmd_simulate, ("--plot",),
+                 ("control", "order", "state", "target", "samples")),
+    "bound": (_cmd_bound, (), ("from", "to", "eps", "delta")),
+    "model": (None, (), ()),
 }
 
 
 def _build_parser():
     parser = _Parser(prog="bqc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in [*_COMMANDS, "model"]:
+    for name, (_, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--plot", action="store_true")
+        if "--seed" in flags:
+            p.add_argument("--seed", type=int, default=None)
+        if "--plot" in flags:
+            p.add_argument("--plot", action="store_true")
     return parser
 
 
@@ -310,8 +320,6 @@ def dispatch(argv=None):
         if args.command is None:
             raise ConfigError("missing subcommand "
                               "(certify|synthesize|simulate|bound|model)")
-        if args.seed is not None and not 0 <= args.seed < 2 ** 64:
-            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         system = _build_system(cfg)
@@ -319,8 +327,13 @@ def dispatch(argv=None):
             dump_system(system, os.path.join(args.out, "system.json"))
             return EXIT_OK
         sec = _section(cfg, args.command)
+        run, _, keys = _COMMANDS[args.command]
+        unknown = [f"{args.command}.{k}" for k in sec if k not in keys]
+        if unknown:
+            raise ConfigError(f"unknown config key {', '.join(unknown)} "
+                              f"({args.command} reads {', '.join(keys)})")
         where = f"{args.command}: "
-        fields, code = _COMMANDS[args.command](system, sec, args.out, args)
+        fields, code = run(system, sec, args.out, args)
         _write_report(args.out, {"command": args.command, "config": cfg,
                                  **fields})
         return code

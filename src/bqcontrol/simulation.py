@@ -145,7 +145,6 @@ def propagate_density(g, c, rho0, samples_per_piece=16):
         raise ValueError(f"density dimension {rho0.shape} != order {n}")
     s = _check_int(samples_per_piece, "samples_per_piece", 1)
 
-    ref = np.linalg.eigvalsh(rho0)  # ascending, as for every row below
     times, mats = _sample(g, c, np.eye(n, dtype=complex), s)
     mats[0] = rho0
     for U in mats[1:]:  # overwrite each propagator U with U rho0 U^H
@@ -153,8 +152,8 @@ def propagate_density(g, c, rho0, samples_per_piece=16):
     pops = np.real(np.einsum("tkk->tk", mats))
     traces = np.real(np.einsum("tkk->t", mats))
     drift = float(np.max(np.abs(traces - 1.0)))
-    spec = np.linalg.eigvalsh(mats)
-    spec_drift = float(np.max(np.abs(spec - ref[None, :])))
+    spec = np.linalg.eigvalsh(mats)  # ascending rows; row 0 is rho0's
+    spec_drift = float(np.max(np.abs(spec - spec[0])))
     return Trajectory(times, mats, pops, "density", drift, spec_drift)
 
 

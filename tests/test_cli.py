@@ -96,7 +96,9 @@ def test_missing_section(capsys, tmp_path):
     ("bound", '[1, 2]', "config root must be a JSON object"),
     ("model", '{"system": 3}', "config must contain a 'system' object"),
     ("certify", '{"system": %s, "certify": {"n": 1}}' % json.dumps(THREE_LEVEL),
-     "certify.n must be an integer >= 2"),
+     "certify.n: order must be >= 2, got 1"),
+    ("certify", '{"system": %s, "certify": {"n": 5}}' % json.dumps(THREE_LEVEL),
+     "certify.n=5 exceeds the 3 stored levels"),
     ("simulate", '{"system": %s, "simulate": {"control": 5}}'
      % json.dumps(THREE_LEVEL), "simulate.control must be a file path"),
     ("simulate", '{"system": %s, "simulate": {"control": "u.json", '
@@ -111,9 +113,22 @@ def test_missing_section(capsys, tmp_path):
     ("simulate", '{"system": %s, "simulate": {"control": "u.json", '
      '"state": "e1", "order": 4}}' % json.dumps(THREE_LEVEL),
      "simulate.order=4 exceeds the 3 stored levels"),
-], ids=["root-list", "system-number", "certify-n-1", "control-number",
-        "simulate-order-1", "synthesize-n-above-levels",
-        "verify-order-above-levels", "simulate-order-above-levels"])
+    ("certify", '{"system": %s, "certify": {"n": 3, "q": 30}}'
+     % json.dumps(THREE_LEVEL), "unknown config key certify.q"),
+    ("synthesize", '{"system": %s, "synthesize": {"from": "e1", "to": "e2", '
+     '"n": 2, "verify-order": 3}}' % json.dumps(THREE_LEVEL),
+     "unknown config key synthesize.verify-order"),
+    ("simulate", '{"system": %s, "simulate": {"control": "u.json", '
+     '"state": "e1", "sample": 4}}' % json.dumps(THREE_LEVEL),
+     "unknown config key simulate.sample"),
+    ("bound", '{"system": %s, "bound": {"from": "e1", "to": "e2", '
+     '"epsilon": 0.1}}' % json.dumps(THREE_LEVEL),
+     "unknown config key bound.epsilon"),
+], ids=["root-list", "system-number", "certify-n-1", "certify-n-above-levels",
+        "control-number", "simulate-order-1", "synthesize-n-above-levels",
+        "verify-order-above-levels", "simulate-order-above-levels",
+        "certify-unknown-key", "synthesize-unknown-key",
+        "simulate-unknown-key", "bound-unknown-key"])
 def test_config_shape_fails_closed(capsys, tmp_path, command, text, named):
     (tmp_path / "u.json").write_text(json.dumps(CONTROL))
     cfg = tmp_path / "c.json"
@@ -123,6 +138,35 @@ def test_config_shape_fails_closed(capsys, tmp_path, command, text, named):
     assert code == 4
     doc = diagnostic(err)
     assert doc["error"] == "config" and named in doc["detail"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+# the flags each subcommand takes besides --config and --out
+FLAGS_READ = {"certify": (), "synthesize": ("--seed", "--plot"),
+              "simulate": ("--plot",), "bound": (), "model": ()}
+FLAG_ARGV = {"--seed": ["--seed", "5"], "--plot": ["--plot"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, read in FLAGS_READ.items()
+    for flag in FLAG_ARGV if flag not in read])
+def test_unread_flag_is_a_usage_error(capsys, tmp_path, command, flag):
+    # the config is valid for every subcommand: only the flag is at fault
+    (tmp_path / "u.json").write_text(json.dumps(CONTROL))
+    cfg = write_json(tmp_path / "c.json", {
+        "system": TWO_LEVEL,
+        "certify": {"n": 2},
+        "synthesize": {"from": "e1", "to": "e2"},
+        "simulate": {"control": "u.json", "state": "e1"},
+        "bound": {"from": "e1", "to": "e2"},
+    })
+    out = tmp_path / "out"
+    code, err = run(capsys, command, "--config", cfg, "--out", str(out),
+                    *FLAG_ARGV[flag])
+    assert code == 4
+    doc = diagnostic(err)
+    assert json.loads(err, parse_constant=pytest.fail) == doc  # strict JSON
+    assert doc["error"] == "config" and flag in doc["detail"]
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -776,6 +820,11 @@ BOX = {"model": "box3d", "l": [1.0, 1.3, 1.7], "alpha": [0.5, 0.7, 0.9],
     ("simulate", {"control": "u.json", "state": "e1"},
      {**CONTROL, "pieces": [{"duration": True, "value": 0.3}]}, "duration",
      THREE_LEVEL),
+    *[("bound", {"from": "e1", "to": spec}, None,
+       "bound.to: unknown state spec", THREE_LEVEL)
+      for spec in ("e1_0", "e\u0663", "e+1", "e 2", "e01")],
+    ("bound", {"from": "e1", "to": "e" + "9" * 5000}, None,
+     "bound.to: basis index", THREE_LEVEL),  # beyond int()'s digit limit
 ], ids=["tol-list", "Q-list", "max_depth-list", "Q-fraction", "n-null",
         "budget-list", "eps-object", "order-list", "piece-no-duration",
         "pieces-null", "certify-n-text", "certify-n-bool", "oscillator-a-text",
@@ -783,7 +832,9 @@ BOX = {"model": "box3d", "l": [1.0, 1.3, 1.7], "alpha": [0.5, 0.7, 0.9],
         "levels-text", "duration-text", "state-text", "state-bool",
         "state-pair-text", "control-meta-nan", "state-x2", "state-e",
         "state-e0", "state-e4-order3", "state-wrong-length", "state-number",
-        "state-object", "lambda-bool", "oscillator-b-bool", "duration-bool"])
+        "state-object", "lambda-bool", "oscillator-b-bool", "duration-bool",
+        "state-underscore", "state-arabic-indic-digit", "state-sign",
+        "state-space", "state-leading-zero", "state-5000-digits"])
 def test_mistyped_config_fails_closed(capsys, tmp_path, command, sec, control,
                                       named, system):
     if control is not None:
