@@ -68,12 +68,14 @@ class FrequentConnectedness(Record):
 
 @dataclass(frozen=True)
 class RelationVerdict(Record):
-    status: str  # "relation_found" | "none_found_within_bounds"
+    # "relation_found" | "none_found_within_bounds" | "inconclusive_precision"
+    status: str
     relation: tuple | None
     q_max: int
     tolerance: float
     gaps: tuple
     method: str
+    floor: float  # Q ||g||_1 / ((Q+1)^m - 1), see _pigeonhole_floor
     residual: float | None = None
 
     @property
@@ -260,14 +262,36 @@ def _scan_support(gaps, support, Q, tol, gnorm):
     return q
 
 
-def _exhaustive(gaps, Q, tol, gnorm, max_support):
+def _exhaustive(gaps, Q, tol, gnorm, sizes):
     m = len(gaps)
-    for size in range(1, max_support + 1):
+    for size in sizes:
         for support in itertools.combinations(range(m), size):
             q = _scan_support(gaps, support, Q, tol, gnorm)
             if q is not None:
                 return q
     return None
+
+
+def _pigeonhole_floor(gaps, Q, tol):
+    """(F, F <= tol ||g||_2) for the floor F = Q ||g||_1 / ((Q+1)^m - 1).
+
+    The (Q+1)^m vectors of {0..Q}^m put their sums q.g into an interval of
+    length Q ||g||_1, so two of them lie within F of each other, and their
+    difference, a nonzero q with ||q||_inf <= Q, has |q.g| <= F.  Since
+    ||q||_2 >= 1, F <= tol ||g||_2 makes such a relation meet the criterion
+    of nonresonance whatever the gaps are.  Evaluated in exact integers:
+    (Q+1)^m overflows a double from m = 207 at Q = 30.
+    """
+    # each |g_i| is n_i / d_i with d_i a power of two, so with d the largest
+    # d_i the g[i] below are d |g_i| exactly
+    ratios = [abs(v).as_integer_ratio() for v in gaps.tolist()]
+    d = max(di for _, di in ratios)
+    g = [n * (d // di) for n, di in ratios]
+    spread = Q * sum(g)  # d Q ||g||_1
+    pairs = (Q + 1) ** len(g) - 1
+    tn, td = tol.as_integer_ratio()
+    forced = (spread * td) ** 2 <= (tn * pairs) ** 2 * sum(v * v for v in g)
+    return spread / (d * pairs), forced  # int division rounds correctly
 
 
 def _pslq(gaps, Q, tol, gnorm):
@@ -296,14 +320,18 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     """Bounded search for an integer relation sum_i q_i g_i ~ 0.
 
     A candidate q (nonzero, ||q||_inf <= Q) counts as a relation when
-    |sum q_i g_i| <= tol * ||g||_2 * ||q||_2.  When the full candidate set,
-    (2Q+1)^m vectors, is at most EXHAUSTIVE_BUDGET, every support is scanned
-    in canonical order (support size, support indices, max |q_i|,
-    lexicographic), so the reported witness is the simplest one; otherwise
-    supports of size <= 2 are scanned and PSLQ searches the rest.  Each
-    support scan is a meet-in-the-middle range query (see _scan_support) that
-    reports exactly the hits of the full grid.  Either way the verdict is only
-    "none found within bounds".
+    |sum q_i g_i| <= tol * ||g||_2 * ||q||_2.  Supports of size <= 2 are
+    scanned first.  If they hold no relation and the pigeonhole floor
+    F = Q ||g||_1 / ((Q+1)^m - 1) is at most tol * ||g||_2, a relation exists
+    for any m gaps (see _pigeonhole_floor), so a hit would say nothing about
+    these ones: the search stops with status "inconclusive_precision".
+    Otherwise, when the full candidate set, (2Q+1)^m vectors, is at most
+    EXHAUSTIVE_BUDGET, the larger supports are scanned in canonical order
+    (support size, support indices, max |q_i|, lexicographic), so the
+    reported witness is the simplest one; beyond it PSLQ searches the rest.
+    Each support scan is a meet-in-the-middle range query (see _scan_support)
+    that reports exactly the hits of the full grid.  Every verdict carries F
+    as its floor, and no verdict claims more than "none found within bounds".
 
     Raises ValueError for non-finite gaps or ||g||_2, a tol that is negative
     or not finite, and a Q whose largest support scan would exceed
@@ -327,28 +355,30 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     if not math.isfinite(gnorm):
         raise ValueError("||gaps||_2 overflows a double")
     gkey = tuple(float(g) for g in gaps)
+    floor, forced = _pigeonhole_floor(gaps, Q, tol)
 
-    full_cost = (2 * Q + 1) ** m  # an exact int: no float overflow at large m
-    if full_cost <= EXHAUSTIVE_BUDGET:
-        q = _exhaustive(gaps, Q, tol, gnorm, m)
-        method = "exhaustive"
-    else:
-        q = _exhaustive(gaps, Q, tol, gnorm, min(m, 2))
-        method = "exhaustive(support<=2)+pslq"
-        if q is None:
-            q = _pslq(gaps, Q, tol, gnorm)
-            if q is not None:
-                ok, _ = _relation_ok(gaps, q, tol, gnorm)
-                if not ok:
-                    q = None
+    q = _exhaustive(gaps, Q, tol, gnorm, (1, 2))
+    # an exact int: no float overflow at large m
+    exhaustive = (2 * Q + 1) ** m <= EXHAUSTIVE_BUDGET
+    method = "exhaustive" if exhaustive else "exhaustive(support<=2)+pslq"
+    if q is None and forced:
+        return RelationVerdict("inconclusive_precision", None, Q, tol, gkey,
+                               "exhaustive(support<=2)", floor)
+    if q is None and exhaustive:
+        q = _exhaustive(gaps, Q, tol, gnorm, range(3, m + 1))
+    elif q is None:
+        q = _pslq(gaps, Q, tol, gnorm)
+        if q is not None and not _relation_ok(gaps, q, tol, gnorm)[0]:
+            q = None
 
     if q is None:
         return RelationVerdict(
-            "none_found_within_bounds", None, Q, tol, gkey, method
+            "none_found_within_bounds", None, Q, tol, gkey, method, floor
         )
     _, r = _relation_ok(gaps, q, tol, gnorm)
     return RelationVerdict(
-        "relation_found", tuple(int(v) for v in q), Q, tol, gkey, method, r
+        "relation_found", tuple(int(v) for v in q), Q, tol, gkey, method,
+        floor, r
     )
 
 
@@ -538,7 +568,9 @@ def perturbation_certificate(sys, n, Q=30, tol=GAP_TOL):
     diagonal couplings W[k][k].  If no integer relation is found among the
     first n of them (within bounds) and the coupling matrix is connected at
     some stored order >= n, the system is approximately controllable for
-    almost every coupling strength, up to the stated search bounds.
+    almost every coupling strength, up to the stated search bounds.  A search
+    that stops at its precision floor ("inconclusive_precision") leaves the
+    status "inconclusive".
     """
     n = _check_int(n, "order", 2, sys.levels)
     diag = np.diag(sys.W)[:n]
@@ -546,7 +578,8 @@ def perturbation_certificate(sys, n, Q=30, tol=GAP_TOL):
     freq = frequently_connected(sys, n)
     if verdict.found:
         status = "refuted"
-    elif freq.holds_up_to_data:
+    elif (freq.holds_up_to_data
+          and verdict.status == "none_found_within_bounds"):
         status = "almost_every_mu"
     else:
         status = "inconclusive"
@@ -562,9 +595,11 @@ def certify(sys, n, Q=30, tol=GAP_TOL, max_depth=None):
     """Run every certification check at truncation order n and aggregate.
 
     overall is "certified" only when connectedness, pairwise gap
-    distinctness, gap nonresonance and the rank condition all pass;
-    "refuted" only when a concrete witness exists (invariant set, colliding
-    gap pairs, or an integer gap relation); "inconclusive" otherwise.
+    distinctness, gap nonresonance ("none_found_within_bounds") and the rank
+    condition all pass; "refuted" only when a concrete witness exists
+    (invariant set, colliding gap pairs, or an integer gap relation);
+    "inconclusive" otherwise, a gap search that stopped at its precision
+    floor ("inconclusive_precision") included.
     Coupling-graph edges are couplings above EDGE_THRESHOLD.
     """
     g = truncate(sys, n)
@@ -577,7 +612,7 @@ def certify(sys, n, Q=30, tol=GAP_TOL, max_depth=None):
 
     if not conn.connected or not pairwise.ok or nonres.found:
         overall = "refuted"
-    elif lie.contains_su:
+    elif lie.contains_su and nonres.status == "none_found_within_bounds":
         overall = "certified"
     else:
         overall = "inconclusive"

@@ -298,10 +298,12 @@ _COMMANDS = {
 
 
 def _build_parser():
-    parser = _Parser(prog="bqc", description=__doc__.splitlines()[0])
+    # no prefix abbreviations: a flag is taken only as spelled out in full
+    parser = _Parser(prog="bqc", description=__doc__.splitlines()[0],
+                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (_, flags, _) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         if "--seed" in flags:

@@ -416,29 +416,46 @@ def system_from_json(doc):
     return custom_system(lam, doc["W"], labels=labels, meta=doc.get("meta"))
 
 
+# the keys each kind of system spec reads (None: inline data)
+_SYSTEM_KEYS = {
+    "oscillator": ("model", "a", "b", "c", "levels"),
+    "box3d": ("model", "l", "alpha", "levels", "simple_spectrum"),
+    None: ("lambda", "W", "levels", "labels", "meta"),
+}
+
+
 def system_from_config(obj):
-    """Build a system from CLI config: inline data or a model spec."""
+    """Build a system from CLI config: inline data or a model spec.
+
+    A key the spec's model does not read is refused, named, so a misspelled
+    key cannot fall back to its default unseen.
+    """
     _require(obj, "system config")
-    if not isinstance(obj.get("simple_spectrum", False), bool):
-        raise ValueError("simple_spectrum must be true or false, got "
-                         f"{obj['simple_spectrum']!r}")
-    if "model" in obj:
-        model = obj["model"]
-        if model == "oscillator":
-            return oscillator_system(
-                a=obj["a"],
-                b=obj["b"],
-                c_mode=obj.get("c", "normalized"),
-                levels=obj.get("levels", 8),
-            )
-        if model == "box3d":
-            return box3d_system(
-                l=obj["l"],
-                alpha=obj["alpha"],
-                levels=obj.get("levels", 8),
-                simple_spectrum=obj.get("simple_spectrum", False),
-            )
+    model = obj.get("model")
+    if "model" in obj and model not in ("oscillator", "box3d"):
         raise ValueError(f"unknown model '{model}' (expected oscillator or box3d)")
+    keys = _SYSTEM_KEYS[model]
+    unknown = [f"system.{k}" for k in obj if k not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(unknown)} ("
+                         f"{model or 'inline'} systems read {', '.join(keys)})")
+    if model == "oscillator":
+        return oscillator_system(
+            a=obj["a"],
+            b=obj["b"],
+            c_mode=obj.get("c", "normalized"),
+            levels=obj.get("levels", 8),
+        )
+    if model == "box3d":
+        if not isinstance(obj.get("simple_spectrum", False), bool):
+            raise ValueError("simple_spectrum must be true or false, got "
+                             f"{obj['simple_spectrum']!r}")
+        return box3d_system(
+            l=obj["l"],
+            alpha=obj["alpha"],
+            levels=obj.get("levels", 8),
+            simple_spectrum=obj.get("simple_spectrum", False),
+        )
     if "levels" not in obj and isinstance(obj.get("lambda"), list):
         obj = {**obj, "levels": len(obj["lambda"])}  # optional in inline configs
     return system_from_json(obj)

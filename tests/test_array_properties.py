@@ -4,6 +4,7 @@ tail-cutoff model builders, each against a direct reference kept here."""
 
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -18,6 +19,7 @@ from bqcontrol import certification
 from bqcontrol.certification import (
     DENOM_ATOL,
     EDGE_THRESHOLD,
+    certify,
     connectedness,
     constructive_generators,
     lie_rank,
@@ -165,6 +167,79 @@ def test_relation_scan_matches_dense_grid(case):
     with mock.patch.object(certification, "_scan_support", dense_scan):
         ref = nonresonance(gaps, Q=Q, tol=tol).to_json()
     assert got == ref
+
+
+def exact_floor(gaps, Q):
+    """Q ||g||_1 / ((Q+1)^m - 1) in exact rationals."""
+    l1 = sum(abs(Fraction(float(g))) for g in gaps)
+    return Q * l1 / ((Q + 1) ** len(gaps) - 1)
+
+
+@PROPS
+@given(st.integers(1, 8), st.integers(1, 10),
+       st.sampled_from([0.0, 1e-9, 1e-3]), st.data())
+def test_relation_floor_is_the_exact_pigeonhole_floor(m, Q, tol, data):
+    gaps = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=m, max_size=m))
+    ref = float(exact_floor(gaps, Q))
+    got = nonresonance(gaps, Q=Q, tol=tol).floor
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+@st.composite
+def forced_relation_inputs(draw):
+    """Generic gaps at a length m where (Q+1)^m - 1 >= Q sqrt(m) / tol, so
+    the pigeonhole floor is at most tol ||g||_2 whatever the gaps are."""
+    Q = draw(st.integers(2, 30))
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    m0 = next(m for m in itertools.count(1)
+              if (Q + 1) ** m - 1 >= Q * math.sqrt(m) / tol)
+    m = draw(st.integers(m0, 30))
+    gaps = draw(st.lists(st.floats(0.5, 20.0), min_size=m, max_size=m))
+    return gaps, Q, tol
+
+
+@PROPS
+@given(forced_relation_inputs())
+def test_forced_relation_stops_after_the_support2_scan(case):
+    gaps, Q, tol = case
+    assert exact_floor(gaps, Q) <= tol * np.linalg.norm(gaps)
+    with mock.patch.object(mpmath, "pslq", side_effect=AssertionError):
+        v = nonresonance(gaps, Q=Q, tol=tol)
+    if v.status == "relation_found":
+        assert np.count_nonzero(v.relation) <= 2
+    else:
+        assert v.status == "inconclusive_precision" and v.relation is None
+
+
+@PROPS
+@given(st.integers(2, 30), st.integers(1, 30),
+       st.sampled_from([1e-12, 1e-9, 1e-6]), st.data())
+def test_planted_support2_relation_is_found(m, Q, tol, data):
+    gaps = data.draw(st.lists(st.floats(0.5, 20.0), min_size=m, max_size=m))
+    i, j = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2,
+                              unique=True))
+    a = data.draw(st.integers(1, Q))
+    b = data.draw(st.integers(1, Q)) * data.draw(st.sampled_from([-1, 1]))
+    gaps[j] = -a * gaps[i] / b  # a g_i + b g_j = 0 up to one rounding
+    v = nonresonance(gaps, Q=Q, tol=tol)
+    assert v.status == "relation_found"
+    assert np.count_nonzero(v.relation) <= 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# (Q, tol) pairs whose floor falls below tol ||g||_2 from about 8-12 levels on
+@given(st.integers(3, 13), st.sampled_from([(30, 1e-9), (2, 1e-4), (3, 1e-5)]),
+       st.integers(0, 2**32 - 1))
+def test_certify_never_certifies_at_the_precision_floor(n, Q_tol, seed):
+    rng = np.random.default_rng(seed)
+    W = rng.normal(0.0, 1.0, (n, n))
+    Q, tol = Q_tol
+    rep = certify(custom_system(np.sort(rng.uniform(0.0, 20.0, n)), W + W.T),
+                  n, Q=Q, tol=tol)
+    if rep.nonresonant_gaps.status == "inconclusive_precision":
+        assert rep.overall != "certified"
+    if rep.perturbation.relation.status == "inconclusive_precision":
+        assert rep.perturbation.status == "inconclusive"
 
 
 # -- Lie rank -----------------------------------------------------------------

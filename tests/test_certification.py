@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -201,6 +202,59 @@ def test_q_bound_on_support_scans():
         nonresonance([1.0, math.sqrt(2)], Q=q2 + 1)
     with pytest.raises(ValueError, match="EXHAUSTIVE_BUDGET"):
         nonresonance([1.0], Q=int(EXHAUSTIVE_BUDGET) // 2)
+
+
+def test_precision_floor_skips_pslq(monkeypatch):
+    # 180 gaps at Q=30: the pigeonhole floor (~1e-265) is far below
+    # tol ||g||_2, so a relation exists for any input of that length
+    calls = []
+    monkeypatch.setattr(mpmath, "pslq", lambda *a, **k: calls.append(1))
+    v = nonresonance(np.random.default_rng(0).random(180))
+    assert calls == []
+    assert v.status == "inconclusive_precision"
+    assert v.relation is None and v.residual is None
+    assert v.method == "exhaustive(support<=2)"
+    assert 0.0 < v.floor <= v.tolerance * np.linalg.norm(v.gaps)
+
+
+def test_precision_floor_on_the_exhaustive_path():
+    # 4 gaps fit the exhaustive budget; at tol=1e-4 their floor
+    # 30 ||g||_1 / (31^4 - 1) ~ 2.1e-4 is below tol ||g||_2 ~ 3.3e-4, so the
+    # supports of size 3 and 4 are not scanned; at Q=2 the floor is above it
+    gaps = [1.0, math.sqrt(2), math.sqrt(3), math.sqrt(5)]
+    v = nonresonance(gaps, Q=30, tol=1e-4)
+    assert v.status == "inconclusive_precision"
+    assert v.floor == pytest.approx(30 * sum(gaps) / (31**4 - 1), rel=1e-12)
+    w = nonresonance(gaps, Q=2, tol=1e-4)
+    assert w.status == "none_found_within_bounds" and w.method == "exhaustive"
+    assert w.floor > 1e-4 * np.linalg.norm(gaps)
+
+
+def test_bench_style_random12_is_inconclusive():
+    # 12 uniform levels in [0, 20]: the default search used to "refute" them
+    # by a relation that exists for any 11 gaps at Q=30, tol=1e-9
+    rng = np.random.default_rng(1)
+    lam = np.sort(rng.uniform(0.0, 20.0, 12))
+    W = rng.normal(0.0, 1.0, (12, 12))
+    rep = certify(custom_system(lam, (W + W.T) / 2.0), 12)
+    assert rep.overall == "inconclusive"
+    assert rep.nonresonant_gaps.status == "inconclusive_precision"
+    assert rep.perturbation.status == "inconclusive"
+    assert rep.perturbation.relation.status == "inconclusive_precision"
+    assert rep.connected.connected and rep.pairwise_gaps_distinct.ok
+    assert rep.lie_rank.contains_su  # only the floor stands in the way
+
+
+def test_oscillator_n10_still_refuted_by_its_relation():
+    rep = certify(oscillator_system(-0.5, 0.3, levels=12), 10)
+    assert rep.overall == "refuted"
+    gaps = rep.nonresonant_gaps
+    assert gaps.status == "relation_found"
+    assert gaps.relation == (1, -1, 0, 0, 0, 0, 0, 0, 0)
+    assert gaps.floor > gaps.residual
+    # the diagonal couplings hit the floor: no refutation from them
+    assert rep.perturbation.status == "inconclusive"
+    assert rep.perturbation.relation.status == "inconclusive_precision"
 
 
 # -- pairwise gaps ----------------------------------------------------------

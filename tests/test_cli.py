@@ -124,11 +124,16 @@ def test_missing_section(capsys, tmp_path):
     ("bound", '{"system": %s, "bound": {"from": "e1", "to": "e2", '
      '"epsilon": 0.1}}' % json.dumps(THREE_LEVEL),
      "unknown config key bound.epsilon"),
+    ("certify", '{"system": {"model": "oscillator", "a": -0.5, "b": 0.3, '
+     '"level": 3}, "certify": {"n": 3}}', "unknown key system.level"),
+    ("certify", '{"system": %s, "certify": {"n": 3}}'
+     % json.dumps({**THREE_LEVEL, "level": 2}), "unknown key system.level"),
 ], ids=["root-list", "system-number", "certify-n-1", "certify-n-above-levels",
         "control-number", "simulate-order-1", "synthesize-n-above-levels",
         "verify-order-above-levels", "simulate-order-above-levels",
         "certify-unknown-key", "synthesize-unknown-key",
-        "simulate-unknown-key", "bound-unknown-key"])
+        "simulate-unknown-key", "bound-unknown-key",
+        "oscillator-unknown-system-key", "inline-unknown-system-key"])
 def test_config_shape_fails_closed(capsys, tmp_path, command, text, named):
     (tmp_path / "u.json").write_text(json.dumps(CONTROL))
     cfg = tmp_path / "c.json"
@@ -168,6 +173,27 @@ def test_unread_flag_is_a_usage_error(capsys, tmp_path, command, flag):
     assert json.loads(err, parse_constant=pytest.fail) == doc  # strict JSON
     assert doc["error"] == "config" and flag in doc["detail"]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--conf", "c.json", "--o", "out"],
+    ["synthesize", "--c", "c.json", "--s", "9", "--p"],
+], ids=["bound-conf-o", "synthesize-c-s-p"])
+def test_abbreviated_flag_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                           argv):
+    # argparse would read a unique prefix as the full flag and run the job
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "c.json", {
+        "system": TWO_LEVEL,
+        "synthesize": {"from": "e1", "to": "e2", "budget": 200},
+        "bound": {"from": "e1", "to": "e2"},
+    })
+    code, err = run(capsys, *argv)
+    assert code == 4
+    doc = diagnostic(err)
+    assert json.loads(err, parse_constant=pytest.fail) == doc  # strict JSON
+    assert doc["error"] == "config"
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]  # nothing written
 
 
 def test_out_naming_a_file_is_an_io_error(capsys, tmp_path):
@@ -378,6 +404,27 @@ def test_certify_certified_exit_zero(capsys, tmp_path):
     assert report["command"] == "certify"
     assert report["result"]["overall"] == "certified"
     assert re.match(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", report["timestamp"])
+
+
+def test_certify_inconclusive_exit_zero(capsys, tmp_path):
+    # 12 generic levels: at Q=30, tol=1e-9 a gap relation exists for any 11
+    # gaps, so the search stops at its floor and the verdict is inconclusive
+    rng = np.random.default_rng(1)
+    W = rng.normal(0.0, 1.0, (12, 12))
+    cfg = write_json(tmp_path / "c.json", {
+        "system": {"lambda": np.sort(rng.uniform(0.0, 20.0, 12)).tolist(),
+                   "W": (W + W.T).tolist()},
+        "certify": {"n": 12},
+    })
+    out = tmp_path / "out"
+    code, err = run(capsys, "certify", "--config", cfg, "--out", str(out))
+    assert code == 0 and err == ""
+    result = read_report(out)["result"]
+    assert result["overall"] == "inconclusive"
+    gaps = result["nonresonant_gaps"]
+    assert gaps["status"] == "inconclusive_precision"
+    assert gaps["relation"] is None
+    assert 0.0 < gaps["floor"] <= 1e-9 * np.linalg.norm(gaps["gaps"])
 
 
 def test_certify_n_takes_an_integral_float(capsys, tmp_path):
