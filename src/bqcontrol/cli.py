@@ -16,7 +16,8 @@ import time
 import numpy as np
 
 from .certification import certify
-from .linalg import EigendecompositionError, _check_array
+from .linalg import (EigendecompositionError, _check_array, _check_int,
+                     _check_real)
 from .models import (
     QuadratureError,
     _cells,
@@ -28,10 +29,10 @@ from .models import (
     truncate,
 )
 from .simulation import (
-    _write_trajectory,
     fidelity,
     propagate,
     steering_time_lower_bound,
+    write_trajectory_csv,
 )
 from .synthesis import (
     dump_control,
@@ -83,20 +84,45 @@ def _section(cfg, name):
     return sec
 
 
-def _number(sec, name, key, default, kind=float):
-    """sec[key] (default when absent) as a float, or as an int when kind is
-    int; a null is taken only where the default is null.  A bool, a
-    non-number or a non-integral value for an int raises ConfigError."""
-    v = sec.get(key, default)
-    if v is None and default is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{name}.{key} must be a number, got {v!r}")
-    if kind is int:
-        if isinstance(v, float) and not v.is_integer():
-            raise ConfigError(f"{name}.{key} must be an integer, got {v!r}")
-        return int(v)
-    return float(v)
+def _value(v, kind, field, levels):
+    """v as its key's kind reads it: None (a state spec, a path) as given,
+    int and float by _check_int and _check_real, "order" an int in [2,
+    levels], "uint64" one in [0, 2^64); else ConfigError naming field."""
+    if kind is None:
+        return v
+    try:
+        if kind is float:
+            return _check_real(v, field)
+        n = _check_int(v, field, *((0, 2 ** 64 - 1) if kind == "uint64"
+                                   else (-math.inf,)))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    if kind == "order" and n < 2:
+        raise ConfigError(f"{field}: order must be >= 2, got {n}")
+    if kind == "order" and n > levels:
+        raise ConfigError(f"{field}={n} exceeds the {levels} stored levels")
+    return n
+
+
+def _typed(sec, command, levels, seed=None):
+    """Config section `command` with each value read by the kind _COMMANDS
+    gives its key; an unknown key raises ConfigError.  A --seed flag (seed)
+    replaces synthesize.seed, and its mistakes name the flag.  An absent key
+    stays absent, as does a null in _NULL_OMITS."""
+    kinds = _COMMANDS[command][2]
+    unknown = [f"{command}.{k}" for k in sec if k not in kinds]
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(unknown)} "
+                          f"({command} reads {', '.join(kinds)})")
+    if seed is not None:
+        sec = {**sec, "seed": seed}
+    opts = {}
+    for key, v in sec.items():
+        field = ("--seed" if key == "seed" and seed is not None
+                 else f"{command}.{key}")
+        if v is not None or field not in _NULL_OMITS:
+            opts[key] = _value(v, kinds[key], field, levels)
+    return opts
 
 
 def _build_system(cfg):
@@ -142,73 +168,41 @@ def _parse_state(sec, name, key, dim):
     raise ConfigError(f"{field}: no state spec of type {type(spec).__name__}")
 
 
-def _galerkin_at(system, order, field):
-    """truncate(system, order) for the order read from config field `field`,
-    which must lie in [2, system.levels]: only stored levels are propagated."""
-    if order < 2:
-        raise ConfigError(f"{field}: order must be >= 2, got {order}")
-    if order > system.levels:
-        raise ConfigError(f"{field}={order} exceeds the {system.levels} "
-                          "stored levels")
-    return truncate(system, order)
-
-
-def _cmd_certify(system, sec, out_dir, args):
-    n = _number(sec, "certify", "n", None, int)
-    if n is None:
+def _cmd_certify(system, opts, out_dir, args):
+    if "n" not in opts:
         raise ConfigError("certify.n (the truncation order) must be given")
-    _galerkin_at(system, n, "certify.n")  # certify truncates on its own
-    report = certify(
-        system,
-        n,
-        Q=_number(sec, "certify", "Q", 30, int),
-        tol=_number(sec, "certify", "tol", 1e-9),
-        max_depth=_number(sec, "certify", "max_depth", None, int),
-    )
+    report = certify(system, **opts)  # n, and Q, tol, max_depth when given
     code = EXIT_REFUTED if report.overall == "refuted" else EXIT_OK
     return {"result": report}, code
 
 
-def _cmd_synthesize(system, sec, out_dir, args):
-    n = _number(sec, "synthesize", "n", system.levels, int)
-    order = _number(sec, "synthesize", "verify_order", None, int)
+def _cmd_synthesize(system, opts, out_dir, args):
+    n = opts.get("n", system.levels)
+    order = opts.get("verify_order")
     if order is not None and order < n:
         raise ConfigError(f"synthesize.verify_order ({order}) must be >= "
                           f"synthesize.n ({n})")
-    g = _galerkin_at(system, n, "synthesize.n")
-    gv = (None if order is None
-          else _galerkin_at(system, order, "synthesize.verify_order"))
-    x0 = _parse_state(sec, "synthesize", "from", n)
-    x1 = _parse_state(sec, "synthesize", "to", n)
-    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
-        raise ConfigError("--seed must fit in an unsigned 64-bit integer")
-    seed = (args.seed if args.seed is not None
-            else _number(sec, "synthesize", "seed", 0, int))
+    x0 = _parse_state(opts, "synthesize", "from", n)
+    x1 = _parse_state(opts, "synthesize", "to", n)
     result = steer_state(
-        g, x0, x1,
-        delta=_number(sec, "synthesize", "delta", 0.1),
-        tol=_number(sec, "synthesize", "tol", 1e-3),
-        budget=_number(sec, "synthesize", "budget", 40000, int),
-        seed=seed,
-    )
+        truncate(system, n), x0, x1, delta=opts.get("delta", 0.1),
+        **{k: opts[k] for k in ("tol", "budget", "seed") if k in opts})
     dump_control(result.control, os.path.join(out_dir, "control.json"))
 
     verify = None
     if order is not None:
-        pad = np.zeros(gv.order, dtype=complex)
-        pad[:n] = x0
-        traj = propagate(gv, result.control, pad, samples_per_piece=1)
-        target = np.zeros(gv.order, dtype=complex)
-        target[:n] = x1
+        pad = (0, order - n)  # the states, zero on the levels above n
+        traj = propagate(truncate(system, order), result.control,
+                         np.pad(x0, pad), samples_per_piece=1)
         verify = {
             "order": order,
-            "fidelity": fidelity(target, traj.final),
+            "fidelity": fidelity(np.pad(x1, pad), traj.final),
             "norm_drift": traj.norm_drift,
         }
 
     if args.plot:
         _plot_control(result.control, os.path.join(out_dir, "control.plot.dat"))
-    return {"seed": seed, "result": {
+    return {"seed": result.control.meta["seed"], "result": {
         "converged": result.converged,
         "infidelity": result.infidelity,
         "fidelity": 1.0 - result.infidelity,
@@ -219,29 +213,28 @@ def _cmd_synthesize(system, sec, out_dir, args):
     }}, EXIT_OK if result.converged else EXIT_UNCONVERGED
 
 
-def _cmd_simulate(system, sec, out_dir, args):
-    path = sec.get("control")
+def _cmd_simulate(system, opts, out_dir, args):
+    path = opts.get("control")
     if not isinstance(path, str):
         raise ConfigError("simulate.control must be a file path")
     if not os.path.isabs(path):
         path = os.path.join(os.path.dirname(os.path.abspath(args.config)), path)
-    if not os.path.exists(path):
-        raise ConfigError(f"control file not found: {path}")
     try:
         control = load_control(path)
+    except FileNotFoundError:
+        raise ConfigError(f"control file not found: {path}") from None
     except ValueError as e:  # malformed JSON, a bad piece or a non-finite number
         raise ConfigError(f"simulate.control {path}: {e}") from None
-    order = _number(sec, "simulate", "order", system.levels, int)
-    g = _galerkin_at(system, order, "simulate.order")
-    psi0 = _parse_state(sec, "simulate", "state", order)
-    target = (None if sec.get("target") is None
-              else _parse_state(sec, "simulate", "target", order))
-    traj = propagate(g, control, psi0,
-                     samples_per_piece=_number(sec, "simulate", "samples", 16,
-                                               int))
-    _write_trajectory(traj, os.path.join(out_dir, "trajectory.csv"),
-                      os.path.join(out_dir, "trajectory.plot.dat")
-                      if args.plot else None)
+    order = opts.get("order", system.levels)
+    psi0 = _parse_state(opts, "simulate", "state", order)
+    target = (None if opts.get("target") is None
+              else _parse_state(opts, "simulate", "target", order))
+    samples = ({"samples_per_piece": opts["samples"]} if "samples" in opts
+               else {})
+    traj = propagate(truncate(system, order), control, psi0, **samples)
+    write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"),
+                         os.path.join(out_dir, "trajectory.plot.dat")
+                         if args.plot else None)
 
     result = {
         "order": order,
@@ -256,12 +249,10 @@ def _cmd_simulate(system, sec, out_dir, args):
     return {"result": result}, EXIT_OK
 
 
-def _cmd_bound(system, sec, out_dir, args):
-    dim = system.levels
-    psi0 = _parse_state(sec, "bound", "from", dim)
-    psi1 = _parse_state(sec, "bound", "to", dim)
-    eps = _number(sec, "bound", "eps", 1e-3)
-    delta = _number(sec, "bound", "delta", 0.1)
+def _cmd_bound(system, opts, out_dir, args):
+    psi0 = _parse_state(opts, "bound", "from", system.levels)
+    psi1 = _parse_state(opts, "bound", "to", system.levels)
+    eps, delta = opts.get("eps", 1e-3), opts.get("delta", 0.1)
     value = steering_time_lower_bound(system, psi0, psi1, eps, delta)
     return {"result": {
         "bound": "inf" if math.isinf(value) else value,
@@ -281,20 +272,28 @@ def _plot_control(control, path):
     _write_text(path, "# t u\n" + "".join(r + "\n" for r in _cells(rows, " ")))
 
 
-# per subcommand: the function that writes its artifacts and returns (report
-# fields, exit code), the flags it takes besides --config and --out, and the
-# keys of its config section it reads; `model`, which reads `system` alone and
-# writes system.json and no report, is handled in dispatch
+# per subcommand: the function that writes its artifacts from the typed
+# section and returns (report fields, exit code), the flags it takes besides
+# --config and --out, and each key of its section with the kind _value reads
+# it as (an omitted key takes the library's default, an omitted order
+# system.levels); `model`, which writes system.json alone, is in dispatch
 _COMMANDS = {
-    "certify": (_cmd_certify, (), ("n", "Q", "tol", "max_depth")),
+    "certify": (_cmd_certify, (),
+                {"n": "order", "Q": int, "tol": float, "max_depth": int}),
     "synthesize": (_cmd_synthesize, ("--seed", "--plot"),
-                   ("n", "verify_order", "from", "to", "seed", "delta", "tol",
-                    "budget")),
+                   {"n": "order", "verify_order": "order", "from": None,
+                    "to": None, "seed": "uint64", "delta": float,
+                    "tol": float, "budget": int}),
     "simulate": (_cmd_simulate, ("--plot",),
-                 ("control", "order", "state", "target", "samples")),
-    "bound": (_cmd_bound, (), ("from", "to", "eps", "delta")),
-    "model": (None, (), ()),
+                 {"control": None, "order": "order", "state": None,
+                  "target": None, "samples": int}),
+    "bound": (_cmd_bound, (),
+              {"from": None, "to": None, "eps": float, "delta": float}),
+    "model": (None, (), {}),
 }
+
+# keys whose null means the same as leaving them out
+_NULL_OMITS = ("certify.max_depth", "synthesize.verify_order")
 
 
 def _build_parser():
@@ -328,14 +327,10 @@ def dispatch(argv=None):
         if args.command == "model":
             dump_system(system, os.path.join(args.out, "system.json"))
             return EXIT_OK
-        sec = _section(cfg, args.command)
-        run, _, keys = _COMMANDS[args.command]
-        unknown = [f"{args.command}.{k}" for k in sec if k not in keys]
-        if unknown:
-            raise ConfigError(f"unknown config key {', '.join(unknown)} "
-                              f"({args.command} reads {', '.join(keys)})")
+        opts = _typed(_section(cfg, args.command), args.command,
+                      system.levels, getattr(args, "seed", None))
         where = f"{args.command}: "
-        fields, code = run(system, sec, args.out, args)
+        fields, code = _COMMANDS[args.command][0](system, opts, args.out, args)
         _write_report(args.out, {"command": args.command, "config": cfg,
                                  **fields})
         return code

@@ -496,7 +496,8 @@ def _cells(rows, sep=","):
 
 def _plain(x):
     """x as plain JSON data: a dataclass becomes the dict of its fields in
-    field order, a tuple a list, a numpy scalar the Python scalar."""
+    field order, a tuple a list, a numpy scalar the Python scalar; any other
+    type but text, numbers and None raises TypeError, as json.dumps does."""
     if is_dataclass(x):
         return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
@@ -505,7 +506,10 @@ def _plain(x):
         return [_plain(v) for v in x]
     if isinstance(x, np.generic):
         return x.item()
-    return x
+    if x is None or isinstance(x, (str, int, float)):
+        return x
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON "
+                    "serializable")
 
 
 class Record:
@@ -515,8 +519,10 @@ class Record:
 
 
 def _write_json(path, doc):
-    """Atomic JSON artifact; NaN and infinities raise ValueError, as JSON has none."""
-    _write_text(path, json.dumps(_plain(doc), indent=2, allow_nan=False) + "\n")
+    """Atomic JSON artifact; NaN and infinities raise ValueError, as JSON has
+    none.  json.dumps calls _plain only on what it cannot write itself."""
+    _write_text(path, json.dumps(doc, default=_plain, indent=2,
+                                 allow_nan=False) + "\n")
 
 
 def _read_json(path):

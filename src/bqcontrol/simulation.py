@@ -244,21 +244,19 @@ def modulus_drift_check(g, c, psi0):
 # ---------------------------------------------------------------------------
 
 
-def write_trajectory_csv(traj, path):
+def write_trajectory_csv(traj, path, plot_path=None):
     """Write a trajectory as CSV with 17 significant digits per number.
 
     State trajectories: t, re_0, im_0, ..., pop_0, ...
     Density trajectories: t, eig_0, ..., purity.
+    With plot_path, also the gnuplot table of t, pop_0, ...: for a state
+    trajectory the CSV's own fields, separated by spaces, so every number is
+    formatted once.
     """
-    _write_trajectory(traj, path)
-
-
-def _write_trajectory(traj, path, plot_path=None):
-    """write_trajectory_csv, and for a state trajectory with plot_path the
-    gnuplot table of t, pop_0, ...: the CSV's own fields, separated by
-    spaces, so every number is formatted once."""
     n = traj.states.shape[1]
     t = _cells(traj.times[:, None])
+    pop = (_cells(traj.populations)
+           if traj.kind == "state" or plot_path is not None else [])
     if traj.kind == "state":
         header = (
             ["t"]
@@ -268,7 +266,6 @@ def _write_trajectory(traj, path, plot_path=None):
         # the float view interleaves re/im in header order
         amp = _cells(np.ascontiguousarray(traj.states, dtype=complex)
                      .view(float))
-        pop = _cells(traj.populations)
         body = [f"{a},{b},{c}\n" for a, b, c in zip(t, amp, pop)]
     elif traj.kind == "density":
         header = ["t"] + [f"eig_{k}" for k in range(n)] + ["purity"]

@@ -1,5 +1,6 @@
 """End-to-end tests for the batch front-end (dispatch called in-process)."""
 
+import inspect
 import json
 import math
 import os
@@ -14,11 +15,12 @@ import pytest
 
 import bqcontrol
 from bqcontrol import cli, simulation
+from bqcontrol.certification import certify
 from bqcontrol.cli import dispatch
 from bqcontrol.models import system_from_config, truncate
 from bqcontrol.simulation import Trajectory, fidelity, propagate
 from bqcontrol.synthesis import (PiecewiseConstantControl, dump_control,
-                                 load_control)
+                                 load_control, steer_state)
 
 TWO_LEVEL = {"lambda": [0.0, 1.0], "W": [[0.0, 0.5], [0.5, 0.0]]}
 THREE_LEVEL = {
@@ -237,6 +239,28 @@ def test_negative_seed_rejected(capsys, tmp_path):
     code, err = run(capsys, "synthesize", "--config", cfg, "--seed", "-1")
     assert code == 4
     assert "seed" in diagnostic(err)["detail"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("spelling", ["synthesize.seed", "--seed"])
+def test_seed_outside_uint64_fails_closed(capsys, tmp_path, spelling, seed):
+    # one rule for both spellings: an integer in [0, 2^64), named as spelled
+    sec = {"from": "e1", "to": "e2", "budget": 200}
+    if spelling == "synthesize.seed":
+        sec["seed"], flag = seed, []
+    else:
+        sec["seed"], flag = 5, ["--seed", str(seed)]
+    cfg = write_json(tmp_path / "c.json", {"system": TWO_LEVEL,
+                                           "synthesize": sec})
+    out = tmp_path / "out"
+    code, err = run(capsys, "synthesize", "--config", cfg, "--out", str(out),
+                    *flag)
+    assert code == 4
+    assert diagnostic(err) == {
+        "error": "config",
+        "detail": f"{spelling}={seed} is not an integer in "
+                  "[0, 18446744073709551615]"}
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_unnormalized_state_rejected(capsys, tmp_path):
@@ -592,6 +616,71 @@ def test_synthesize_deterministic_modulo_timestamp(capsys, tmp_path):
     assert a == b
     assert (outs[0] / "control.json").read_bytes() == \
         (outs[1] / "control.json").read_bytes()
+
+
+def _library_defaults(fn, *names):
+    return {name: inspect.signature(fn).parameters[name].default
+            for name in names}
+
+
+@pytest.mark.parametrize("command, sec, spelled", [
+    ("certify", {"n": 3}, _library_defaults(certify, "Q", "tol",
+                                             "max_depth")),
+    ("synthesize", {"from": "e1", "to": "e2"},
+     _library_defaults(steer_state, "tol", "budget", "seed")),
+    ("simulate", {"control": "u.json", "state": "e1"},
+     {"samples": _library_defaults(propagate, "samples_per_piece")
+      ["samples_per_piece"]}),
+])
+def test_omitted_keys_take_the_library_defaults(capsys, tmp_path, command,
+                                                sec, spelled):
+    # bqc states no default of its own where the library has one: leaving
+    # the keys out writes what spelling out the library's defaults writes
+    (tmp_path / "u.json").write_text(json.dumps(CONTROL))
+    runs = []
+    for name, section in (("omitted", sec), ("spelled", {**sec, **spelled})):
+        cfg = write_json(tmp_path / f"{name}.json", {"system": THREE_LEVEL,
+                                                     command: section})
+        out = tmp_path / name
+        code, err = run(capsys, command, "--config", cfg, "--out", str(out))
+        assert err == ""
+        report = read_report(out)
+        del report["timestamp"], report["config"]
+        files = {f.name: f.read_bytes() for f in out.iterdir()
+                 if f.name != "report.json"}
+        runs.append((code, report, files))
+    assert runs[0] == runs[1]
+    assert set(runs[0][2]) == {"certify": set(), "synthesize": {"control.json"},
+                               "simulate": {"trajectory.csv"}}[command]
+
+
+@pytest.mark.parametrize("command, sec, key, accepted", [
+    ("certify", {"n": 3}, "max_depth", True),
+    ("synthesize", {"from": "e1", "to": "e2", "n": 2}, "verify_order", True),
+    ("certify", {"n": 3}, "Q", False),
+    ("synthesize", {"from": "e1", "to": "e2"}, "budget", False),
+    ("simulate", {"control": "u.json", "state": "e1"}, "samples", False),
+])
+def test_null_stands_for_the_default_only_where_documented(
+        capsys, tmp_path, command, sec, key, accepted):
+    (tmp_path / "u.json").write_text(json.dumps(CONTROL))
+    results = []
+    for name, section in (("omitted", sec), ("null", {**sec, key: None})):
+        cfg = write_json(tmp_path / f"{name}.json", {"system": THREE_LEVEL,
+                                                     command: section})
+        out = tmp_path / name
+        code, err = run(capsys, command, "--config", cfg, "--out", str(out))
+        results.append((code, err, out))
+    (code, err, out), (null_code, null_err, null_out) = results
+    if accepted:
+        assert null_code == code and null_err == err == ""
+        assert read_report(null_out)["result"] == read_report(out)["result"]
+    else:
+        assert null_code == 4
+        assert diagnostic(null_err) == {
+            "error": "config",
+            "detail": f"{command}.{key}=None is not an integer in [-inf, inf]"}
+        assert not null_out.exists() or not any(null_out.iterdir())
 
 
 def test_seed_flag_overrides_config(capsys, tmp_path):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import bqcontrol
 from bqcontrol.certification import certify
-from bqcontrol.models import (Record, custom_system, dump_system, load_system,
-                              truncate)
+from bqcontrol.models import (Record, _write_json, custom_system, dump_system,
+                              load_system, truncate)
 from bqcontrol.simulation import modulus_drift_check
 from bqcontrol.synthesis import (PiecewiseConstantControl, dump_control,
                                  load_control)
@@ -54,6 +54,31 @@ def test_to_json_keys_are_fields_and_round_trip(case):
         doc = r.to_json()
         assert list(doc) == [f.name for f in dataclasses.fields(r)]
         assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
+
+@dataclasses.dataclass
+class _Pair(Record):
+    k: object
+    x: object
+
+
+def test_write_json_bytes_with_numpy_scalars(tmp_path):
+    # numpy scalars inside plain lists, dicts, a tuple and a Record
+    doc = {"n": np.int64(3),
+           "xs": [np.float32(0.5), np.float32(0.1), np.float64(0.1),
+                  np.bool_(True)],
+           "rec": _Pair(np.int64(-2), (np.float32(1.25),
+                                       {"ok": np.bool_(False)})),
+           "t": (1, np.int64(7))}
+    _write_json(tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_bytes() == (
+        b'{\n  "n": 3,\n  "xs": [\n    0.5,\n    0.10000000149011612,\n'
+        b'    0.1,\n    true\n  ],\n  "rec": {\n    "k": -2,\n    "x": [\n'
+        b'      1.25,\n      {\n        "ok": false\n      }\n    ]\n  },\n'
+        b'  "t": [\n    1,\n    7\n  ]\n}\n')
+    with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+        _write_json(tmp_path / "array.json", {"a": np.zeros(2)})
+    assert not (tmp_path / "array.json").exists()
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])

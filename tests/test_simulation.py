@@ -320,6 +320,26 @@ def test_write_density_trajectory_csv(tmp_path):
     assert final == pytest.approx([0.3, 0.7], abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["state", "density"])
+def test_write_trajectory_csv_plot_table(tmp_path, kind):
+    # t and the populations, each field as the CSV prints it
+    g = truncate(TWO_LEVEL, 2)
+    c = PiecewiseConstantControl("reparametrized", [(1.0, 0.5)], 0.1)
+    traj = (propagate(g, c, basis(2, 0), samples_per_piece=3)
+            if kind == "state" else
+            propagate_density(g, c, np.diag([0.7, 0.3]).astype(complex),
+                              samples_per_piece=3))
+    write_trajectory_csv(traj, tmp_path / "t.csv", tmp_path / "t.plot.dat")
+    lines = (tmp_path / "t.plot.dat").read_text().splitlines()
+    assert lines[0] == "# t pop_0 pop_1"
+    assert lines[1:] == [" ".join("%.17g" % x for x in (t, *pop))
+                         for t, pop in zip(traj.times, traj.populations)]
+    rows = (tmp_path / "t.csv").read_text().splitlines()
+    if kind == "state":  # the plot's fields are the CSV's, byte for byte
+        assert [r.split(",")[-2:] for r in rows[1:]] == \
+            [line.split()[1:] for line in lines[1:]]
+
+
 def _reference_csv(traj):
     """Per-number format(float(x), ".17g"), one matrix at a time."""
     def fmt(x):
