@@ -606,7 +606,7 @@ def certify(sys, n, Q=30, tol=GAP_TOL, max_depth=None):
     n = g.order
     conn = connectedness(sys.W[:n, :n])
     pairwise = pairwise_gap_distinct(sys.lam[:n], tol)
-    nonres = nonresonance(np.diff(sys.lam[:n]), Q=Q, tol=tol)
+    nonres = nonresonance(sys.gaps(n), Q=Q, tol=tol)
     lie = lie_rank(g, max_depth=max_depth)
     pert = perturbation_certificate(sys, n, Q=Q, tol=tol)
 

@@ -104,22 +104,18 @@ def _value(v, kind, field, levels):
     return n
 
 
-def _typed(sec, command, levels, seed=None):
+def _typed(sec, command, levels):
     """Config section `command` with each value read by the kind _COMMANDS
-    gives its key; an unknown key raises ConfigError.  A --seed flag (seed)
-    replaces synthesize.seed, and its mistakes name the flag.  An absent key
-    stays absent, as does a null in _NULL_OMITS."""
+    gives its key; an unknown key raises ConfigError.  An absent key stays
+    absent, as does a null in _NULL_OMITS."""
     kinds = _COMMANDS[command][2]
     unknown = [f"{command}.{k}" for k in sec if k not in kinds]
     if unknown:
         raise ConfigError(f"unknown config key {', '.join(unknown)} "
                           f"({command} reads {', '.join(kinds)})")
-    if seed is not None:
-        sec = {**sec, "seed": seed}
     opts = {}
     for key, v in sec.items():
-        field = ("--seed" if key == "seed" and seed is not None
-                 else f"{command}.{key}")
+        field = f"{command}.{key}"
         if v is not None or field not in _NULL_OMITS:
             opts[key] = _value(v, kinds[key], field, levels)
     return opts
@@ -328,7 +324,9 @@ def dispatch(argv=None):
             dump_system(system, os.path.join(args.out, "system.json"))
             return EXIT_OK
         opts = _typed(_section(cfg, args.command), args.command,
-                      system.levels, getattr(args, "seed", None))
+                      system.levels)
+        if getattr(args, "seed", None) is not None:  # after synthesize.seed
+            opts["seed"] = _value(args.seed, "uint64", "--seed", system.levels)
         where = f"{args.command}: "
         fields, code = _COMMANDS[args.command][0](system, opts, args.out, args)
         _write_report(args.out, {"command": args.command, "config": cfg,

@@ -116,10 +116,13 @@ def custom_system(lam, W, labels=None, meta=None):
     W = _check_array(W, "W")
     if W.shape != (L, L):
         raise ValueError(f"W must have shape {(L, L)}, got {W.shape}")
-    defect = float(np.max(np.abs(W - W.T)))
-    if defect > SYMMETRY_ATOL:
-        raise ValueError(f"W asymmetry {defect:.3e} exceeds {SYMMETRY_ATOL:g}")
-    W = (W + W.T) / 2.0
+    # past half the largest double these overflow: an inf defect is
+    # refused, and an equal pair is kept as it is
+    with np.errstate(over="ignore"):
+        defect = float(np.max(np.abs(W - W.T)))
+        if defect > SYMMETRY_ATOL:
+            raise ValueError(f"W asymmetry {defect:.3e} exceeds {SYMMETRY_ATOL:g}")
+        W = np.where(W == W.T, W, (W + W.T) / 2.0)
 
     if labels is not None:
         labels = list(labels)

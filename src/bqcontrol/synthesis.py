@@ -151,8 +151,14 @@ class PiecewiseConstantControl:
 def reparametrize(c):
     """Exchange frames by (t, u) -> (t u, 1/u); an involution up to rounding."""
     frame = "reparametrized" if c.frame == "original" else "original"
-    pieces = [(t * u, 1.0 / u) for t, u in zip(c.durations, c.values)]
-    return PiecewiseConstantControl(frame, pieces, 1.0 / c.delta, meta=c.meta)
+    values, delta = 1.0 / c.values, 1.0 / c.delta
+    # where a 1/u rounds onto 1/delta, delta moves one ulp to keep it inside
+    if frame == "reparametrized":
+        delta = min(delta, np.nextafter(values.min(initial=np.inf), 0.0))
+    else:
+        delta = max(delta, np.nextafter(values.max(initial=0.0), np.inf))
+    return PiecewiseConstantControl(frame, zip(c.durations * c.values, values),
+                                    delta, meta=c.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -702,28 +708,19 @@ def lift_control(target, sys, n, N, phase_tol=0.05):
     if target.npieces == 0:
         raise ValueError("target control has no pieces")
 
-    gaps = np.diff(sys.lam[:N])
-    verdict = nonresonance(gaps, Q=10, tol=1e-9)
-    if verdict.found:
-        warnings.warn(
-            f"gap relation {verdict.relation} found at order {N}; "
-            "phase targets may be unreachable",
-            stacklevel=2,
-        )
-
-    delta = target.delta
-    delta_bar = 2.0 * delta
-    k = SUBDIVISIONS
-
     lam = sys.lam[:N]
     freqs = lam[0] - lam[1:]  # (lambda_1 - lambda_j) for j = 2..N
-    base = np.zeros(N - 1)
-    flip = np.concatenate(
-        [np.zeros(n - 1), math.pi * np.ones(N - n)]
-    )  # z-type offset on the upper block
+    # z-type offset on the upper block
+    flip = np.concatenate([np.zeros(n - 1), math.pi * np.ones(N - n)])
     max_freq = float(np.max(np.abs(freqs))) if np.any(freqs) else 1.0
     step = math.pi / (4.0 * max_freq)
+    delta_bar = 2.0 * target.delta
+    k = SUBDIVISIONS
+
+    verdict = nonresonance(sys.gaps(N), Q=10, tol=1e-9)
     if verdict.found:
+        warnings.warn(f"gap relation {verdict.relation} found at order {N}; "
+                      "phase targets may be unreachable", stacklevel=2)
         # p . freqs = q . gaps ~ 0, so p . freqs (s - w) stays within
         # |p . freqs| |s - w| of 0, while a z-type target needs it at
         # p . flip mod 2 pi up to ||p||_1 phase_tol; reach bounds |s - w|
@@ -738,45 +735,33 @@ def lift_control(target, sys, n, N, phase_tol=0.05):
                 f"targets unreachable: offset {gap:.6g} rad off the relation"
             )
 
-    pieces = []
-    plateaus = []
-    v_cur = 0.0
-    v_target = 0.0
-    idx = 0
+    pieces, plateaus = [], []
+    v_cur = v_target = 0.0
     for T_p, u_p in zip(target.durations, target.values):
         dt = T_p / k
         ramp = dt / k
         hold = dt - ramp
         for i in range(k):
             w = v_target + u_p * dt * (i + 0.5)  # plateau = v at midpoint
-            kind = "w" if idx % 2 == 0 else "z"
-            offsets = base if kind == "w" else flip
-            targets = np.mod(freqs * w + offsets, 2.0 * math.pi)
+            z = len(plateaus) % 2  # w-type and z-type plateaus alternate
+            targets = np.mod(freqs * w + z * flip, 2.0 * math.pi)
             lo = v_cur + delta_bar * ramp
             s, resid = _torus_return(freqs, targets, lo, phase_tol, step)
-            pieces.append((ramp, (s - v_cur) / ramp))
-            pieces.append((hold, delta_bar))
+            pieces += [(ramp, (s - v_cur) / ramp), (hold, delta_bar)]
             plateaus.append(
-                {"time": s, "type": kind, "target": w, "residual": resid}
+                {"time": s, "type": "wz"[z], "target": w, "residual": resid}
             )
             v_cur = s + delta_bar * hold
-            idx += 1
         v_target += u_p * T_p
 
-    meta = dict(target.meta)
-    meta.update(
-        {
-            "lifted": {
-                "order": n,
-                "verify_order": N,
-                "phase_tol": phase_tol,
-                "delta_bar": delta_bar,
-                "subdivisions": k,
-            },
-            "plateaus": plateaus,
-        }
-    )
-    return PiecewiseConstantControl("reparametrized", pieces, delta, meta=meta)
+    meta = {
+        **target.meta,
+        "lifted": {"order": n, "verify_order": N, "phase_tol": phase_tol,
+                   "delta_bar": delta_bar, "subdivisions": k},
+        "plateaus": plateaus,
+    }
+    return PiecewiseConstantControl("reparametrized", pieces, target.delta,
+                                    meta=meta)
 
 
 def decoupling_error(c, sys, n, N, grid=256):

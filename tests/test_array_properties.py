@@ -1,6 +1,7 @@
 """Generated-input properties of the array-form certification checks, of
-constructive_generators, of decoupling_error and of the box, oscillator and
-tail-cutoff model builders, each against a direct reference kept here."""
+constructive_generators, of decoupling_error, of the frame exchange and of
+the box, oscillator and tail-cutoff model builders, each against a direct
+reference kept here."""
 
 import itertools
 import math
@@ -31,7 +32,8 @@ from bqcontrol.models import (QUAD_ATOL, QUAD_MAX_NODES, QuadratureError,
                               box3d_system, custom_system, oscillator_system,
                               tail_cutoff, truncate)
 from bqcontrol.linalg import commutator
-from bqcontrol.synthesis import PiecewiseConstantControl, decoupling_error
+from bqcontrol.synthesis import (PiecewiseConstantControl, decoupling_error,
+                                 final_state, reparametrize)
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True,
                  database=None)
@@ -430,6 +432,63 @@ def test_decoupling_error_matches_per_time_loop(case):
         return
     ref = decoupling_reference(c, sys, n, N, grid)
     assert abs(got - ref) <= 1e-12 * max(1.0, ref)
+
+
+# -- frame exchange -------------------------------------------------------------
+
+
+FRAME_PAIR = truncate(custom_system([0.0, 1.0, 2.5], [[0.0, 0.4, 0.1],
+                                                     [0.4, 0.0, 0.4],
+                                                     [0.1, 0.4, 0.0]]), 3)
+FRAME_STATE = np.array([0.6, 0.8j, 0.0])
+
+
+def _ulps_from(x, i, toward):
+    for _ in range(i):
+        x = np.nextafter(x, toward)
+    return float(x)
+
+
+@st.composite
+def frame_problems(draw):
+    """(Galerkin pair, control, unit state); the control's values lie
+    anywhere in its frame's band, the last doubles before delta included."""
+    n = draw(st.integers(2, 4))
+    lam = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    W = np.reshape(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                                 max_size=n * n)), (n, n))
+    g = truncate(custom_system(lam, (W + W.T) / 2.0), n)
+    frame = draw(st.sampled_from(["original", "reparametrized"]))
+    delta = draw(st.floats(0.05, 2.0))
+    inside, fractions = ((0.0, st.floats(0.02, 0.98)) if frame == "original"
+                         else (math.inf, st.floats(1.02, 10.0)))
+    value = (fractions.map(lambda f: delta * f)
+             | st.integers(1, 3).map(lambda i: _ulps_from(delta, i, inside)))
+    pieces = draw(st.lists(st.tuples(st.floats(0.01, 2.0), value),
+                           max_size=4))
+    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n,
+                               max_size=2 * n)))
+    x = x[:n] + 1j * x[n:]
+    x = x / np.linalg.norm(x) if np.linalg.norm(x) > 0.1 else np.eye(n)[0]
+    return g, PiecewiseConstantControl(frame, pieces, delta), x
+
+
+@PROPS
+# 1/u rounds onto 1/delta: the value sits on the new frame's open end
+@example((FRAME_PAIR, PiecewiseConstantControl(
+    "original", [(0.5, np.nextafter(0.1, 0.0))], 0.1), FRAME_STATE))
+@example((FRAME_PAIR, PiecewiseConstantControl(
+    "reparametrized", [(0.5, np.nextafter(7.0, math.inf))], 7.0), FRAME_STATE))
+@given(frame_problems())
+def test_reparametrize_is_its_own_inverse_up_to_rounding(p):
+    g, c, x = p
+    r = reparametrize(c)
+    back = reparametrize(r)
+    assert r.frame != c.frame and back.frame == c.frame
+    for got, want in ((back.delta, c.delta), (back.durations, c.durations),
+                      (back.values, c.values)):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    assert np.max(np.abs(final_state(g, c, x) - final_state(g, r, x))) <= 1e-12
 
 
 # -- model builders -------------------------------------------------------------

@@ -263,6 +263,22 @@ def test_seed_outside_uint64_fails_closed(capsys, tmp_path, spelling, seed):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_bad_config_seed_fails_under_seed_flag(capsys, tmp_path):
+    # --seed replaces a valid synthesize.seed, not a mistyped one
+    cfg = write_json(tmp_path / "c.json", {
+        "system": TWO_LEVEL,
+        "synthesize": {"from": "e1", "to": "e2", "seed": "abc"},
+    })
+    out = tmp_path / "out"
+    code, err = run(capsys, "synthesize", "--config", cfg, "--out", str(out),
+                    "--seed", "5")
+    assert code == 4
+    doc = diagnostic(err)
+    assert doc["error"] == "config"
+    assert "synthesize.seed" in doc["detail"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unnormalized_state_rejected(capsys, tmp_path):
     cfg = write_json(tmp_path / "c.json", {
         "system": TWO_LEVEL,

@@ -45,6 +45,14 @@ def test_custom_system_symmetrizes_small_defects():
     assert np.allclose(s.W, s.W.T, atol=0, rtol=0)
 
 
+def test_custom_system_keeps_couplings_past_half_the_largest_double():
+    big = 0.75 * np.finfo(float).max  # big + big overflows
+    s = custom_system([0.0, 1.0], [[big, -big], [-big, 0.0]])
+    assert s.W.tolist() == [[big, -big], [-big, 0.0]]
+    with pytest.raises(ValueError, match="asymmetry inf"):
+        custom_system([0.0, 1.0], [[0.0, big], [-big, 0.0]])
+
+
 def test_custom_system_rejects_asymmetric():
     with pytest.raises(ValueError):
         custom_system([0.0, 1.0], [[0.0, 1.0], [0.0, 0.0]])

@@ -1,11 +1,13 @@
 """Report records serialize from their dataclass fields, documents load
-strictly, and the package imports without scipy or a thread pool."""
+strictly and rewrite to the same bytes, and the package imports without
+scipy or a thread pool."""
 
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -94,6 +96,68 @@ def test_loaders_refuse_nonfinite_numbers(tmp_path, dump, load, obj, literal):
     path.write_text(path.read_text().replace("0.25", literal))
     with pytest.raises(ValueError, match=literal):
         load(str(path))
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(**FINITE)
+    | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=8)
+json_objects = st.dictionaries(st.text(), json_values, max_size=4)
+
+
+@st.composite
+def controls(draw):
+    """Either frame, any finite delta and band values, a JSON meta."""
+    frame = draw(st.sampled_from(["original", "reparametrized"]))
+    delta = draw(st.floats(1e-300, 1e300))
+    band = (st.floats(0.0, delta, exclude_min=True, exclude_max=True)
+            if frame == "original"
+            else st.floats(delta, exclude_min=True, **FINITE))
+    pieces = draw(st.lists(st.tuples(
+        st.floats(0.0, exclude_min=True, **FINITE), band), max_size=4))
+    return PiecewiseConstantControl(frame, pieces, delta,
+                                    meta=draw(json_objects))
+
+
+@st.composite
+def labelled_systems(draw):
+    """Any finite levels and symmetric couplings, with or without labels."""
+    n = draw(st.integers(2, 5))
+    lam = draw(st.lists(st.floats(**FINITE), min_size=n, max_size=n))
+    W = np.zeros((n, n))
+    W[np.triu_indices(n)] = draw(st.lists(
+        st.floats(**FINITE), min_size=n * (n + 1) // 2,
+        max_size=n * (n + 1) // 2))
+    labels = draw(st.none() | st.lists(json_values, min_size=n, max_size=n))
+    return custom_system(lam, W + np.triu(W, 1).T, labels=labels,
+                         meta=draw(json_objects))
+
+
+def _rewrite_bytes(dump, load, obj):
+    """Bytes of obj written, and of the strict reload of them written again."""
+    with tempfile.TemporaryDirectory() as d:
+        first, second = os.path.join(d, "a.json"), os.path.join(d, "b.json")
+        dump(obj, first)
+        dump(load(first), second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            return a.read(), b.read()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(controls())
+def test_control_documents_rewrite_to_the_same_bytes(c):
+    first, second = _rewrite_bytes(dump_control, load_control, c)
+    assert first == second
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(labelled_systems())
+def test_system_documents_rewrite_to_the_same_bytes(s):
+    first, second = _rewrite_bytes(dump_system, load_system, s)
+    assert first == second
 
 
 def test_import_loads_no_scipy():
