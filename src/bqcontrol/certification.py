@@ -134,19 +134,17 @@ class CertificationReport(Record):
 # ---------------------------------------------------------------------------
 
 
-def connectedness(W, threshold=EDGE_THRESHOLD):
-    """Connectivity of the coupling graph (edges where |W[j][k]| > threshold).
+def connectedness(W):
+    """Connectivity of the coupling graph (edges |W[j][k]| > EDGE_THRESHOLD).
 
     A disconnected graph yields an invariant index set: the smallest connected
     component (ties broken by lowest index), which spans a subspace the
     dynamics can never leave.  Complex couplings count through |W|.  Raises
-    ValueError unless W is a finite square matrix and threshold is finite
-    and >= 0.
+    ValueError unless W is a finite square matrix.
     """
-    threshold = _check_real(threshold, "threshold", 0.0, closed=True)
     W = _check_array(W, "W", complex, square=True)
     n = W.shape[0]
-    adj = (np.abs(W) > threshold) | np.eye(n, dtype=bool)
+    adj = (np.abs(W) > EDGE_THRESHOLD) | np.eye(n, dtype=bool)
     adj |= adj.T  # an edge in either direction joins two levels
     # label propagation: each node takes the least label among itself and its
     # neighbours, then the label of that label (pointer jumping); a label
@@ -161,11 +159,11 @@ def connectedness(W, threshold=EDGE_THRESHOLD):
         labels = new
     roots = np.flatnonzero(labels == np.arange(n))
     if roots.size <= 1:
-        return ConnectednessReport(True, None, threshold)
+        return ConnectednessReport(True, None, EDGE_THRESHOLD)
     sizes = np.bincount(labels)[roots]
     root = roots[np.argmin(sizes)]  # the first smallest: lowest index on ties
     witness = tuple(np.flatnonzero(labels == root).tolist())
-    return ConnectednessReport(False, witness, threshold)
+    return ConnectednessReport(False, witness, EDGE_THRESHOLD)
 
 
 def frequently_connected(sys, n):

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "EigendecompositionError",
     "skew_hermitian",
-    "is_skew_hermitian",
     "assert_unitary",
     "unitarity_defect",
     "skew_eigensystem",
@@ -100,30 +99,23 @@ def _check_array(x, name, dtype=float, square=False):
     return a
 
 
-def skew_hermitian(X, atol=SKEW_ATOL):
+def skew_hermitian(X):
     """Project X onto its skew-Hermitian part (X - X^H)/2.
 
     The projection makes M[j, k] == -conj(M[k, j]) hold exactly (same floating
     point operations on both triangles) and the diagonal purely imaginary.
-    Inputs whose Hermitian part exceeds `atol` in max-abs norm are rejected as
-    likely bugs rather than silently repaired.
+    Inputs whose Hermitian part exceeds SKEW_ATOL in max-abs norm are rejected
+    as likely bugs rather than silently repaired.
     """
     X = _check_array(X, "X", complex, square=True)
     with np.errstate(invalid="ignore", over="ignore"):  # overflow fails below
         M = (X - X.conj().T) / 2.0
         defect = np.max(np.abs(X - M)) if X.size else 0.0
-    if not defect <= atol:
-        raise ValueError(
-            f"input is not skew-Hermitian within {atol:g} (defect {defect:.3e})"
+    if not defect <= SKEW_ATOL:
+        raise ValueError(f"input is not skew-Hermitian within {SKEW_ATOL:g} "
+                         f"(defect {defect:.3e})"
         )
     return M
-
-
-def is_skew_hermitian(M, atol=SKEW_ATOL):
-    M = _check_array(M, "M", complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        return False
-    return bool(np.max(np.abs(M + M.conj().T)) <= 2 * atol) if M.size else True
 
 
 def unitarity_defect(U):

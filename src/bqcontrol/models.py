@@ -204,7 +204,7 @@ def _osc_coupling(a, b, c, levels, nodes):
     return W
 
 
-def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL):
+def oscillator_system(a, b, c_mode="normalized", levels=8):
     """Oscillator with spectrum 2k+1 and Gaussian coupling exp(a x^2 + b x + c).
 
     Parameters
@@ -212,11 +212,10 @@ def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL):
     a, b : floats, a < 0 (integrability of the control potential).
     c_mode : "normalized" picks c = b^2 / (4(a-1)); any float is used as c.
     levels : number of stored levels (k = 0..levels-1).
-    quad_atol : node-doubling stability threshold on every coupling entry.
 
     Couplings are Gauss-Hermite integrals of exp(a x^2 + b x + c) against
     products of Hermite functions; the node count is doubled from 64 until no
-    entry moves by more than quad_atol.  QuadratureError is raised when that
+    entry moves by more than QUAD_ATOL.  QuadratureError is raised when that
     has not happened by QUAD_MAX_NODES nodes, and before any table is built
     for more levels than that (an N-node rule resolves at most N levels).
     """
@@ -227,14 +226,13 @@ def oscillator_system(a, b, c_mode="normalized", levels=8, quad_atol=QUAD_ATOL):
         raise QuadratureError(f"levels={levels} exceeds the {QUAD_MAX_NODES}"
                               f"-node quadrature cap, which resolves at most "
                               f"{QUAD_MAX_NODES} levels")
-    quad_atol = _check_real(quad_atol, "quad_atol", 0.0)
     c = b * b / (4.0 * (a - 1.0)) if c_mode == "normalized" else c_mode
     c = _check_real(c, "c")
 
     W = None
     for nodes in (64, 128, QUAD_MAX_NODES):
         prev, W = W, _osc_coupling(a, b, c, levels, nodes)
-        if prev is not None and float(np.max(np.abs(W - prev))) <= quad_atol:
+        if prev is not None and float(np.max(np.abs(W - prev))) <= QUAD_ATOL:
             break
     else:
         raise QuadratureError(f"couplings not stable at {nodes} nodes "

@@ -44,14 +44,12 @@ __all__ = [
     "PhaseSearchError",
     "StateSteeringResult",
     "UnitarySteeringResult",
-    "PhaseCorrection",
     "reparametrize",
     "final_state",
     "steer_state",
     "steer_unitary",
     "lift_control",
     "decoupling_error",
-    "phase_correction",
     "control_to_json",
     "control_from_json",
     "dump_control",
@@ -130,17 +128,6 @@ class PiecewiseConstantControl:
         """v(T) = sum of duration * value over the pieces."""
         return float(np.dot(self.durations, self.values))
 
-    def integrated_value_at(self, t):
-        """v(t) for 0 <= t <= total_duration (piecewise affine)."""
-        t = _check_real(t, "t", 0.0, closed=True)
-        acc = 0.0
-        for dur, val in zip(self.durations, self.values):
-            if t <= dur:
-                return acc + val * t
-            acc += val * dur
-            t -= dur
-        return acc
-
     def __repr__(self):
         return (
             f"PiecewiseConstantControl(frame={self.frame!r}, "
@@ -149,16 +136,29 @@ class PiecewiseConstantControl:
 
 
 def reparametrize(c):
-    """Exchange frames by (t, u) -> (t u, 1/u); an involution up to rounding."""
+    """Exchange frames by (t, u) -> (t u, 1/u); an involution up to rounding.
+
+    A duration, value or delta that is not a normal finite double before or
+    after the change raises ValueError, so what this returns converts back."""
     frame = "reparametrized" if c.frame == "original" else "original"
-    values, delta = 1.0 / c.values, 1.0 / c.delta
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        t, u, delta = c.durations * c.values, 1.0 / c.values, 1.0 / c.delta
     # where a 1/u rounds onto 1/delta, delta moves one ulp to keep it inside
     if frame == "reparametrized":
-        delta = min(delta, np.nextafter(values.min(initial=np.inf), 0.0))
+        delta = min(delta, np.nextafter(u.min(initial=np.inf), 0.0))
     else:
-        delta = max(delta, np.nextafter(values.max(initial=0.0), np.inf))
-    return PiecewiseConstantControl(frame, zip(c.durations * c.values, values),
-                                    delta, meta=c.meta)
+        delta = max(delta, np.nextafter(u.max(initial=0.0), np.inf))
+    lo, hi = sys.float_info.min, sys.float_info.max
+    normal = np.all([(lo <= x) & (x <= hi)
+                     for x in (c.durations, c.values, t, u)], axis=0)
+    bad = [f"piece {k} {c.pieces[k]} to {float(t[k]), float(u[k])}"
+           for k in np.flatnonzero(~normal)[:1]]
+    if not (lo <= c.delta <= hi and lo <= delta <= hi):
+        bad.append(f"delta {c.delta!r} to {float(delta)!r}")
+    if bad:
+        raise ValueError(f"the frame change (t, u) -> (t u, 1/u) takes "
+                         f"{bad[0]}, outside the normal finite doubles")
+    return PiecewiseConstantControl(frame, zip(t, u), delta, meta=c.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +628,8 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
     point.  Raises PhaseSearchError once all `points` coarse points are
     scanned; `points` is first cut to keep |lo + k step| below
     max double / (4 max(1, max|f|)), so no grid point or phase overflows
-    (to 0 when lo or step is not finite).
+    (to 0, reported as the interval [lo, lo], when lo or step is not
+    finite).
     """
     lipschitz = float(np.max(np.abs(freqs)))
     if lipschitz == 0.0:
@@ -672,7 +673,8 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
                     return float(fine[b]), float(fr[b])
     raise PhaseSearchError(
         f"no s with phase residual <= {tol:.6g} in [{lo:.6g}, "
-        f"{lo + points * step:.6g}] ({points} grid points of step {step:.6g}) "
+        f"{lo + points * step if points else lo:.6g}] "
+        f"({points} grid points of step {step:.6g}) "
         f"for phase targets {np.round(targets, 6).tolist()}"
     )
 
@@ -807,63 +809,3 @@ def decoupling_error(c, sys, n, N, grid=256):
                    c.npieces - 1)
     I = cum[p] + seg_integral(p, times - starts[p])
     return float(np.max(np.abs(I)))
-
-
-# ---------------------------------------------------------------------------
-# phase correction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhaseCorrection:
-    tau: float
-    u: float
-    v2: float
-    residual: float
-
-
-def phase_correction(lam, v1, delta, eps, tau_max, coupling_bound=None):
-    """Constant control realizing the phase v1 modulo a near-identity factor.
-
-    Finds v2 > max(0, -v1) with max_j |exp(i lambda_j v2) - 1| <= eps / 2
-    (the torus line {lambda v2} returns near the identity for arbitrarily
-    large v2) by the same bounded grid scan as the lift: at most
-    MAX_SCAN_POINTS points of step pi / (4 max|lambda|), after which
-    PhaseSearchError names the scanned interval.  Then picks tau <= tau_max
-    with u = (v1 + v2) / tau > delta, so tau * u = v1 + v2 exactly.
-    When `coupling_bound` (a norm bound on the coupling term; not derivable
-    from the arguments here) is given, tau is additionally capped at
-    eps / (2 * coupling_bound).  Non-finite eigenvalues or v1, and an eps,
-    delta, tau_max or coupling_bound not finite and > 0, raise ValueError.
-    """
-    lam = _check_array(lam, "lambda").ravel()
-    if lam.size == 0:
-        raise ValueError("need at least one eigenvalue")
-    eps = _check_real(eps, "eps", 0.0)
-    delta = _check_real(delta, "delta", 0.0)
-    tau_max = _check_real(tau_max, "tau_max", 0.0)
-    v1 = _check_real(v1, "v1")
-    if coupling_bound is not None:
-        coupling_bound = _check_real(coupling_bound, "coupling_bound", 0.0)
-    lo = max(0.0, -v1) + 1e-12
-
-    lmax = float(np.max(np.abs(lam)))
-    if lmax == 0.0:
-        v2 = lo + 1.0
-    else:
-        step = math.pi / (4.0 * lmax)
-        # the floor keeps v2 off lo+, where the residual is small merely by
-        # continuity; the arc tolerance is the chord test |e^{i x} - 1| <= eps/2
-        v2, _ = _torus_return(lam, np.zeros_like(lam), lo + 0.5 * step,
-                              2.0 * math.asin(min(1.0, eps / 4.0)), step)
-    res = float(np.max(2.0 * np.abs(np.sin(0.5 * lam * v2))))
-
-    total = v1 + v2
-    tau = min(tau_max, (1.0 - 1e-9) * total / delta)
-    if coupling_bound is not None:
-        tau = min(tau, eps / (2.0 * coupling_bound))
-    if tau <= 0.0:
-        raise ValueError("no admissible tau > 0 under the given constraints")
-    u = total / tau
-    return PhaseCorrection(tau=float(tau), u=float(u), v2=float(v2),
-                           residual=float(res))

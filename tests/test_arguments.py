@@ -29,7 +29,6 @@ from bqcontrol import (
     fidelity,
     final_state,
     frequently_connected,
-    is_skew_hermitian,
     lie_rank,
     lift_control,
     modulus_margins,
@@ -37,7 +36,6 @@ from bqcontrol import (
     oscillator_system,
     pairwise_gap_distinct,
     perturbation_certificate,
-    phase_correction,
     propagate,
     propagate_density,
     skew_eigensystem,
@@ -60,12 +58,6 @@ NONFINITE = [math.nan, math.inf, -math.inf]
 NOT_REALS = NONFINITE + [True]
 
 
-def pc(**kw):
-    args = {"lam": [1.0, 2.0], "v1": 0.3, "delta": 0.5, "eps": 0.1,
-            "tau_max": 1.0, **kw}
-    return phase_correction(**args)
-
-
 # (label, call taking the bad value, out-of-range finite values); each also
 # gets NaN, +-inf and True
 REAL_ARGS = [
@@ -81,8 +73,6 @@ REAL_ARGS = [
     ("box3d_lambda_prime.l",
      lambda x: box3d_lambda_prime((x, 1.3, 1.7), BOX_ALPHA, (1, 1, 1)),
      [0.0, -1.0]),
-    ("connectedness.threshold", lambda x: connectedness(SYS.W, threshold=x),
-     [-1.0]),
     ("nonresonance.tol", lambda x: nonresonance([1.0, math.sqrt(2)], tol=x),
      [-1.0]),
     ("pairwise_gap_distinct.tol",
@@ -90,7 +80,6 @@ REAL_ARGS = [
     ("certify.tol", lambda x: certify(SYS, 3, tol=x), [-1.0]),
     ("PiecewiseConstantControl.delta",
      lambda x: PiecewiseConstantControl("original", [], x), [0.0, -1.0]),
-    ("integrated_value_at.t", lambda x: C.integrated_value_at(x), [-1.0]),
     ("steer_state.delta", lambda x: steer_state(G, E0, E1, delta=x),
      [0.0, -1.0, 1e308]),
     ("steer_state.tol", lambda x: steer_state(G, E0, E1, delta=0.1, tol=x),
@@ -108,13 +97,6 @@ REAL_ARGS = [
      []),
     ("lift_control.phase_tol",
      lambda x: lift_control(C, SYS, 2, 3, phase_tol=x), [0.0, -1.0]),
-    ("phase_correction.lam", lambda x: pc(lam=[1.0, x]), []),
-    ("phase_correction.v1", lambda x: pc(v1=x), []),
-    ("phase_correction.delta", lambda x: pc(delta=x), [0.0, -1.0]),
-    ("phase_correction.eps", lambda x: pc(eps=x), [0.0, -1.0]),
-    ("phase_correction.tau_max", lambda x: pc(tau_max=x), [0.0, -1.0]),
-    ("phase_correction.coupling_bound", lambda x: pc(coupling_bound=x),
-     [0.0, -1.0]),
     ("steering_time_lower_bound.eps",
      lambda x: steering_time_lower_bound(SYS, E0, E1, x, 0.1), [-1.0]),
     ("steering_time_lower_bound.delta",
@@ -187,10 +169,8 @@ TEXT_ARGS = [
     ("PiecewiseConstantControl.delta",
      lambda x: PiecewiseConstantControl("reparametrized", [(0.8, 0.3)], x),
      ["0.1"]),
-    ("integrated_value_at.t", lambda x: C.integrated_value_at(x), ["0.2"]),
     ("steer_state.delta",
      lambda x: steer_state(G, E0, E1, delta=x, budget=200), ["0.1"]),
-    ("phase_correction.eps", lambda x: pc(eps=x), ["0.1"]),
     ("expm_skew.t", lambda x: expm_skew(G.B, x), ["0.5"]),
 ]
 
@@ -211,7 +191,6 @@ ARRAY_ARGS = [
     ("nonresonance.gaps", nonresonance, [1.0, math.sqrt(2)], True, False),
     ("pairwise_gap_distinct.lam", pairwise_gap_distinct, SYS.lam, True,
      False),
-    ("phase_correction.lam", lambda x: pc(lam=x), [1.0, 2.0], True, False),
     ("as_state", as_state, E0, False, False),
     ("as_density", as_density, np.diag([1.0, 0.0]), False, True),
     ("fidelity.psi", lambda x: fidelity(x, E0), E0, False, False),
@@ -224,7 +203,6 @@ ARRAY_ARGS = [
      lambda x: modulus_margins(E0, E1, 1.0, x), [1.0, 1.0, 1.0], True, False),
     ("final_state.x", lambda x: final_state(G, C, x), E0, False, False),
     ("skew_hermitian", skew_hermitian, SKEW, False, True),
-    ("is_skew_hermitian", is_skew_hermitian, SKEW, False, False),
     ("unitarity_defect", unitarity_defect, UNIT, False, True),
     ("assert_unitary", assert_unitary, UNIT, False, True),
     ("skew_eigensystem", skew_eigensystem, SKEW, False, True),
@@ -286,10 +264,6 @@ def test_numeric_text_raises_value_error(call, value):
 def test_bad_array_argument_raises_value_error(call, value):
     with pytest.raises(ValueError):
         call(value)
-
-
-def test_non_square_matrix_is_not_skew_hermitian():
-    assert not is_skew_hermitian(np.zeros((2, 3)))
 
 
 def test_overflowing_spectrum_spread_raises_value_error():

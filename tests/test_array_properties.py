@@ -5,13 +5,15 @@ reference kept here."""
 
 import itertools
 import math
+import sys
+import warnings
 from fractions import Fraction
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -491,6 +493,52 @@ def test_reparametrize_is_its_own_inverse_up_to_rounding(p):
     assert np.max(np.abs(final_state(g, c, x) - final_state(g, r, x))) <= 1e-12
 
 
+POSITIVE = st.floats(0.0, sys.float_info.max, exclude_min=True)
+
+
+@st.composite
+def wide_controls(draw):
+    """Controls whose durations, values and delta are any positive doubles,
+    subnormals included."""
+    frame = draw(st.sampled_from(["original", "reparametrized"]))
+    pieces = draw(st.lists(st.tuples(POSITIVE, POSITIVE), max_size=3))
+    values = [u for _, u in pieces]
+    if frame == "original":  # delta in (max value, max double]
+        lo, hi = max(values, default=0.0), sys.float_info.max
+        assume(lo < hi)
+    else:  # delta in (0, min value)
+        lo, hi = 0.0, min(values, default=sys.float_info.max)
+        assume(hi > math.ulp(0.0))
+    delta = draw(st.floats(lo, hi, exclude_min=True,
+                           exclude_max=frame == "reparametrized"))
+    return PiecewiseConstantControl(frame, pieces, delta)
+
+
+@settings(PROPS, max_examples=300)
+# 1/u overflows; t u underflows to 0; t u overflows
+@example(PiecewiseConstantControl("original", [(1.0, 1e-310)], 0.1))
+@example(PiecewiseConstantControl("original", [(1e-200, 1e-200)], 0.1))
+@example(PiecewiseConstantControl("reparametrized", [(1e300, 1e300)], 0.1))
+@given(wide_controls())
+def test_reparametrize_refuses_or_round_trips_any_positive_doubles(c):
+    """The frame change either refuses a control with a ValueError naming
+    the change, with no warning on the way, or converts it back within
+    rounding."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = reparametrize(c)
+        except ValueError as e:
+            assert str(e).startswith("the frame change (t, u) -> (t u, 1/u) "
+                                     "takes ")
+            return
+        back = reparametrize(r)
+    assert r.frame != c.frame and back.frame == c.frame
+    for got, want in ((back.delta, c.delta), (back.durations, c.durations),
+                      (back.values, c.values)):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 # -- model builders -------------------------------------------------------------
 
 
@@ -550,7 +598,7 @@ def test_box_coupling_matches_closed_form_at_60_digits(k, h, l, exponent,
     assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-320
 
 
-def oscillator_loop(a, b, c, levels, quad_atol):
+def oscillator_loop(a, b, c, levels):
     """(W, nodes) by the node doubling written as a while loop: 64 nodes,
     then doubling while the couplings still move, capped at 256."""
     nodes = 64
@@ -562,7 +610,7 @@ def oscillator_loop(a, b, c, levels, quad_atol):
                 f"(doubling still moves entries)"
             )
         W2 = _osc_coupling(a, b, c, levels, 2 * nodes)
-        stable = float(np.max(np.abs(W2 - W))) <= quad_atol
+        stable = float(np.max(np.abs(W2 - W))) <= QUAD_ATOL
         nodes *= 2
         W = W2
         if stable:
@@ -573,22 +621,20 @@ def oscillator_loop(a, b, c, levels, quad_atol):
 @given(st.sampled_from([-3.0, -1.0, -0.5, -0.1, -0.02, -0.001]),
        st.sampled_from([-2.0, 0.0, 0.3, 1.5, 5.0]),
        st.sampled_from(["normalized", 0.0, 1.0]),
-       st.integers(2, 100),
-       st.sampled_from([QUAD_ATOL, 1e-6, 1e-14]))
-@example(-3.0, -2.0, "normalized", 2, QUAD_ATOL)  # settles at 128 nodes
-@example(-3.0, -2.0, "normalized", 8, QUAD_ATOL)  # settles at 256 nodes
-@example(-3.0, -2.0, "normalized", 40, QUAD_ATOL)  # never settles
-def test_oscillator_matches_while_loop_doubling(a, b, c_mode, levels,
-                                                quad_atol):
+       st.integers(2, 100))
+@example(-3.0, -2.0, "normalized", 2)  # settles at 128 nodes
+@example(-3.0, -2.0, "normalized", 8)  # settles at 256 nodes
+@example(-3.0, -2.0, "normalized", 40)  # never settles
+def test_oscillator_matches_while_loop_doubling(a, b, c_mode, levels):
     c = b * b / (4.0 * (a - 1.0)) if c_mode == "normalized" else c_mode
     try:
-        W, nodes = oscillator_loop(a, b, c, levels, quad_atol)
+        W, nodes = oscillator_loop(a, b, c, levels)
     except QuadratureError as e:
         with pytest.raises(QuadratureError) as got:
-            oscillator_system(a, b, c_mode, levels, quad_atol)
+            oscillator_system(a, b, c_mode, levels)
         assert str(got.value) == str(e)
         return
-    s = oscillator_system(a, b, c_mode, levels, quad_atol)
+    s = oscillator_system(a, b, c_mode, levels)
     assert s.meta["quad_nodes"] == nodes
     ref = custom_system(2.0 * np.arange(levels) + 1.0, W).W
     assert s.W.tobytes() == ref.tobytes()

@@ -1,6 +1,8 @@
-"""Each script in demos/ runs to completion in a scratch directory."""
+"""Each script in demos/, and README's quick start, runs to completion in a
+scratch directory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +13,23 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_zero(script, tmp_path):
+def run(args, cwd):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_zero(script, tmp_path):
+    proc = run([str(script)], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_runs(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        re.DOTALL)
+    assert len(blocks) == 1
+    proc = run(["-c", blocks[0]], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[0] == "certified"

@@ -27,7 +27,7 @@ from bqcontrol.simulation import (Trajectory, as_state, fidelity,
                                   write_trajectory_csv)
 from bqcontrol.synthesis import (PiecewiseConstantControl, control_from_json,
                                  decoupling_error, final_state, lift_control,
-                                 phase_correction, steer_state, steer_unitary)
+                                 steer_state, steer_unitary)
 
 SYS = custom_system([0.0, 1.0, 1.0 + math.sqrt(2)],
                     [[0.0, 0.4, 0.1], [0.4, 0.0, 0.4], [0.1, 0.4, 0.0]])
@@ -245,9 +245,3 @@ def test_lift_and_decoupling_frame_guards():
     with pytest.raises(ValueError, match="reparametrized control"):
         decoupling_error(original, SYS, 2, 3)
 
-
-def test_phase_correction_without_admissible_tau():
-    # lambda = 0 takes the constant branch (no scan); the coupling bound caps
-    # tau at 1e-300 / 2e300, which underflows to 0
-    with pytest.raises(ValueError, match="no admissible tau"):
-        phase_correction([0.0], 0.5, 0.1, 1e-300, 5.0, coupling_bound=1e300)

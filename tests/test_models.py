@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from bqcontrol.models import (
     QUAD_MAX_NODES,
+    _osc_coupling,
     QuadratureError,
     box3d_lambda_prime,
     box3d_system,
@@ -181,9 +182,9 @@ def test_oscillator_levels_beyond_the_node_cap_are_refused():
 def test_oscillator_node_doubling_converged():
     s = oscillator_system(-1.0, 1.0, levels=8)
     assert s.meta["quad_nodes"] <= 4096
-    # doubling the working precision target changes nothing at this size
-    s2 = oscillator_system(-1.0, 1.0, levels=8, quad_atol=1e-12)
-    assert np.max(np.abs(s.W - s2.W)) < 1e-10
+    # the rule at the node cap changes nothing at this size
+    W = _osc_coupling(-1.0, 1.0, s.meta["c"], 8, QUAD_MAX_NODES)
+    assert np.max(np.abs(s.W - W)) < 1e-10
 
 
 # -- 3D box -----------------------------------------------------------------
