@@ -580,7 +580,7 @@ def _circ_dist(a, b):
 
 def _reachable(f, t, lo, step, slack, start, stop):
     """The k in [start, stop), in order, at which _circ_dist(f * (lo + step
-    k), t) <= slack can hold: a superset found in closed form.
+    k), t) <= slack (a pivot's slack_j) can hold: a closed-form superset.
 
     The phase is affine in k, so those k form one run per 2 pi winding.
     Each run is widened by one grid step plus a bound (64 eps of the
@@ -616,22 +616,28 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
     """(s, residual): the first s >= lo found whose residual
     max_j arc(freqs_j s, targets_j) is <= tol.
 
-    Coarse pass over lo + k step (k < points) with Lipschitz slack, then 129
-    fine points around each surviving candidate; a fine minimum within one
-    fine-cell slack of tol is zoomed onto before it is accepted or dropped.
-    The coarse pass builds the grid only at the k the pivot (the nonzero
-    frequency of least |f|) can pass at (_reachable), then filters one
-    frequency at a time, the pivot included, each on the survivors of the
-    ones before.  The fine pass runs on blocks of survivors, which are then
-    accepted strictly in order.  Candidates, their order and (s, residual)
-    are bit for bit those of testing the max over all frequencies at every
+    Coarse pass over lo + k step (k < points), then 129 fine points around
+    each surviving candidate; a fine minimum within one fine-cell slack of
+    tol is zoomed onto before it is accepted or dropped.  Fine and zoom
+    points lie within step/2 + z of their candidate, z = cell (1 + 2/128 +
+    (2/128)^2), so a candidate is tested on frequency j against slack_j =
+    min(tol + step/2 max|f|, tol + |f_j| (step/2 + z) + a rounding bound):
+    past the second term no point near it can pass, and the first keeps
+    the survivors a subset of a common-slack scan's.  The coarse pass builds
+    the grid only at the k the pivot (the nonzero frequency of least |f|)
+    can pass at (_reachable), then filters one frequency at a time, each
+    on the survivors of the ones before.  The fine pass takes blocks of 1,
+    2, 4, ... survivors (the first is usually accepted) and accepts strictly
+    in order, so (s, residual) and the error text are bit for bit those of
+    testing the max over all frequencies against the common slack at every
     point.  Raises PhaseSearchError once all `points` coarse points are
     scanned; `points` is first cut to keep |lo + k step| below
     max double / (4 max(1, max|f|)), so no grid point or phase overflows
     (to 0, reported as the interval [lo, lo], when lo or step is not
     finite).
     """
-    lipschitz = float(np.max(np.abs(freqs)))
+    absf = np.abs(freqs)
+    lipschitz = float(np.max(absf))
     if lipschitz == 0.0:
         points = 1  # the residual is constant: one point settles it
     reach = sys.float_info.max / (4.0 * max(1.0, lipschitz)) - abs(lo)
@@ -639,7 +645,7 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
         points = (int(reach // step) + 1 if reach >= 0.0 and math.isfinite(step)
                   else 0)
     # a zero pivot (all frequencies zero) scans every point
-    pivot = int(np.argmin(np.where(freqs != 0.0, np.abs(freqs), np.inf)))
+    pivot = int(np.argmin(np.where(freqs != 0.0, absf, np.inf)))
 
     def resid(s):  # (freqs, ...) layout: the max runs over the first axis
         d = _circ_dist(np.multiply.outer(freqs, s),
@@ -648,17 +654,23 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
 
     unit = np.linspace(-1.0, 1.0, _FINE)
     cell = step / (_FINE - 1)  # fine-point spacing around a candidate
-    slack = tol + 0.5 * step * lipschitz
+    z = cell * (1.0 + 2.0 / (_FINE - 1) + (2.0 / (_FINE - 1)) ** 2)
+    with np.errstate(invalid="ignore"):  # 0 inf only where no point is scanned
+        slack = np.minimum(tol + 0.5 * step * lipschitz, tol + absf * (
+            0.5 * step + z) + 64.0 * math.ulp(1.0) * (absf * (
+                abs(lo) + step * points) + np.abs(targets) + 4.0 * math.pi))
     rows = max(1, _FINE_BLOCK // (_FINE * len(freqs)))
     for start in range(0, points, _SCAN_CHUNK):
         grid = lo + step * _reachable(freqs[pivot], targets[pivot], lo, step,
-                                      slack, start,
+                                      slack[pivot], start,
                                       min(start + _SCAN_CHUNK, points))
-        for f, t in zip(freqs, targets):
-            grid = grid[_circ_dist(f * grid, t) <= slack]
-        for i in range(0, len(grid), rows):
-            fines = np.clip(grid[i:i + rows, None] + 0.5 * step * unit, lo,
+        for f, t, bound in zip(freqs, targets, slack):
+            grid = grid[_circ_dist(f * grid, t) <= bound]
+        i, size = 0, 1
+        while i < len(grid):  # blocks of 1, 2, 4, ... up to rows candidates
+            fines = np.clip(grid[i:i + size, None] + 0.5 * step * unit, lo,
                             None)
+            i, size = i + size, min(2 * size, rows)
             frs = resid(fines)
             # not <=: a NaN minimum goes on to the zoom, which drops it
             near = ~(frs.min(axis=1) > tol + 0.5 * cell * lipschitz)
@@ -694,11 +706,11 @@ def lift_control(target, sys, n, N, phase_tol=0.05):
 
     Each plateau time is searched on a grid of step pi / (4 max|lambda_1 -
     lambda_j|) over at most MAX_SCAN_POINTS points; PhaseSearchError names the
-    scanned interval when the bound is hit.  The scan tests every frequency
-    only at the grid points where the slowest frequency's phase can pass its
-    own test (one run of points per 2 pi winding, found in closed form).  A
-    gap relation that makes the z-type targets unreachable raises
-    PhaseSearchError naming it before any scan.
+    scanned interval when the bound is hit.  The scan tests each frequency
+    against its own slack, where the slowest can pass (closed form), and
+    finds the plateaus one common slack would, bit for bit.  A gap relation
+    that makes the z-type targets unreachable raises PhaseSearchError naming
+    it before any scan.
     """
     if target.frame != "reparametrized":
         raise ValueError("lift_control expects a reparametrized-frame target")
