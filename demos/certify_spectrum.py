@@ -18,7 +18,8 @@ good = custom_system(
 )
 rep = certify(good, 3)
 print("gaps (1, sqrt2):", rep.overall)
-print("  lie rank:", rep.lie_rank.rank, "of", rep.lie_rank.dimension)
+print("  lie rank:", rep.lie_rank.rank, "of", rep.lie_rank.dimension,
+      "by", rep.lie_rank.method, "on the tree", rep.lie_rank.tree)
 print("  gap relation search:", rep.nonresonant_gaps.status)
 print()
 

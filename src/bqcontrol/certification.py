@@ -99,6 +99,8 @@ class LieRankResult(Record):
     stabilized: bool
     depth_reached: int
     max_depth: int
+    method: str = "closure"  # "closure" | "gap_graph"
+    tree: tuple | None = None  # gap_graph: the spanning tree, (j, k) edges
 
 
 @dataclass(frozen=True)
@@ -270,6 +272,14 @@ def _exhaustive(gaps, Q, tol, gnorm, sizes):
     return None
 
 
+def _as_integers(values):
+    """(m, d) with values[i] == m[i] / d exactly: each double is an integer
+    over a power of two, and d is the largest of those powers."""
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    d = max(di for _, di in ratios)
+    return [n * (d // di) for n, di in ratios], d
+
+
 def _pigeonhole_floor(gaps, Q, tol):
     """(F, F <= tol ||g||_2) for the floor F = Q ||g||_1 / ((Q+1)^m - 1).
 
@@ -280,11 +290,7 @@ def _pigeonhole_floor(gaps, Q, tol):
     of nonresonance whatever the gaps are.  Evaluated in exact integers:
     (Q+1)^m overflows a double from m = 207 at Q = 30.
     """
-    # each |g_i| is n_i / d_i with d_i a power of two, so with d the largest
-    # d_i the g[i] below are d |g_i| exactly
-    ratios = [abs(v).as_integer_ratio() for v in gaps.tolist()]
-    d = max(di for _, di in ratios)
-    g = [n * (d // di) for n, di in ratios]
+    g, d = _as_integers(np.abs(gaps))  # g[i] == d |g_i| exactly
     spread = Q * sum(g)  # d Q ||g||_1
     pairs = (Q + 1) ** len(g) - 1
     tn, td = tol.as_integer_ratio()
@@ -385,17 +391,36 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
 # ---------------------------------------------------------------------------
 
 
+def _close_pairs(g, thr):
+    """(2, m) array of the index pairs a < b with |g[a] - g[b]| <= thr.
+
+    Sort and sweep: g is sorted stably, and sweep step d compares every
+    sorted entry with the one d places later, until a step finds no pair.
+    Float subtraction is antisymmetric and monotone, so the sweep applies
+    exactly the test |g[a] - g[b]| <= thr to every pair, in O(m log m) plus
+    the pairs found.
+    """
+    order = np.argsort(g, kind="stable")
+    gs = g[order]
+    hits = [np.empty((2, 0), dtype=np.intp)]
+    # sorted entries d places apart differ at least as much as closer ones,
+    # so the sweep stops at the first offset d without a hit
+    for d in range(1, g.size):
+        close = np.flatnonzero(gs[d:] - gs[:-d] <= thr)
+        if close.size == 0:
+            break
+        hits.append(np.sort([order[close], order[close + d]], axis=0))
+    return np.concatenate(hits, axis=1)
+
+
 def pairwise_gap_distinct(lam, tol=GAP_TOL):
     """Check |lambda_j - lambda_k| != |lambda_l - lambda_m| across all pairs.
 
     Two unordered pairs collide when their absolute gaps agree within
-    tol * max(1, spectrum spread).  Sort and sweep: the |gaps| are sorted
-    stably (O(n^2 log n)), and sweep step d compares every sorted gap with
-    the one d places later, until a step finds no collision.  Float
-    subtraction is antisymmetric and monotone, so the sweep applies exactly
-    the test |g_a - g_b| <= threshold to every pair of pairs.  Violations
-    are listed in row-major order of the pair indices.  Raises ValueError
-    unless tol is finite and >= 0 and the spectrum and its spread are finite.
+    tol * max(1, spectrum spread), found by the sort and sweep of
+    _close_pairs in O(n^2 log n).  Violations are listed in row-major order
+    of the pair indices.  Raises ValueError unless tol is finite and >= 0
+    and the spectrum and its spread are finite.
     """
     lam = _check_array(lam, "lambda").ravel()
     n = lam.shape[0]
@@ -405,19 +430,7 @@ def pairwise_gap_distinct(lam, tol=GAP_TOL):
     spread = float(lam.max()) - float(lam.min())  # no warning on overflow
     scale = max(1.0, _check_real(spread, "max(lambda) - min(lambda)"))
     j, k = np.triu_indices(n, 1)  # the order of itertools.combinations
-    g = np.abs(lam[j] - lam[k])
-    thr = tol * scale
-    order = np.argsort(g, kind="stable")
-    gs = g[order]
-    hits = [np.empty((2, 0), dtype=np.intp)]
-    # sorted gaps d places apart differ at least as much as closer ones, so
-    # the sweep stops at the first offset d without a hit
-    for d in range(1, g.size):
-        close = np.flatnonzero(gs[d:] - gs[:-d] <= thr)
-        if close.size == 0:
-            break
-        hits.append(np.sort([order[close], order[close + d]], axis=0))
-    ab = np.concatenate(hits, axis=1)
+    ab = _close_pairs(np.abs(lam[j] - lam[k]), tol * scale)
     a, b = ab[:, np.lexsort(ab[::-1])]  # row-major order
     violations = tuple(zip(zip(j[a].tolist(), k[a].tolist()),
                            zip(j[b].tolist(), k[b].tolist())))
@@ -427,6 +440,12 @@ def pairwise_gap_distinct(lam, tol=GAP_TOL):
 # ---------------------------------------------------------------------------
 # Lie rank
 # ---------------------------------------------------------------------------
+
+
+def _depth_cap(dim, max_depth):
+    """The closure's bracket-depth limit: max_depth, by default 2 dim."""
+    return _check_int(2 * dim if max_depth is None else max_depth,
+                      "max_depth", 0)
 
 
 def lie_rank(g, max_depth=None):
@@ -446,8 +465,7 @@ def lie_rank(g, max_depth=None):
     """
     n = g.order
     dim = n * n
-    max_depth = _check_int(2 * dim if max_depth is None else max_depth,
-                           "max_depth", 0)
+    max_depth = _depth_cap(dim, max_depth)
 
     gens = np.array([g.A, g.B], dtype=complex)
     Q = np.empty((dim, 2 * dim))
@@ -480,6 +498,60 @@ def lie_rank(g, max_depth=None):
         depth_reached=depth_reached,
         max_depth=max_depth,
     )
+
+
+def _gap_edges(lam, W, tol):
+    """(j, k) index arrays, j < k, of the coupling edges no gap collides with.
+
+    A pair counts as coupled when W[j][k] != 0 exactly, since any nonzero
+    coupling enters the component that a filter on its squared gap
+    isolates.  A coupled pair is an edge when |W[j][k]| > EDGE_THRESHOLD,
+    its gap |lam_j - lam_k| exceeds tol * max(1, spectrum spread), and no
+    other coupled pair's gap lies within that threshold of it (the sort and
+    sweep of _close_pairs on the coupled gaps).
+    """
+    n = lam.shape[0]
+    thr = tol * max(1.0, float(lam.max()) - float(lam.min()))
+    j, k = np.triu_indices(n, 1)
+    coupled = W[j, k] != 0
+    j, k = j[coupled], k[coupled]
+    g = np.abs(lam[j] - lam[k])
+    keep = (np.abs(W[j, k]) > EDGE_THRESHOLD) & (g > thr)
+    keep[_close_pairs(g, thr).ravel()] = False
+    return j[keep], k[keep]
+
+
+def _gap_graph(lam, W, tol):
+    """Spanning tree of the _gap_edges, or None when they miss a level.
+
+    The rank certificate for A = diag(i lam), B = -i W (Turinici & Rabitz,
+    Chem. Phys. 267 (2001) 1; Altafini, J. Math. Phys. 43 (2002) 2051): on
+    an edge (j, k), the Lagrange polynomial in ad_A^2 equal to 1 at its
+    squared gap and 0 at 0 and at every other coupled pair's squared gap
+    maps B to the (j, k) entries alone, and one more bracket with A gives
+    e_jk - e_kj and i (e_jk + e_kj), as in constructive_generators.  These
+    rotations along a spanning tree generate su(n).  The tree grows
+    breadth-first from level 0, each new level joined to its lowest-index
+    neighbour in the previous layer; its edges are listed as (j, k), j < k,
+    in row-major order.
+    """
+    n = lam.shape[0]
+    j, k = _gap_edges(lam, W, tol)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[j, k] = adj[k, j] = True
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    layer, tree = np.array([0]), []
+    while layer.size:
+        reach = adj[np.ix_(layer, ~seen)]  # previous layer x unseen levels
+        hit = reach.any(axis=0)
+        new = np.flatnonzero(~seen)[hit]
+        parent = layer[reach[:, hit].argmax(axis=0)]
+        tree += zip(np.minimum(parent, new).tolist(),
+                    np.maximum(parent, new).tolist())
+        seen[new] = True
+        layer = new
+    return tuple(sorted(tree)) if seen.all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +671,36 @@ def certify(sys, n, Q=30, tol=GAP_TOL, max_depth=None):
     "inconclusive" otherwise, a gap search that stopped at its precision
     floor ("inconclusive_precision") included.
     Coupling-graph edges are couplings above EDGE_THRESHOLD.
+
+    The rank condition is read from the coupling graph when _gap_graph finds
+    a spanning tree of edges whose gaps no other coupled pair shares: the
+    algebra then contains su(n), and its rank is n^2 when A or B has a
+    nonzero trace (summed exactly), else n^2 - 1.  That lie_rank carries
+    method "gap_graph", the tree as its evidence and depth_reached 0.
+    Otherwise lie_rank runs its closure, bounded by max_depth.
     """
     g = truncate(sys, n)
     n = g.order
     conn = connectedness(sys.W[:n, :n])
     pairwise = pairwise_gap_distinct(sys.lam[:n], tol)
     nonres = nonresonance(sys.gaps(n), Q=Q, tol=tol)
-    lie = lie_rank(g, max_depth=max_depth)
+    tree = _gap_graph(sys.lam[:n], sys.W[:n, :n], pairwise.tolerance)
+    if tree is None:
+        lie = lie_rank(g, max_depth=max_depth)
+    else:
+        dim = n * n
+        traced = any(sum(_as_integers(v)[0]) != 0
+                     for v in (sys.lam[:n], np.diag(sys.W)[:n]))
+        lie = LieRankResult(
+            rank=dim if traced else dim - 1,
+            dimension=dim,
+            contains_su=True,
+            stabilized=True,
+            depth_reached=0,
+            max_depth=_depth_cap(dim, max_depth),
+            method="gap_graph",
+            tree=tree,
+        )
     pert = perturbation_certificate(sys, n, Q=Q, tol=tol)
 
     if not conn.connected or not pairwise.ok or nonres.found:

@@ -3,6 +3,7 @@ constructive_generators, of decoupling_error, of the frame exchange and of
 the box, oscillator and tail-cutoff model builders, each against a direct
 reference kept here."""
 
+import functools
 import itertools
 import math
 import sys
@@ -304,6 +305,160 @@ def test_lie_rank_matches_bracket_span(g, max_depth):
     if r.depth_reached > 0:
         assert (bracket_span_rank(g.A, g.B, r.depth_reached - 1)
                 < bracket_span_rank(g.A, g.B, r.depth_reached))
+
+
+# -- gap-graph rank certificate ---------------------------------------------
+
+
+def gap_graph_reference(lam, W, tol):
+    """(surviving edges in row-major order, whether they connect every level):
+    every pair of coupled pairs compared directly, O(P^2) in the P coupled
+    pairs, then a breadth-first search over the surviving edges."""
+    lam = [float(x) for x in lam]
+    n = len(lam)
+    thr = tol * max(1.0, max(lam) - min(lam))
+    coupled = [(j, k) for j, k in itertools.combinations(range(n), 2)
+               if W[j][k] != 0]
+    gap = {p: abs(lam[p[0]] - lam[p[1]]) for p in coupled}
+    edges = [p for p in coupled
+             if abs(W[p[0]][p[1]]) > EDGE_THRESHOLD and gap[p] > thr
+             and not any(abs(gap[p] - gap[q]) <= thr
+                         for q in coupled if q != p)]
+    seen, queue = {0}, [0]
+    while queue:
+        v = queue.pop(0)
+        for j, k in edges:
+            for a, b in ((j, k), (k, j)):
+                if a == v and b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+    return edges, len(seen) == n
+
+
+@st.composite
+def coupled_spectra(draw):
+    """A spectrum from `spectra` and a symmetric W whose off-diagonal
+    entries are exact zeros, ordinary couplings, or couplings at and below
+    EDGE_THRESHOLD."""
+    lam = np.array(draw(spectra))
+    n = lam.size
+    W = np.zeros((n, n))
+    entry = st.sampled_from([0.0, 0.0, 0.7, -1.3, EDGE_THRESHOLD,
+                             0.5 * EDGE_THRESHOLD])
+    for j, k in itertools.combinations(range(n), 2):
+        W[j, k] = W[k, j] = draw(entry)
+    return lam, W
+
+
+@PROPS
+@given(coupled_spectra(), st.sampled_from([0.0, 1e-9, 1e-3, 0.05, 0.25]))
+def test_gap_graph_sweep_matches_all_pairs_of_coupled_pairs(case, tol):
+    lam, W = case
+    edges, connected = gap_graph_reference(lam, W, tol)
+    j, k = certification._gap_edges(lam, W, tol)
+    assert list(zip(j.tolist(), k.tolist())) == edges
+    tree = certification._gap_graph(lam, W, tol)
+    assert (tree is not None) == connected
+    if tree is not None:
+        # n - 1 surviving edges, row-major, that connect n levels: a tree
+        assert len(tree) == lam.size - 1 and list(tree) == sorted(tree)
+        assert set(tree) <= set(edges)
+        rows, cols = zip(*tree)
+        graph = csr_matrix((np.ones(len(tree)), (rows, cols)),
+                           shape=(lam.size, lam.size))
+        assert connected_components(graph, directed=False)[0] == 1
+
+
+@functools.cache
+def bench_system(name):
+    """The fixed systems of the benchmark's certify workload."""
+    if name == "box":
+        return box3d_system((1.0, 1.3, 1.7), (0.5, 0.7, 0.9), levels=40)
+    return oscillator_system(-0.5, 0.3 if name == "oscillator" else 0.0,
+                             levels=40 if name == "oscillator" else 12)
+
+
+@pytest.mark.parametrize("name, n, count, holds", [
+    ("box", 6, 11, True), ("box", 10, 23, True), ("box", 14, 41, True),
+    ("box", 20, 82, True), ("oscillator", 6, 1, False),
+    ("oscillator", 10, 1, False), ("oscillator", 20, 1, False),
+    ("parity", 6, 0, False),
+])
+def test_gap_graph_on_the_bench_systems(name, n, count, holds):
+    s = bench_system(name)
+    lam, W = s.lam[:n], s.W[:n, :n]
+    edges, connected = gap_graph_reference(lam, W, 1e-9)
+    assert (len(edges), connected) == (count, holds)
+    j, k = certification._gap_edges(lam, W, 1e-9)
+    assert list(zip(j.tolist(), k.tolist())) == edges
+    assert (certification._gap_graph(lam, W, 1e-9) is not None) == holds
+    lie = certify(s, n).lie_rank
+    assert lie.method == ("gap_graph" if holds else "closure")
+
+
+# marks whose pairwise differences are all distinct
+GOLOMB_RULER = (0, 1, 4, 9, 15, 22, 32, 34)
+
+
+@st.composite
+def gap_graph_systems(draw):
+    """Order-2..5 systems on which the closure can see what the graph sees.
+
+    The closure keeps a bracket when its residual exceeds 1e-7 of its norm,
+    so it cannot resolve couplings near zero, gaps that nearly collide, or
+    a trace part that is nearly zero.  Levels and couplings are therefore
+    drawn on the grid of multiples of 1/64, levels in [-10, 10] and
+    couplings in [-1, 1]: every coupling is 0 or at least 1/64 >= 1e-3
+    max|W|, any two gaps are equal or at least 1/64 >= 1e-4 spread apart,
+    and each trace is 0 or at least 1/64.  The levels are any grid points,
+    where planted equal gaps are common, or marks of a Golomb ruler, whose
+    gaps are all distinct.  W is sparse, or diagonal only.
+    """
+    n = draw(st.integers(2, 5))
+    grid = st.integers(-640, 640).map(lambda i: i / 64)
+    golomb = st.lists(st.sampled_from(GOLOMB_RULER), min_size=n, max_size=n,
+                      unique=True)
+    lam = draw(st.one_of(
+        st.lists(grid, min_size=n, max_size=n),
+        st.builds(lambda marks, shift: [m / 4 - shift for m in marks],
+                  golomb, st.integers(0, 320).map(lambda i: i / 64)),
+    ))
+    diagonal_only = draw(st.booleans())
+    W = np.zeros((n, n))
+    for j in range(n):
+        for k in range(j, n):
+            if j == k or not diagonal_only:
+                W[j, k] = W[k, j] = draw(st.integers(-64, 64)) / 64
+    return custom_system(lam, W)
+
+
+@PROPS
+@given(gap_graph_systems())
+# a repeated level: the coupled pair has no gap, and the closure finds rank 1
+@example(custom_system([0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]))
+# traceless A and B: su(2) alone; then a trace part from diag W: u(2)
+@example(custom_system([-0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]))
+@example(custom_system([-0.5, 0.5], [[0.3, 1.0], [1.0, 0.0]]))
+@example(custom_system([-3.0, 1.0, 2.0],
+                       [[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]]))
+# levels 2, 3 share the (0, 1) gap through a coupling below EDGE_THRESHOLD
+@example(custom_system([0.0, 1.0, 2.5, 3.5],
+                       [[0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0],
+                        [0.0, 0.5, 0.0, 1e-13], [0.5, 0.0, 1e-13, 0.0]]))
+def test_gap_graph_agrees_with_the_closure(system):
+    n = system.levels
+    lie = certify(system, n, Q=2).lie_rank
+    tree = certification._gap_graph(system.lam, system.W, 1e-9)
+    if not np.any(system.W - np.diag(np.diag(system.W))):
+        assert tree is None
+    if tree is None:
+        assert lie.method == "closure" and lie.tree is None
+        return
+    closure = lie_rank(truncate(system, n))
+    assert lie.method == "gap_graph" and lie.tree == tree
+    assert lie.stabilized and lie.depth_reached == 0
+    assert (lie.rank, lie.contains_su) == (closure.rank, closure.contains_su)
+    assert lie.contains_su
 
 
 # -- constructive generators -------------------------------------------------

@@ -4,11 +4,13 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 
+from bqcontrol import certification
 from bqcontrol.certification import (
     EDGE_THRESHOLD,
     EXHAUSTIVE_BUDGET,
@@ -420,6 +422,44 @@ def test_certify_refutes_disconnected():
     assert rep.overall == "refuted"
     assert rep.connected.invariant_set == (2,)
 
+
+
+def test_certify_reads_the_rank_from_the_gap_graph():
+    # gaps 1, 1.41 and 2.41 are distinct, so the closure is not run
+    W = np.array([[0.1, 0.5, 0.2], [0.5, -0.4, 0.5], [0.2, 0.5, 0.3]])
+    s = custom_system([0.0, 1.0, 1.0 + math.sqrt(2)], W)
+    with mock.patch.object(certification, "lie_rank",
+                           side_effect=AssertionError("closure ran")):
+        rep = certify(s, 3)
+    lie = rep.lie_rank
+    assert (lie.method, lie.tree) == ("gap_graph", ((0, 1), (0, 2)))
+    assert (lie.rank, lie.contains_su, lie.stabilized) == (9, True, True)
+    assert (lie.depth_reached, lie.max_depth) == (0, 18)
+    assert rep.to_json()["lie_rank"]["tree"] == [[0, 1], [0, 2]]
+    assert lie_rank(truncate(s, 3)).method == "closure"
+
+
+def test_certify_depth_cap_binds_only_the_closure():
+    # the closure alone stops at depth 0 unstabilized; the graph needs none
+    s = tridiag_system([0.0, 1.0, 2.5], [0.4, 0.4])
+    assert not lie_rank(truncate(s, 3), max_depth=0).stabilized
+    rep = certify(s, 3, max_depth=0)
+    assert rep.lie_rank.method == "gap_graph" and rep.lie_rank.contains_su
+    assert rep.options["max_depth"] == 0
+    with pytest.raises(ValueError, match="max_depth"):
+        certify(s, 3, max_depth=-1)
+
+
+@pytest.mark.parametrize("s, rank", [
+    # the chain's two edges share the gap 1: neither survives
+    (tridiag_system([0.0, 1.0, 2.0], [0.4, 0.4]), 4),
+    # a repeated level: the one coupled pair has no gap
+    (custom_system([0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]), 1),
+], ids=["equal-gaps", "repeated-level"])
+def test_certify_falls_back_to_the_closure(s, rank):
+    lie = certify(s, s.levels).lie_rank
+    assert (lie.method, lie.tree, lie.rank) == ("closure", None, rank)
+    assert lie == lie_rank(truncate(s, s.levels))
 
 # -- symmetric-function determinant identity --------------------------------
 
