@@ -15,7 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 from .linalg import _check_array, _check_int, _check_real, commutator
@@ -299,6 +298,7 @@ def _pigeonhole_floor(gaps, Q, tol):
 
 
 def _pslq(gaps, Q, tol, gnorm):
+    import mpmath  # only PSLQ needs it: other commands skip its import
     with mpmath.workdps(40):
         try:
             rel = mpmath.pslq(

@@ -69,6 +69,13 @@ def _check_int(x, name, lo, hi=math.inf):
     return int(x)
 
 
+def _check_meta(meta):
+    """A copy of meta when it is a dict ({} for None), else ValueError."""
+    if isinstance(meta, (dict, type(None))):
+        return dict(meta or {})
+    raise ValueError(f"meta must be a JSON object, got {type(meta).__name__}")
+
+
 def _holds_bool(x):
     """True when x is a boolean or a (nested) list or tuple holding one."""
     if isinstance(x, (list, tuple)):

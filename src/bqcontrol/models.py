@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .linalg import _check_array, _check_int, _check_real
+from .linalg import _check_array, _check_int, _check_meta, _check_real
 
 __all__ = [
     "DiscreteSpectrumSystem",
@@ -136,7 +136,7 @@ def custom_system(lam, W, labels=None, meta=None):
         labels = tuple(labels[i] for i in order)
 
     return DiscreteSpectrumSystem(
-        lam=_freeze(lam), W=_freeze(W), labels=labels, meta=dict(meta or {})
+        lam=_freeze(lam), W=_freeze(W), labels=labels, meta=_check_meta(meta)
     )
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certification import nonresonance
-from .linalg import (_check_array, _check_int, _check_real,
+from .linalg import (_check_array, _check_int, _check_meta, _check_real,
                      _partial_products, _piece_factors, assert_unitary)
 from .models import _read_json, _require, _write_json
 from .simulation import as_state
@@ -107,7 +107,7 @@ class PiecewiseConstantControl:
         self.durations = durations
         self.values = values
         self.delta = delta
-        self.meta = dict(meta or {})
+        self.meta = _check_meta(meta)
         self.durations.flags.writeable = False
         self.values.flags.writeable = False
 
@@ -187,13 +187,9 @@ def control_from_json(doc):
         raise ValueError(
             "control pieces must be a list of {duration, value} objects"
         )
-    try:
-        return PiecewiseConstantControl(
-            doc["frame"], [(p["duration"], p["value"]) for p in pieces],
-            doc["delta"], meta=doc.get("meta"),
-        )
-    except TypeError as e:  # a meta that is not an object
-        raise ValueError(f"malformed control document: {e}") from None
+    return PiecewiseConstantControl(
+        doc["frame"], [(p["duration"], p["value"]) for p in pieces],
+        doc["delta"], meta=doc.get("meta"))
 
 
 def dump_control(c, path):
@@ -234,7 +230,6 @@ class UnitarySteeringResult:
     distance: float
     converged: bool
     evaluations: int
-    traceless: bool
 
 
 def _value_and_gradient(g, x0, h, p):
@@ -493,16 +488,15 @@ def _infidelity(x1):
     return h
 
 
-def _phase_fit(g0, g1, sector):
+def _phase_fit(g0, g1):
     """h(U) = (||e^{i theta} U g0 - g1||_F at the theta of _phase_distance,
     its cotangent -e^{-i theta} g1 g0^H / distance), zero at distance 0.
 
-    The cotangent holds theta fixed, which the minimum over theta allows,
-    also where theta is clamped to an end of the sector."""
+    The cotangent holds theta fixed, which the minimum over theta allows."""
     g1g0 = g1 @ g0.conj().T
 
     def h(U):
-        dist, theta = _phase_distance(U @ g0, g1, sector)
+        dist, theta = _phase_distance(U @ g0, g1)
         if dist == 0.0:
             return dist, np.zeros_like(g1g0)
         return dist, (-np.exp(-1j * theta) / dist) * g1g0
@@ -510,25 +504,17 @@ def _phase_fit(g0, g1, sector):
     return h
 
 
-def _phase_distance(U, G, sector):
-    """(distance, theta) minimizing ||e^{i theta} U - G||_F over [0, sector].
+def _phase_distance(U, G):
+    """(distance, theta) minimizing ||e^{i theta} U - G||_F over the circle.
 
     ||e^{i theta} U - G||_F^2 = 2n - 2|z| cos(phi - theta) with z = tr(U^H G)
-    and phi = arg z, so theta = phi mod 2 pi when that lies in the sector and
-    otherwise the end of the sector nearer to it on the circle.  A sector of
-    2 pi is the whole circle: theta lies in [0, 2 pi).
+    and phi = arg z, so theta = phi mod 2 pi, in [0, 2 pi).
     """
     z = complex(np.vdot(U, G))  # tr(U^H G)
-    n = U.shape[0]
     theta = cmath.phase(z) % (2.0 * math.pi) if z != 0 else 0.0
     if theta == 2.0 * math.pi:  # float mod maps a hair-below-zero angle here
         theta = 0.0
-    off = 0.0  # |phi - theta| on the circle
-    if theta > sector:
-        up, down = theta - sector, 2.0 * math.pi - theta
-        theta, off = (sector, up) if up <= down else (0.0, down)
-    d2 = 2.0 * n - 2.0 * abs(z) * math.cos(off)
-    return math.sqrt(max(0.0, d2)), theta
+    return math.sqrt(max(0.0, 2.0 * U.shape[0] - 2.0 * abs(z))), theta
 
 
 def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0):
@@ -536,36 +522,28 @@ def steer_unitary(g, g0, g1, delta, tol=1e-3, budget=60000, seed=0):
 
     One search, escalating through the piece counts PIECE_COUNTS as in
     steer_state, minimizes ||e^{i theta} g_final - g1||_F over the control
-    and over theta in a sector, with theta in closed form from the phase of
+    and over theta in [0, 2 pi), with theta in closed form from the phase of
     tr(g_final^H g1); the gradient in the control holds that theta fixed.
-    When both generators are traceless, det g_final is fixed, so the phases
-    that solve e^{i theta} g_final = g1 are 2 pi / n apart and the sector is
-    [0, 2 pi / n]: theta lies in that closed interval, and is 2 pi / n
-    itself when the best phase lies just past it.
-    Otherwise theta lies in [0, 2 pi).  The reported theta and distance come
-    from one evaluation, so the distance is ||e^{i theta} g_final - g1||_F
-    at the reported theta.
+    When tr A = tr B = 0, g_final lies in SU(n) and the n phases that could
+    meet g1 are 2 pi / n apart; the search takes whichever it reaches.  The
+    reported theta and distance come from one evaluation, so the distance is
+    ||e^{i theta} g_final - g1||_F at the reported theta.
     """
     g0 = assert_unitary(g0, atol=1e-9)
     g1 = assert_unitary(g1, atol=1e-9)
     n = g.order
     if g0.shape != (n, n) or g1.shape != (n, n):
         raise ValueError(f"g0, g1 must have shape {(n, n)}")
-    traceless = (
-        abs(complex(np.trace(g.A))) <= 1e-12
-        and abs(complex(np.trace(g.B))) <= 1e-12
-    )
-    sector = 2.0 * math.pi / n if traceless else 2.0 * math.pi
     eye = np.eye(n, dtype=complex)
 
     def fit(c, score):  # distance and theta at the final propagator of c
-        dist, theta = _phase_distance(final_state(g, c, eye) @ g0, g1, sector)
+        dist, theta = _phase_distance(final_state(g, c, eye) @ g0, g1)
         return {"distance": float(dist), "theta": float(theta)}
 
     c, fields, converged, used = _steer(
-        g, eye, _phase_fit(g0, g1, sector), delta, tol, budget, seed, fit)
+        g, eye, _phase_fit(g0, g1), delta, tol, budget, seed, fit)
     return UnitarySteeringResult(c, fields["theta"], fields["distance"],
-                                 converged, used, traceless)
+                                 converged, used)
 
 
 # ---------------------------------------------------------------------------

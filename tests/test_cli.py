@@ -955,6 +955,9 @@ BOX = {"model": "box3d", "l": [1.0, 1.3, 1.7], "alpha": [0.5, 0.7, 0.9],
      "simulate.state", THREE_LEVEL),
     ("simulate", {"control": "u.json", "state": "e1"},
      {**CONTROL, "meta": {"x": math.nan}}, "NaN", THREE_LEVEL),
+    *[("simulate", {"control": "u.json", "state": "e1"},
+       {**CONTROL, "meta": meta}, "meta must be a JSON object", THREE_LEVEL)
+      for meta in ([], False, "xy", [["k", 1]])],
     ("bound", {"from": "x2", "to": "e2"}, None, "bound.from", THREE_LEVEL),
     ("bound", {"from": "e", "to": "e2"}, None, "bound.from", THREE_LEVEL),
     ("bound", {"from": "e0", "to": "e2"}, None, "bound.from", THREE_LEVEL),
@@ -982,7 +985,9 @@ BOX = {"model": "box3d", "l": [1.0, 1.3, 1.7], "alpha": [0.5, 0.7, 0.9],
         "pieces-null", "certify-n-text", "certify-n-bool", "oscillator-a-text",
         "simple_spectrum-text", "box-simple_spectrum-text", "lambda-text",
         "levels-text", "duration-text", "state-text", "state-bool",
-        "state-pair-text", "control-meta-nan", "state-x2", "state-e",
+        "state-pair-text", "control-meta-nan",
+        "control-meta-list", "control-meta-false", "control-meta-text",
+        "control-meta-pairs", "state-x2", "state-e",
         "state-e0", "state-e4-order3", "state-wrong-length", "state-number",
         "state-object", "lambda-bool", "oscillator-b-bool", "duration-bool",
         "state-underscore", "state-arabic-indic-digit", "state-sign",

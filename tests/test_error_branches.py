@@ -226,8 +226,8 @@ def test_control_documents_fail_closed():
     with pytest.raises(ValueError, match=r"piece duration=\[1.0\]"):
         control_from_json({**doc, "pieces": [{"duration": [1.0],
                                                "value": 0.5}]})
-    with pytest.raises(ValueError, match="malformed control document"):
-        control_from_json({**doc, "meta": [1]})  # a meta that is no object
+    with pytest.raises(ValueError, match="meta must be a JSON object"):
+        control_from_json({**doc, "meta": [1]})
 
 
 def test_steering_shape_guards():

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import bqcontrol
 from bqcontrol.certification import certify
 from bqcontrol.models import (Record, _write_json, custom_system, dump_system,
-                              load_system, truncate)
+                              load_system, system_from_json, truncate)
 from bqcontrol.simulation import modulus_drift_check
-from bqcontrol.synthesis import (PiecewiseConstantControl, dump_control,
-                                 load_control)
+from bqcontrol.synthesis import (PiecewiseConstantControl, control_from_json,
+                                 dump_control, load_control)
 
 
 def records(r):
@@ -96,6 +96,19 @@ def test_loaders_refuse_nonfinite_numbers(tmp_path, dump, load, obj, literal):
     path.write_text(path.read_text().replace("0.25", literal))
     with pytest.raises(ValueError, match=literal):
         load(str(path))
+
+
+@pytest.mark.parametrize("meta", [[], False, 0, "", [["k", 1]], ["ab"],
+                                  "xy", 5], ids=repr)
+def test_readers_refuse_a_meta_that_is_not_an_object(meta):
+    # none of these may load as {} or as the pairs of a list
+    control = {"frame": "original", "delta": 0.1, "pieces": [], "meta": meta}
+    system = {"levels": 2, "lambda": [0.0, 1.0], "W": [[0, 1], [1, 0]],
+              "meta": meta}
+    for read, doc in ((control_from_json, control), (system_from_json, system)):
+        with pytest.raises(ValueError, match="meta must be a JSON object"):
+            read(doc)
+        assert read({**doc, "meta": None}).meta == {}
 
 
 FINITE = {"allow_nan": False, "allow_infinity": False}

@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -228,14 +229,15 @@ def test_steer_unitary_forward_target():
     assert np.linalg.norm(np.exp(1j * r.theta) * U - target) <= 2e-3
 
 
-def test_steer_unitary_traceless_sector():
+def test_steer_unitary_su2_target_on_the_circle():
+    # tr A = tr B = 0: the propagators lie in SU(2), and theta may be either
+    # of the two phases pi apart that meet the target
     s = custom_system([-0.5, 0.5], [[0.0, 0.6], [0.6, 0.0]])
     g = truncate(s, 2)
     eye = np.eye(2, dtype=complex)
     target = expm_skew(0.9 * g.A + g.B, 1.1)
     r = steer_unitary(g, eye, target, delta=0.1, tol=1e-3, seed=0)
-    assert r.traceless
-    assert 0.0 <= r.theta < 2.0 * math.pi / 2  # reduced sector [0, 2 pi / n)
+    assert 0.0 <= r.theta < 2.0 * math.pi
     if r.converged:
         U = eye
         for t, u in r.control.pieces:
@@ -244,8 +246,8 @@ def test_steer_unitary_traceless_sector():
 
 
 def test_steer_unitary_unconverged_theta_matches_distance():
-    # the budget is too small to converge, so the best phase of these
-    # searches often lies outside the sector [0, 2 pi / 3]
+    # the budget is too small to converge, so theta is the best phase of an
+    # unconverged control, anywhere on the circle
     s = custom_system([-1.1, 0.2, 0.9],
                       [[0.0, 0.5, 0.2], [0.5, 0.0, 0.4], [0.2, 0.4, 0.0]])
     g = truncate(s, 3)
@@ -255,13 +257,45 @@ def test_steer_unitary_unconverged_theta_matches_distance():
         target = expm_skew(u * g.A + g.B, t) @ target
     for seed in range(4):
         r = steer_unitary(g, eye, target, delta=0.1, budget=3000, seed=seed)
-        assert r.traceless and r.evaluations <= 3000
-        assert 0.0 <= r.theta <= 2.0 * math.pi / 3
+        assert r.evaluations <= 3000
+        assert 0.0 <= r.theta < 2.0 * math.pi
         U = eye
         for t, u in r.control.pieces:
             U = expm_skew(u * g.A + g.B, t) @ U
         phased = np.linalg.norm(np.exp(1j * r.theta) * U - target)
         assert abs(r.distance - phased) <= 1e-9
+
+
+@st.composite
+def zero_trace_targets(draw):
+    """(g, g1) at n = 2-4: tr A = tr B = 0, and g1 is three pieces' product
+    times a random phase, so any of n phases 2 pi / n apart may meet it."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.uniform(0.0, 4.0, n)
+    W = rng.normal(size=(n, n))
+    W = W + W.T - 2.0 * np.trace(W) / n * np.eye(n)
+    g = truncate(custom_system(lam - lam.mean(), W), n)
+    g1 = values_pass(g, np.eye(n, dtype=complex), rng.uniform(0.2, 1.5, 3),
+                     rng.uniform(0.2, 2.0, 3))
+    return g, np.exp(2j * math.pi * rng.uniform()) * g1
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(zero_trace_targets(), st.integers(0, 2))
+def test_steer_unitary_zero_trace_theta_and_distance(case, seed):
+    # theta lies on the whole circle and the reported distance is the one
+    # at theta, for the propagator rebuilt from the returned pieces
+    g, g1 = case
+    eye = np.eye(g.order, dtype=complex)
+    r = steer_unitary(g, eye, g1, delta=0.1, budget=3000, seed=seed)
+    assert 0.0 <= r.theta < 2.0 * math.pi
+    U = eye
+    for t, u in r.control.pieces:
+        U = scipy.linalg.expm(t * (u * g.A + g.B)) @ U
+    phased = np.linalg.norm(np.exp(1j * r.theta) * U - g1)
+    assert abs(r.distance - phased) <= 1e-9
+    assert not r.converged or r.distance <= 1e-3
 
 
 def test_steering_meta_keys_in_order():
@@ -317,30 +351,28 @@ def test_trivial_unitary_target_keeps_phase_distance(phase):
     r = steer_unitary(g, g0, g1, delta=0.1, seed=2)
     assert r.converged and r.control.npieces == 0 and r.evaluations == 0
     assert list(r.control.meta) == ["seed", "target"]
-    assert not r.traceless
-    assert (r.distance, r.theta) == synthesis._phase_distance(
-        g0, g1, 2.0 * math.pi)
+    assert (r.distance, r.theta) == synthesis._phase_distance(g0, g1)
     assert r.theta == pytest.approx(phase, abs=1e-12)
 
 
 @st.composite
 def unitary_pairs(draw):
-    """(U, G, sector): random n x n unitaries, sector 2 pi / n or 2 pi."""
+    """(U, G): random n x n unitaries."""
     n = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    U, G = (np.linalg.qr(rng.normal(size=(n, n))
-                         + 1j * rng.normal(size=(n, n)))[0] for _ in range(2))
-    return U, G, draw(st.sampled_from([2.0 * math.pi / n, 2.0 * math.pi]))
+    return tuple(np.linalg.qr(rng.normal(size=(n, n))
+                              + 1j * rng.normal(size=(n, n)))[0]
+                 for _ in range(2))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(unitary_pairs())
-def test_phase_distance_is_sector_minimum(p):
-    U, G, sector = p
-    d, theta = synthesis._phase_distance(U, G, sector)
-    assert 0.0 <= theta <= sector and theta < 2.0 * math.pi
+def test_phase_distance_is_circle_minimum(p):
+    U, G = p
+    d, theta = synthesis._phase_distance(U, G)
+    assert 0.0 <= theta < 2.0 * math.pi
     assert abs(d - np.linalg.norm(np.exp(1j * theta) * U - G)) <= 1e-12
-    grid = np.linspace(0.0, sector, 256)
+    grid = np.linspace(0.0, 2.0 * math.pi, 256)
     on_grid = np.linalg.norm(
         np.exp(1j * grid)[:, None, None] * U - G, axis=(1, 2))
     assert on_grid.min() >= d - 1e-12
@@ -422,49 +454,28 @@ def values_pass(g, x0, t, u):
 
 @st.composite
 def objectives(draw):
-    """(g, x0, h, p, end) with n = 2-5 and m = 1-8: h is a state
-    infidelity, a phase fit over either sector, or a phase fit whose best
-    phase lies off the sector, so theta sits at its end; then end holds
-    (g0, g1, sector), else None."""
+    """(g, x0, h, p) with n = 2-5 and m = 1-8: h is a state infidelity or
+    a phase fit."""
     n, m = draw(st.integers(2, 5)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_generators(rng, n)
     p = np.concatenate([rng.uniform(0.05, 2.0, m),
                         rng.uniform(math.log(0.1), math.log(5.0), m)])
-    kind = draw(st.sampled_from(["state", "unitary", "sector-end"]))
-    if kind == "state":
+    if draw(st.booleans()):
         x0 = random_unitary(rng, n)[:, :1]
         return g, x0, synthesis._infidelity(np.eye(n)[draw(
-            st.integers(0, n - 1))]), p, None
-    x0 = np.eye(n, dtype=complex)
-    g0 = random_unitary(rng, n)
-    sector = 2.0 * math.pi / n
-    if kind == "sector-end":
-        # the best phase lies a third of the way into the arc past the
-        # sector, so theta is clamped to its upper end near p
-        phase = sector + (2.0 * math.pi - sector) / 3.0
-        tilt = expm_skew(0.05j * (lambda H: H + H.conj().T)(
-            rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
-        g1 = np.exp(1j * phase) * full_pass(g, x0, p) @ g0 @ tilt
-        return g, x0, synthesis._phase_fit(g0, g1, sector), p, (g0, g1,
-                                                                sector)
-    g1 = random_unitary(rng, n)
-    sector = draw(st.sampled_from([sector, 2.0 * math.pi]))
-    return g, x0, synthesis._phase_fit(g0, g1, sector), p, None
+            st.integers(0, n - 1))]), p
+    g0, g1 = random_unitary(rng, n), random_unitary(rng, n)
+    return g, np.eye(n, dtype=complex), synthesis._phase_fit(g0, g1), p
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(objectives())
 def test_gradient_matches_central_differences(case):
-    g, x0, h, p, end = case
+    g, x0, h, p = case
     value, finish = synthesis._value_and_gradient(g, x0, h, p)
     grad = finish()
     assert value == h(full_pass(g, x0, p))[0]
-    if end is not None:  # theta sits at the sector end, also near p
-        g0, g1, sector = end
-        for q in (p, p + 1e-6, p - 1e-6):
-            U = full_pass(g, x0, q) @ g0
-            assert synthesis._phase_distance(U, g1, sector)[1] == sector
     eps = 1e-6
     central = np.array([
         (h(full_pass(g, x0, p + eps * e))[0]
@@ -476,7 +487,7 @@ def test_gradient_matches_central_differences(case):
 
 def test_phase_fit_gradient_is_zero_at_distance_zero():
     eye = np.eye(3, dtype=complex)
-    value, C = synthesis._phase_fit(eye, eye, 2.0 * math.pi)(eye)
+    value, C = synthesis._phase_fit(eye, eye)(eye)
     assert value == 0.0 and C.shape == (3, 3) and not np.any(C)
 
 
@@ -484,7 +495,7 @@ def test_phase_fit_gradient_is_zero_at_distance_zero():
 def refinements(draw):
     """An objective, a start in a box with pinned coordinates, a cap and
     a tol between 0 and the start's score."""
-    g, x0, h, p, _ = draw(objectives())
+    g, x0, h, p = draw(objectives())
     m = len(p) // 2
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lo = np.array([1e-3] * m + [math.log(0.1)] * m)
