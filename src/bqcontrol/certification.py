@@ -261,6 +261,85 @@ def _scan_support(gaps, support, Q, tol, gnorm):
     return q
 
 
+def _short_supports(gaps, Q, tol, gnorm):
+    """_exhaustive(gaps, Q, tol, gnorm, (1, 2)), broadcast over all supports.
+
+    Size 1: q g_i is tested for every i and q = 1..Q at once; sqrt(q^2) = q
+    exactly, so the threshold is tol ||g||_2 q.  Size 2: a pair (i, k) is
+    wide when |g_k| exceeds the reach R = (T + S)(1 + 4 eps) of
+    _scan_support, with T = tol ||g||_2 Q sqrt(2) the largest threshold and
+    S = 8 eps Q ||g||_1 the rounding slack.  A hit q has computed residual
+    at most T(1 + 2 eps), and the computed sum differs from the exact
+    r = q_1 g_i + q_2 g_k by less than S (a product of an integer with a
+    subnormal is exact, so no absolute error term arises), hence |r| < |g_k|
+    and |q_2 - x| < 1 for x = -q_1 g_i / g_k.  The computed x is off by
+    about 2 eps |x|, far below 1 while |x| <= Q + 3, so every hit has
+    floor(x) - 1 <= q_2 <= floor(x) + 2: the tested window
+    floor(x) - 2 .. floor(x) + 3 holds it with a margin.  Beyond Q + 3
+    (where x is clipped) no |q_2| <= Q can hit.  Each candidate, dropping
+    q_2 = 0 and |q_2| > Q, is tested with the sum and threshold of
+    _scan_support, and the first pair in itertools.combinations order with
+    a hit gives the hit least in (max |q_i|, lexicographic).  Narrow pairs
+    (g_k zero or below R) go through _scan_support, in the same order.
+    Supports are taken in blocks of at most 2^16 candidates (one block of Q
+    for a single gap beyond that), so each temporary stays near 0.5 MB.
+    """
+    m = gaps.size
+    cells = 1 << 16
+    thr = tol * gnorm
+    q = np.arange(1, Q + 1, dtype=float)
+
+    rows = max(1, cells // Q)
+    for lo in range(0, m, rows):
+        with np.errstate(over="ignore"):
+            hit = np.abs(q * gaps[lo:lo + rows, None]) <= thr * q
+        if hit.any():
+            i = int(hit.any(axis=1).argmax())
+            out = np.zeros(m, dtype=int)
+            out[lo + i] = hit[i].argmax() + 1
+            return out
+
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore"):
+        slack = 8 * eps * Q * float(np.sum(np.abs(gaps)))
+        reach = (thr * np.sqrt(float(2 * Q * Q)) + slack) * (1 + 4 * eps)
+    wide = np.abs(gaps) > reach
+    # pair t of itertools.combinations(range(m), 2) is (i, t - start[i] + i + 1)
+    start = np.concatenate([[0], np.cumsum(np.arange(m - 1, 0, -1))])
+    npairs = m * (m - 1) // 2
+    window = np.arange(-2.0, 4.0)
+    per = max(1, cells // (6 * Q))
+    for lo in range(0, npairs, per):
+        t = np.arange(lo, min(lo + per, npairs))
+        i = np.searchsorted(start, t, side="right") - 1
+        k = t - start[i] + i + 1
+        w = wide[k]
+        gi, gk = gaps[i[w], None], gaps[k[w], None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q1g = q * gi  # (pairs, Q)
+            x = np.clip(-q1g / gk, -Q - 3, Q + 3)
+            q2 = np.floor(x)[:, :, None] + window  # (pairs, Q, 6)
+            resid = q1g[:, :, None] + q2 * gk[:, :, None]
+            hit = ((np.abs(resid) <= thr * np.sqrt(q[:, None] ** 2 + q2**2))
+                   & (q2 != 0) & (np.abs(q2) <= Q))
+        found = hit.any(axis=(1, 2))
+        first = t[w][found.argmax()] if found.any() else npairs
+        narrow = ~w & (t < first)
+        for a, b in zip(i[narrow], k[narrow]):
+            out = _scan_support(gaps, (a, b), Q, tol, gnorm)
+            if out is not None:
+                return out
+        if first < npairs:
+            p = found.argmax()
+            q1s = np.broadcast_to(q[:, None], hit.shape[1:])[hit[p]]
+            q2s = q2[p][hit[p]]
+            best = np.lexsort((q2s, q1s, np.maximum(q1s, np.abs(q2s))))[0]
+            out = np.zeros(m, dtype=int)
+            out[i[w][p]], out[k[w][p]] = q1s[best], q2s[best]
+            return out
+    return None
+
+
 def _exhaustive(gaps, Q, tol, gnorm, sizes):
     m = len(gaps)
     for size in sizes:
@@ -325,7 +404,8 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
 
     A candidate q (nonzero, ||q||_inf <= Q) counts as a relation when
     |sum q_i g_i| <= tol * ||g||_2 * ||q||_2.  Supports of size <= 2 are
-    scanned first.  If they hold no relation and the pigeonhole floor
+    scanned first, all in one broadcast over the gap vector (see
+    _short_supports).  If they hold no relation and the pigeonhole floor
     F = Q ||g||_1 / ((Q+1)^m - 1) is at most tol * ||g||_2, a relation exists
     for any m gaps (see _pigeonhole_floor), so a hit would say nothing about
     these ones: the search stops with status "inconclusive_precision".
@@ -333,9 +413,10 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     EXHAUSTIVE_BUDGET, the larger supports are scanned in canonical order
     (support size, support indices, max |q_i|, lexicographic), so the
     reported witness is the simplest one; beyond it PSLQ searches the rest.
-    Each support scan is a meet-in-the-middle range query (see _scan_support)
-    that reports exactly the hits of the full grid.  Every verdict carries F
-    as its floor, and no verdict claims more than "none found within bounds".
+    Each larger support is scanned on its own by a meet-in-the-middle range
+    query (see _scan_support).  Both scans report exactly the hits of the
+    full grid.  Every verdict carries F as its floor, and no verdict claims
+    more than "none found within bounds".
 
     Raises ValueError for non-finite gaps or ||g||_2, a tol that is negative
     or not finite, and a Q whose largest support scan would exceed
@@ -361,7 +442,7 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     gkey = tuple(float(g) for g in gaps)
     floor, forced = _pigeonhole_floor(gaps, Q, tol)
 
-    q = _exhaustive(gaps, Q, tol, gnorm, (1, 2))
+    q = _short_supports(gaps, Q, tol, gnorm)
     # an exact int: no float overflow at large m
     exhaustive = (2 * Q + 1) ** m <= EXHAUSTIVE_BUDGET
     method = "exhaustive" if exhaustive else "exhaustive(support<=2)+pslq"

@@ -138,6 +138,17 @@ def dense_scan(gaps, support, Q, tol, gnorm):
     return q
 
 
+def dense_short_supports(gaps, Q, tol, gnorm):
+    """dense_scan on every support of size 1, then of size 2, in
+    itertools.combinations order: the first hit wins."""
+    for size in (1, 2):
+        for support in itertools.combinations(range(len(gaps)), size):
+            q = dense_scan(gaps, support, Q, tol, gnorm)
+            if q is not None:
+                return q
+    return None
+
+
 @st.composite
 def relation_inputs(draw):
     """Gap vectors with exact, rounded, planted or no integer relations."""
@@ -169,9 +180,57 @@ def relation_inputs(draw):
 def test_relation_scan_matches_dense_grid(case):
     gaps, Q, tol = case
     got = nonresonance(gaps, Q=Q, tol=tol).to_json()
-    with mock.patch.object(certification, "_scan_support", dense_scan):
+    with mock.patch.object(certification, "_scan_support", dense_scan), \
+            mock.patch.object(certification, "_short_supports",
+                              dense_short_supports):
         ref = nonresonance(gaps, Q=Q, tol=tol).to_json()
     assert got == ref
+
+
+@st.composite
+def short_support_inputs(draw):
+    """Gap vectors of 1-24 entries with planted 1- and 2-term relations and
+    zero, tiny or near-threshold entries, at Q up to 200."""
+    m = draw(st.integers(1, 24))
+    Q = draw(st.integers(1, 200))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 5e-2]))
+    gaps = draw(st.lists(st.floats(-20.0, 20.0), min_size=m, max_size=m))
+    index = st.integers(0, m - 1)
+    for kind in draw(st.lists(st.sampled_from(
+            ["zero", "tiny", "one-term", "two-term"]), max_size=3)):
+        i = draw(index)
+        if kind == "zero":
+            gaps[i] = 0.0
+        elif kind == "tiny":
+            gaps[i] *= 1e-12
+        elif kind == "one-term":  # around the size-1 and pair thresholds
+            scale = tol * float(np.linalg.norm(gaps))
+            gaps[i] = scale * draw(st.floats(0.0, 2.0 * Q))
+        elif m > 1:  # q_1 g_i + q_2 g_k = 0, solved for g_k
+            k = draw(index.filter(lambda k: k != i))
+            q1 = draw(st.integers(1, Q))
+            q2 = draw(st.integers(1, Q)) * draw(st.sampled_from([-1, 1]))
+            gaps[k] = -q1 * gaps[i] / q2
+    return np.array(gaps), Q, tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(short_support_inputs())
+# 0.01 and 0.02 lie between the size-1 threshold and the pair reach: the
+# narrow pair (0, 2) hits before the wide pair (1, 3)
+@example((np.array([0.01, 3.0, 0.02, 6.0]), 3, 1e-3))
+# an exact zero of the rounded sum at tol = 0
+@example((np.array([1.0, math.sqrt(2.0), 3.0 * math.sqrt(2.0)]), 200, 0.0))
+# the witness (9, 1) has q_2 = 1 above x = 9 * 0.12 / 1.768 = 0.61
+@example((np.array([-0.12, 1.768]), 10, 5e-2))
+def test_short_support_broadcast_matches_per_support_scan(case):
+    gaps, Q, tol = case
+    gnorm = float(np.linalg.norm(gaps))
+    got = certification._short_supports(gaps, Q, tol, gnorm)
+    ref = certification._exhaustive(gaps, Q, tol, gnorm, (1, 2))
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert got.tolist() == ref.tolist()
 
 
 def exact_floor(gaps, Q):

@@ -173,6 +173,22 @@ def test_support4_scan_stays_small():
     assert peak < 8e6
 
 
+def test_short_support_broadcast_stays_small():
+    # at the largest Q of a pair scan, the 190 pairs of 20 gaps hold
+    # 190 x 6 Q ~ 4.4e6 window candidates: 35 MB per float64 array unblocked
+    Q = math.isqrt(int(EXHAUSTIVE_BUDGET) // 2)
+    gaps = np.random.default_rng(5).uniform(0.0, 20.0, 20)
+    tracemalloc.start()
+    try:
+        v = nonresonance(gaps, Q=Q, tol=1e-14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no short support holds a relation, so every block was scanned
+    assert v.status == "inconclusive_precision"
+    assert peak < 8e6
+
+
 @pytest.mark.parametrize("gaps", [[math.inf, 1.0], [1e308, 1e308], [math.nan, 1.0]])
 def test_nonfinite_gaps_rejected(gaps):
     with pytest.raises(ValueError):
@@ -437,6 +453,14 @@ def test_certify_reads_the_rank_from_the_gap_graph():
     assert (lie.depth_reached, lie.max_depth) == (0, 18)
     assert rep.to_json()["lie_rank"]["tree"] == [[0, 1], [0, 2]]
     assert lie_rank(truncate(s, 3)).method == "closure"
+
+
+def test_gap_edges_drop_a_gap_at_the_threshold():
+    # thr = 0.25 max(1, 2) = 0.5 exactly: the coupled gap 0.5 of (0, 1) is
+    # not above it, the gap 1.5 of (1, 2) is
+    W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    j, k = certification._gap_edges(np.array([0.0, 0.5, 2.0]), W, 0.25)
+    assert (j.tolist(), k.tolist()) == ([1], [2])
 
 
 def test_certify_depth_cap_binds_only_the_closure():

@@ -174,6 +174,15 @@ def test_pslq_guards_give_none_found(monkeypatch, result):
     assert verdict.relation is None
 
 
+def test_pslq_keeps_a_relation_at_the_coefficient_bound(monkeypatch):
+    # 30 + sqrt 2 + sqrt 3 - g_5 = 0 has max |q_i| = Q = 30 exactly
+    gaps = np.append(GAPS[:5], 30.0 + GAPS[1] + GAPS[2])
+    monkeypatch.setattr(mpmath, "pslq", lambda *a, **k: [30, 1, 1, 0, 0, -1])
+    verdict = nonresonance(gaps)
+    assert verdict.method == "exhaustive(support<=2)+pslq"
+    assert verdict.relation == (30, 1, 1, 0, 0, -1)
+
+
 # -- simulation ---------------------------------------------------------------
 
 
