@@ -418,10 +418,13 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     full grid.  Every verdict carries F as its floor, and no verdict claims
     more than "none found within bounds".
 
-    Raises ValueError for non-finite gaps or ||g||_2, a tol that is negative
-    or not finite, and a Q whose largest support scan would exceed
-    EXHAUSTIVE_BUDGET candidate vectors (2Q+1 for one gap, 2Q^2 on a support
-    of size 2).
+    ||g||_2 is numpy's norm; only where its sum of squares overflows is it
+    taken as max|g_i| ||g / max|g_i|||_2, so entries past 1e154 are accepted.
+    Raises ValueError for non-finite gaps, a 2 Q ||g||_1 that overflows (it
+    bounds every relation sum twice over, so no scan overflows), a tol that
+    is negative or not finite, and a Q whose largest support scan would
+    exceed EXHAUSTIVE_BUDGET candidate vectors (2Q+1 for one gap, 2Q^2 on a
+    support of size 2).
     """
     gaps = _check_array(gaps, "gaps").ravel()
     m = gaps.shape[0]
@@ -436,9 +439,12 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
         )
     tol = _check_real(tol, "tol", 0.0, closed=True)
     with np.errstate(over="ignore"):
+        if not math.isfinite(2.0 * Q * float(np.sum(np.abs(gaps)))):
+            raise ValueError(f"2 Q ||gaps||_1 overflows a double at Q={Q}")
         gnorm = float(np.linalg.norm(gaps))
-    if not math.isfinite(gnorm):
-        raise ValueError("||gaps||_2 overflows a double")
+        if not math.isfinite(gnorm):  # only the squares overflowed
+            top = np.max(np.abs(gaps))
+            gnorm = float(top * np.linalg.norm(gaps / top))
     gkey = tuple(float(g) for g in gaps)
     floor, forced = _pigeonhole_floor(gaps, Q, tol)
 

@@ -19,7 +19,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -29,11 +28,9 @@ from .linalg import _check_array, _check_int, _check_meta, _check_real
 __all__ = [
     "DiscreteSpectrumSystem",
     "GalerkinPair",
-    "TailCutoff",
     "QuadratureError",
     "custom_system",
     "truncate",
-    "tail_cutoff",
     "oscillator_system",
     "box3d_system",
     "box3d_lambda_prime",
@@ -86,13 +83,6 @@ class GalerkinPair:
     @property
     def lam(self):
         return np.diag(self.A).imag.copy()
-
-
-class TailCutoff(NamedTuple):
-    """Result of tail_cutoff: (order, at_data_boundary)."""
-
-    order: int
-    at_data_boundary: bool
 
 
 def _freeze(a):
@@ -148,27 +138,6 @@ def truncate(sys, n):
     A.flags.writeable = False
     B.flags.writeable = False
     return GalerkinPair(order=n, A=A, B=B)
-
-
-def tail_cutoff(sys, n, mu):
-    """Smallest N in [n, levels] whose residual coupling tail is below mu.
-
-    The tail criterion is sum over columns beyond N of W[j][k]^2 < mu for every
-    row j < n, evaluated on the stored data only.  When the criterion first
-    holds at N = levels it holds vacuously (the tail beyond the stored data is
-    unknown), which the at_data_boundary flag records.
-    """
-    n = _check_int(n, "base order", 2, sys.levels)
-    mu = _check_real(mu, "mu", 0.0)
-    rows = sys.W[:n, :]
-    # suffix[j, N] = sum_{k >= N} W[j, k]^2
-    sq = rows**2
-    suffix = np.concatenate(
-        [np.cumsum(sq[:, ::-1], axis=1)[:, ::-1], np.zeros((n, 1))], axis=1
-    )
-    # the first N whose tail is below mu; suffix[:, levels] = 0 < mu holds
-    N = n + int(np.argmax(np.max(suffix[:, n:], axis=0) < mu))
-    return TailCutoff(N, N == sys.levels)
 
 
 # ---------------------------------------------------------------------------

@@ -590,15 +590,15 @@ def _reachable(f, t, lo, step, slack, start, stop):
                                                      + size, size)
 
 
-def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
+def _torus_return(freqs, targets, lo, tol, step):
     """(s, residual): the first s >= lo found whose residual
     max_j arc(freqs_j s, targets_j) is <= tol.
 
-    Coarse pass over lo + k step (k < points), then 129 fine points around
-    each surviving candidate; a fine minimum within one fine-cell slack of
-    tol is zoomed onto before it is accepted or dropped.  Fine and zoom
-    points lie within step/2 + z of their candidate, z = cell (1 + 2/128 +
-    (2/128)^2), so a candidate is tested on frequency j against slack_j =
+    Coarse pass over lo + k step (k < MAX_SCAN_POINTS), then 129 fine
+    points around each surviving candidate; a fine minimum within one
+    fine-cell slack of tol is zoomed onto before it is accepted or dropped.
+    Fine and zoom points lie within step/2 + z of their candidate, z = cell
+    (1 + 2/128 + (2/128)^2), so a candidate is tested on frequency j against slack_j =
     min(tol + step/2 max|f|, tol + |f_j| (step/2 + z) + a rounding bound):
     past the second term no point near it can pass, and the first keeps
     the survivors a subset of a common-slack scan's.  The coarse pass builds
@@ -608,16 +608,16 @@ def _torus_return(freqs, targets, lo, tol, step, points=MAX_SCAN_POINTS):
     2, 4, ... survivors (the first is usually accepted) and accepts strictly
     in order, so (s, residual) and the error text are bit for bit those of
     testing the max over all frequencies against the common slack at every
-    point.  Raises PhaseSearchError once all `points` coarse points are
-    scanned; `points` is first cut to keep |lo + k step| below
+    point.  Raises PhaseSearchError once all MAX_SCAN_POINTS coarse points
+    are scanned; their count is first cut to keep |lo + k step| below
     max double / (4 max(1, max|f|)), so no grid point or phase overflows
     (to 0, reported as the interval [lo, lo], when lo or step is not
     finite).
     """
     absf = np.abs(freqs)
     lipschitz = float(np.max(absf))
-    if lipschitz == 0.0:
-        points = 1  # the residual is constant: one point settles it
+    # the residual is constant at lipschitz 0: one point settles it
+    points = MAX_SCAN_POINTS if lipschitz else 1
     reach = sys.float_info.max / (4.0 * max(1.0, lipschitz)) - abs(lo)
     if not float(step) * points <= reach:
         points = (int(reach // step) + 1 if reach >= 0.0 and math.isfinite(step)

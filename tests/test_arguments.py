@@ -43,7 +43,6 @@ from bqcontrol import (
     steer_state,
     steer_unitary,
     steering_time_lower_bound,
-    tail_cutoff,
     truncate,
     unitarity_defect,
 )
@@ -61,7 +60,6 @@ NOT_REALS = NONFINITE + [True]
 # (label, call taking the bad value, out-of-range finite values); each also
 # gets NaN, +-inf and True
 REAL_ARGS = [
-    ("tail_cutoff.mu", lambda x: tail_cutoff(SYS, 2, x), [0.0, -1.0]),
     ("oscillator_system.a", lambda x: oscillator_system(x, 0.3), [0.0, 1.0]),
     ("oscillator_system.b", lambda x: oscillator_system(-0.5, x), []),
     ("oscillator_system.c", lambda x: oscillator_system(-0.5, 0.3, c_mode=x),
@@ -114,7 +112,6 @@ REAL_ARGS = [
 # (label, call taking the bad value, out-of-range integers)
 INT_ARGS = [
     ("truncate.n", lambda x: truncate(SYS, x), [1, 4]),
-    ("tail_cutoff.n", lambda x: tail_cutoff(SYS, x, 0.1), [1, 4]),
     ("oscillator_system.levels",
      lambda x: oscillator_system(-0.5, 0.3, levels=x), [1]),
     ("box3d_system.levels", lambda x: box3d_system(BOX_L, BOX_ALPHA, x), [1]),

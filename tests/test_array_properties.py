@@ -1,7 +1,6 @@
 """Generated-input properties of the array-form certification checks, of
 constructive_generators, of decoupling_error, of the frame exchange and of
-the box, oscillator and tail-cutoff model builders, each against a direct
-reference kept here."""
+the box and oscillator models, each against a direct reference kept here."""
 
 import functools
 import itertools
@@ -33,7 +32,7 @@ from bqcontrol.certification import (
 from bqcontrol.models import (QUAD_ATOL, QUAD_MAX_NODES, QuadratureError,
                               _box1d_coupling, _box_triples, _osc_coupling,
                               box3d_system, custom_system, oscillator_system,
-                              tail_cutoff, truncate)
+                              truncate)
 from bqcontrol.linalg import commutator
 from bqcontrol.synthesis import (PiecewiseConstantControl, decoupling_error,
                                  final_state, reparametrize)
@@ -852,44 +851,3 @@ def test_oscillator_matches_while_loop_doubling(a, b, c_mode, levels):
     assert s.meta["quad_nodes"] == nodes
     ref = custom_system(2.0 * np.arange(levels) + 1.0, W).W
     assert s.W.tobytes() == ref.tobytes()
-
-
-def tail_cutoff_loop(W, n, mu):
-    """The first N in [n, L] with sum_{k >= N} W[j, k]^2 < mu for all j < n,
-    each tail summed from the last column down."""
-    L = len(W)
-    for N in range(n, L + 1):
-        tails = []
-        for j in range(n):
-            t = 0.0
-            for k in range(L - 1, N - 1, -1):
-                t += float(W[j, k]) * float(W[j, k])
-            tails.append(t)
-        if max(tails) < mu:
-            return N
-    raise AssertionError("the empty tail at N = L is below every mu > 0")
-
-
-@st.composite
-def tail_inputs(draw):
-    L = draw(st.integers(2, 12))
-    n = draw(st.integers(2, L))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    W = rng.normal(size=(L, L)) * np.exp(-draw(st.floats(0.0, 2.0))
-                                         * np.arange(L))
-    W[:, L - draw(st.integers(0, L)):] = 0.0  # a zero tail of any width
-    s = custom_system(np.arange(L, dtype=float), W + W.T)
-    tails = [sum(float(w) * float(w) for w in s.W[j, N:])
-             for j in range(n) for N in range(n, L)]
-    # a mu at a tail value itself puts the strict < at its boundary
-    mu = draw(st.one_of(st.floats(1e-12, 10.0),
-                        st.sampled_from([t for t in tails if t > 0] or [1.0])))
-    return s, n, mu
-
-
-@PROPS
-@given(tail_inputs())
-def test_tail_cutoff_matches_loop_over_orders(case):
-    s, n, mu = case
-    N = tail_cutoff_loop(s.W, n, mu)
-    assert tail_cutoff(s, n, mu) == (N, N == s.levels)

@@ -1,6 +1,9 @@
 """Tests for connectedness, nonresonance, rank and generator construction."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -189,10 +192,20 @@ def test_short_support_broadcast_stays_small():
     assert peak < 8e6
 
 
-@pytest.mark.parametrize("gaps", [[math.inf, 1.0], [1e308, 1e308], [math.nan, 1.0]])
+# [1e308, 1e308] and [1e307, 1e307] have a finite ||g||_2, but 2 Q ||g||_1
+# (which bounds every relation sum the scans form) overflows
+@pytest.mark.parametrize("gaps", [[math.inf, 1.0], [1e308, 1e308], [math.nan, 1.0],
+                                  [1.7e308, 1.7e308], [1e307, 1e307]])
 def test_nonfinite_gaps_rejected(gaps):
     with pytest.raises(ValueError):
         nonresonance(gaps)
+
+
+def test_gaps_past_1e154_get_a_scaled_norm():
+    # numpy's ||g||_2 squares 1e200 to inf; max|g| ||g / max|g|||_2 is 1e200
+    v = nonresonance([1e200, 1.0])
+    assert v.status == "relation_found"
+    assert v.relation == (0, 1) and v.residual == 1.0
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
@@ -234,6 +247,21 @@ def test_precision_floor_skips_pslq(monkeypatch):
     assert v.relation is None and v.residual is None
     assert v.method == "exhaustive(support<=2)"
     assert 0.0 < v.floor <= v.tolerance * np.linalg.norm(v.gaps)
+
+
+def test_mpmath_is_imported_only_for_pslq():
+    # the package and the CLI load without mpmath; 7 generic gaps at Q=30
+    # exceed the exhaustive budget, so the search reaches PSLQ and loads it
+    src = os.path.dirname(os.path.dirname(certification.__file__))
+    code = ("import sys, numpy, bqcontrol, bqcontrol.cli\n"
+            "print('mpmath' in sys.modules)\n"
+            "bqcontrol.nonresonance(numpy.random.default_rng(0).random(7))\n"
+            "print('mpmath' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_precision_floor_on_the_exhaustive_path():
@@ -331,6 +359,13 @@ def test_lie_rank_su_only():
     r = lie_rank(g)
     assert r.rank == 3 == g.order ** 2 - 1
     assert r.contains_su
+
+
+def test_lie_rank_cut_is_strict():
+    # A = 0, and B's one entry 1e-13 leaves a residual equal to the cut
+    # max(1e-13, 1e-7 |r|) exactly: it is not kept
+    g = truncate(custom_system([0.0, 0.0], [[1e-13, 0.0], [0.0, 0.0]]), 2)
+    assert lie_rank(g).rank == 0
 
 
 # -- constructive generators -------------------------------------------------

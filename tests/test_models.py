@@ -21,7 +21,6 @@ from bqcontrol.models import (
     system_from_config,
     system_from_json,
     system_to_json,
-    tail_cutoff,
     truncate,
 )
 from bqcontrol.synthesis import control_from_json
@@ -95,17 +94,6 @@ def test_truncate_shapes_and_content():
         truncate(s, 1)
     with pytest.raises(ValueError):
         truncate(s, 4)
-
-
-def test_tail_cutoff():
-    W = np.zeros((4, 4))
-    W[0, 1] = W[1, 0] = 0.5
-    W[0, 3] = W[3, 0] = 0.01  # weak coupling to the last stored level
-    s = custom_system([0.0, 1.0, 2.0, 3.5], W)
-    # at N=2 the tail (columns 2,3) carries 0.01^2 = 1e-4 in row 0
-    assert tail_cutoff(s, 2, mu=1e-3) == (2, False)
-    order, boundary = tail_cutoff(s, 2, mu=1e-5)
-    assert order == 4 and boundary  # only the data boundary satisfies 1e-5
 
 
 # -- oscillator -------------------------------------------------------------

@@ -7,22 +7,21 @@ has a caller: the library outside the name's own def or class, a bench/ or
 demos/ script, README.md or docs/.  A helper left behind by a refactor, or
 an import it leaves stale, fails here.  The library also starts no threads
 or processes and reads no environment variable: its behaviour is set by its
-arguments alone.
+arguments alone.  It imports only the standard library and the runtime
+dependencies pyproject.toml declares.
 """
 
 import ast
 import glob
 import os
 import re
+import sys
 
 import bqcontrol
 
 SRC = os.path.dirname(os.path.abspath(bqcontrol.__file__))
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
-# public names with no caller yet, and why each stays
-UNCALLED = {"tail_cutoff": "ROADMAP item 14 wires it into bqc as the paper's "
-                           "choice of the larger truncation"}
 
 
 def parse(name):
@@ -114,8 +113,7 @@ def test_every_public_name_has_a_caller():
         for path in glob.glob(os.path.join(ROOT, pattern)):
             with open(path) as fh:
                 called.update(re.findall(r"\w+", fh.read()))
-    uncalled = {n for n in bqcontrol.__all__ if n not in called}
-    assert uncalled == set(UNCALLED)
+    assert [n for n in bqcontrol.__all__ if n not in called] == []
 
 
 CONCURRENCY = {"threading", "multiprocessing", "concurrent"}
@@ -141,3 +139,23 @@ def test_no_threads_and_no_environment_reads():
             found += [f"{name}:{node.lineno}: {n}" for n in names
                       if n in ENVIRONMENT]
     assert found == []
+
+
+def test_imports_only_declared_dependencies():
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        block = re.search(r"^dependencies = \[(.*?)\]", fh.read(),
+                          re.M | re.S).group(1)
+    allowed = set(re.findall(r'"([A-Za-z0-9_]+)', block))
+    allowed |= sys.stdlib_module_names
+    stray = []
+    for name in MODULES:
+        for node in ast.walk(parse(name)):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [node.module]
+            else:  # relative imports stay inside bqcontrol
+                continue
+            stray += [f"{name}:{node.lineno}: import {m}" for m in mods
+                      if m.split(".")[0] not in allowed]
+    assert stray == []

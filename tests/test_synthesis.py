@@ -872,8 +872,9 @@ def test_torus_return_lands_within_tol_or_raises(freqs, data, lo, tol, step):
     targets = data.draw(st.lists(st.floats(0.0, 2.0 * math.pi),
                                  min_size=len(freqs), max_size=len(freqs)))
     try:
-        s, resid = synthesis._torus_return(np.array(freqs), np.array(targets),
-                                           lo, tol, step, points=3000)
+        with mock.patch.object(synthesis, "MAX_SCAN_POINTS", 3000):
+            s, resid = synthesis._torus_return(np.array(freqs),
+                                               np.array(targets), lo, tol, step)
     except PhaseSearchError:
         return
     assert s >= lo
@@ -885,14 +886,12 @@ def test_torus_return_lands_within_tol_or_raises(freqs, data, lo, tol, step):
         assert abs(math.remainder(f * s - t, 2.0 * math.pi)) <= tol + 1e-9
 
 
-def _all_frequency_scan(freqs, targets, lo, tol, step,
-                        points=synthesis.MAX_SCAN_POINTS):
+def _all_frequency_scan(freqs, targets, lo, tol, step):
     """Reference scan: the coarse pass tests the max over all frequencies at
-    every grid point; the overflow cut of `points` and the fine and zoom
-    stages as in synthesis."""
+    every grid point; the overflow cut of MAX_SCAN_POINTS and the fine and
+    zoom stages as in synthesis."""
     lipschitz = float(np.max(np.abs(freqs)))
-    if lipschitz == 0.0:
-        points = 1
+    points = synthesis.MAX_SCAN_POINTS if lipschitz else 1
     reach = sys.float_info.max / (4.0 * max(1.0, lipschitz)) - abs(lo)
     if not float(step) * points <= reach:
         points = (int(reach // step) + 1 if reach >= 0.0 and math.isfinite(step)
@@ -930,10 +929,10 @@ def _all_frequency_scan(freqs, targets, lo, tol, step,
     )
 
 
-def _outcome(fn, *args, **kwargs):
+def _outcome(fn, *args):
     """fn's result as bits, or its PhaseSearchError text."""
     try:
-        out = fn(*args, **kwargs)
+        out = fn(*args)
     except PhaseSearchError as e:
         return "error", str(e)
     return tuple(float(x).hex() for x in out)
@@ -987,16 +986,15 @@ def test_torus_return_matches_all_frequency_scan(freqs, targets, lo, tol,
     fastest = float(np.max(np.abs(freqs)))
     if lift_step and fastest >= 1.0:  # the lift's step: pi/4 per fastest cell
         step = math.pi / (4.0 * fastest)
-    # small chunks: scans cross chunks, end on a partial one and hit `points`;
-    # at most `rows` candidates per fine block: the growing blocks reach the
-    # cap, and their boundaries fall inside a chunk
+    # small chunks: scans cross chunks, end on a partial one and hit
+    # MAX_SCAN_POINTS; at most `rows` candidates per fine block: the growing
+    # blocks reach the cap, and their boundaries fall inside a chunk
     with mock.patch.object(synthesis, "_SCAN_CHUNK", chunk), \
+            mock.patch.object(synthesis, "MAX_SCAN_POINTS", points), \
             mock.patch.object(synthesis, "_FINE_BLOCK",
                               rows * synthesis._FINE * len(freqs)):
-        got = _outcome(synthesis._torus_return, freqs, targets, lo, tol, step,
-                       points=points)
-        want = _outcome(_all_frequency_scan, freqs, targets, lo, tol, step,
-                        points=points)
+        got = _outcome(synthesis._torus_return, freqs, targets, lo, tol, step)
+        want = _outcome(_all_frequency_scan, freqs, targets, lo, tol, step)
     assert got == want
 
 
@@ -1010,10 +1008,11 @@ def _pivot_slack(freqs, targets, lo, tol, step, points):
     def stop(f, t, lo, step, slack, start, end):
         raise _PivotSlack(slack)
 
-    with mock.patch.object(synthesis, "_reachable", stop):
+    with mock.patch.object(synthesis, "_reachable", stop), \
+            mock.patch.object(synthesis, "MAX_SCAN_POINTS", points):
         try:
             synthesis._torus_return(np.array(freqs), np.array(targets), lo,
-                                    tol, step, points=points)
+                                    tol, step)
         except _PivotSlack as e:
             return float(e.args[0])
     return None
