@@ -598,9 +598,9 @@ def _torus_return(freqs, targets, lo, tol, step):
     points around each surviving candidate; a fine minimum within one
     fine-cell slack of tol is zoomed onto before it is accepted or dropped.
     Fine and zoom points lie within step/2 + z of their candidate, z = cell
-    (1 + 2/128 + (2/128)^2), so a candidate is tested on frequency j against slack_j =
-    min(tol + step/2 max|f|, tol + |f_j| (step/2 + z) + a rounding bound):
-    past the second term no point near it can pass, and the first keeps
+    (1 + 2/128 + (2/128)^2), so a candidate is tested on frequency j against
+    slack_j = min(tol + step/2 max|f|, tol + |f_j| (step/2 + z) + a rounding
+    bound): past the second term no point near it can pass, and the first keeps
     the survivors a subset of a common-slack scan's.  The coarse pass builds
     the grid only at the k the pivot (the nonzero frequency of least |f|)
     can pass at (_reachable), then filters one frequency at a time, each
