@@ -4,9 +4,12 @@ All matrices are plain complex numpy arrays.  Construction helpers validate and
 return arrays rather than wrapping them in classes; downstream code relies on
 the exact algebraic identities enforced here (entrywise skew symmetry, unitary
 propagators from a Hermitian eigendecomposition).  Every propagator factor
-comes from one kernel with two entry points, both returning (w, V, phases, F):
-_expm_stack(G, t) for a (k, n, n) generator stack, from one batched eigh, and
-_piece_factors(A, B, durations, values, frame) for the pieces of a control.
+comes from one kernel with two entry points, both returning
+(w, V, Vh, phases, F) with Vh = V^H: _expm_stack(G, t) for a (k, n, n)
+generator stack, from one batched eigh, and _piece_factors(A, B, durations,
+values, frame) for the pieces of a control.  The np.errstate that lets an
+overflow reach the kernel's own check is held here, by the entry points,
+never by their callers.
 """
 
 from __future__ import annotations
@@ -160,47 +163,53 @@ def _eigh(H):
 
 
 def _expm_stack(G, t):
-    """(w, V, phases, F) with F_k = expm(t_k G_k) = V_k diag(phases_k) V_k^H
-    for a (k, n, n) stack of skew-Hermitian G_k and times t_k.
+    """(w, V, Vh, phases, F) with Vh_k = V_k^H and F_k = expm(t_k G_k) =
+    V_k diag(phases_k) Vh_k, for a (k, n, n) stack of skew-Hermitian G_k and
+    times t_k.
 
     One batched eigendecomposition i G_k = V_k diag(w_k) V_k^H gives the
     phases exp(-i t_k w_k), so each F_k is unitary to machine precision for
     any ||t_k G_k||.  An overflow in G_k or t_k w gives a non-finite phase,
-    which raises ValueError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        w, V = _eigh(1j * G)
-        phases = np.exp(-1j * t[:, None] * w)
-    if not np.all(np.isfinite(phases)):
+    which raises ValueError.  Runs under the caller's
+    np.errstate(over="ignore", invalid="ignore"): expm_skew's or
+    _piece_factors', so one errstate covers the generators and the phases."""
+    w, V = _eigh(1j * G)
+    phases = np.exp(-1j * t[:, None] * w)
+    if not np.isfinite(phases).all():
         raise ValueError("the propagator overflows: a generator or a time "
                          "gives a non-finite phase exp(-i t w)")
-    return w, V, phases, (V * phases[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    Vh = V.conj().swapaxes(-1, -2)
+    return w, V, Vh, phases, (V * phases[:, None, :]) @ Vh
 
 
 def expm_skew(M, t=1.0):
     """Unitary propagator expm(t M) for skew-Hermitian M (see _expm_stack)."""
-    return _expm_stack(skew_hermitian(M)[None],
-                       np.array([_check_real(t, "t")]))[-1][0]
+    G, t = skew_hermitian(M)[None], np.array([_check_real(t, "t")])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _expm_stack(G, t)[-1][0]
 
 
 def _piece_factors(A, B, durations, values, frame):
-    """_expm_stack of the pieces of a piecewise-constant control.
+    """_expm_stack of the pieces of a piecewise-constant control:
+    (w, V, Vh, phases, F), one row per piece.
 
     The generator of piece k is G_k = A + u_k B in the "original" frame and
     u_k A + B in the "reparametrized" one; an overflow raises ValueError.
+    One np.errstate covers building the generators and the kernel.
     """
     if frame not in ("original", "reparametrized"):
         raise ValueError(f"unknown frame {frame!r}")
     u = np.asarray(values, dtype=float)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = A + u * B if frame == "original" else u * A + B
-    return _expm_stack(stack, np.asarray(durations, dtype=float))
+        return _expm_stack(A + u * B if frame == "original" else u * A + B,
+                           np.asarray(durations, dtype=float))
 
 
 def _partial_products(x, factors):
     """[x, F_0 x, F_1 F_0 x, ...] as one complex array of len(factors) + 1
     rows: the running products of x with `factors` in order, the one place
     a piecewise propagation is multiplied out."""
-    xs = np.empty((len(factors) + 1, *np.shape(x)), dtype=complex)
+    xs = np.empty((len(factors) + 1, *x.shape), dtype=complex)
     xs[0] = x
     for F, a, b in zip(factors, xs, xs[1:]):
         np.matmul(F, a, out=b)

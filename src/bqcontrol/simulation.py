@@ -82,7 +82,9 @@ def fidelity(psi, phi):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: states are (S, n) vectors or (S, n, n) densities."""
+    """Sampled evolution: states are (S, n) vectors or (S, n, n) densities.
+
+    A density trajectory built without spectra takes them from its states."""
 
     times: np.ndarray
     states: np.ndarray
@@ -90,6 +92,12 @@ class Trajectory:
     kind: str  # "state" | "density"
     norm_drift: float  # max deviation of ||psi|| (or tr rho) from 1
     spectrum_drift: float = 0.0  # densities: max drift of sorted eigenvalues
+    spectra: np.ndarray = None  # densities: ascending eigenvalues per row
+
+    def __post_init__(self):
+        if self.kind == "density" and self.spectra is None:
+            object.__setattr__(self, "spectra",
+                               np.linalg.eigvalsh(self.states))
 
     @property
     def final(self):
@@ -154,7 +162,7 @@ def propagate_density(g, c, rho0, samples_per_piece=16):
     drift = float(np.max(np.abs(traces - 1.0)))
     spec = np.linalg.eigvalsh(mats)  # ascending rows; row 0 is rho0's
     spec_drift = float(np.max(np.abs(spec - spec[0])))
-    return Trajectory(times, mats, pops, "density", drift, spec_drift)
+    return Trajectory(times, mats, pops, "density", drift, spec_drift, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +278,7 @@ def write_trajectory_csv(traj, path, plot_path=None):
     elif traj.kind == "density":
         header = ["t"] + [f"eig_{k}" for k in range(n)] + ["purity"]
         purity = np.real(np.trace(traj.states @ traj.states, axis1=1, axis2=2))
-        rest = _cells(np.column_stack([np.linalg.eigvalsh(traj.states),
-                                       purity]))
+        rest = _cells(np.column_stack([traj.spectra, purity]))
         body = [f"{a},{b}\n" for a, b in zip(t, rest)]
     else:
         raise ValueError(f"unknown trajectory kind {traj.kind!r}")

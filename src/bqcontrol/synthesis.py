@@ -253,24 +253,21 @@ def _value_and_gradient(g, x0, h, p):
     m = len(p) // 2
     t, w = p[:m], p[m:]
     u = np.exp(w)
-    omega, V, _, F = _piece_factors(g.A, g.B, t, u, "reparametrized")
+    omega, V, Vh, _, F = _piece_factors(g.A, g.B, t, u, "reparametrized")
     xs = _partial_products(x0, F)
     value, C = h(xs[-1])
 
     def finish():
-        Fh = np.swapaxes(F[:0:-1].conj(), -1, -2)
-        lams = _partial_products(C, Fh)[::-1]
-        Vh = np.swapaxes(V.conj(), -1, -2)
-        O = (Vh @ lams).conj() @ np.swapaxes(Vh @ xs[:-1], -1, -2)
+        lams = _partial_products(C, F[:0:-1].conj().swapaxes(-1, -2))[::-1]
+        O = (Vh @ lams).conj() @ (Vh @ xs[:-1]).swapaxes(-1, -2)
         half = 0.5 * t[:, None] * omega  # the exponents are -2i half
         diff = half[:, :, None] - half[:, None, :]
-        sinc = np.divide(np.sin(diff), diff, out=np.ones_like(diff),
-                         where=diff != 0.0)
+        sinc = np.ones(diff.shape)
+        np.divide(np.sin(diff), diff, out=sinc, where=diff != 0.0)
         root = np.exp(-1j * half)
         GO = root[:, :, None] * root[:, None, :] * sinc * O  # Gamma o O
-        grad_t = np.imag(np.sum(np.diagonal(GO, axis1=1, axis2=2) * omega,
-                                axis=1))
-        grad_w = np.real(np.sum(GO * (Vh @ g.A @ V), axis=(1, 2))) * t * u
+        grad_t = (GO.diagonal(axis1=1, axis2=2) * omega).sum(axis=1).imag
+        grad_w = (GO * (Vh @ g.A @ V)).sum(axis=(1, 2)).real * t * u
         return np.concatenate([grad_t, grad_w])
 
     return value, finish
@@ -282,12 +279,13 @@ def _two_loop(grad, pairs):
     q = grad.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        alphas.append(rho * (s @ q))
-        q -= alphas[-1] * y
+        alpha = rho * float(s.dot(q))
+        alphas.append(alpha)
+        q -= alpha * y
     _, y, rho = pairs[-1]
-    q /= rho * (y @ y)
+    q /= rho * float(y.dot(y))
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * (y @ q)) * s
+        q += (alpha - rho * float(y.dot(q))) * s
     return q
 
 
@@ -312,22 +310,23 @@ def _lbfgs(g, x0, h, p, lo, hi, cap, tol):
     recent = collections.deque([f], maxlen=_STALL + 1)  # accepted scores
     while f > tol and used < cap:
         free = ~(((p <= lo) & (grad > 0)) | ((p >= hi) & (grad < 0)))
-        top = np.max(np.abs(grad * free))
+        projected = grad * free
+        top = float(abs(projected).max())
         if not top > _GRAD_FLOOR:  # the projected gradient vanishes
             break
         if pairs:
-            d = -_two_loop(grad * free, pairs) * free
-        if not pairs or not d @ grad < 0:  # restart by steepest descent
+            d = -_two_loop(projected, pairs) * free
+        if not pairs or not d.dot(grad) < 0:  # restart by steepest descent
             pairs.clear()
-            d = -grad * free / top
+            d = -projected / top
         step, moved = 1.0, False
         for _ in range(_HALVINGS):
             q = np.minimum(hi, np.maximum(lo, p + step * d))
-            if used >= cap or not np.any(q != p):
+            if used >= cap or not (q != p).any():
                 break
             fq, finish = _value_and_gradient(g, x0, h, q)
             used += 1
-            if fq <= tol or fq < f and fq - f <= _ARMIJO * (grad @ (q - p)):
+            if fq <= tol or fq < f and fq - f <= _ARMIJO * grad.dot(q - p):
                 moved = True
                 break
             step *= 0.5
@@ -342,8 +341,8 @@ def _lbfgs(g, x0, h, p, lo, hi, cap, tol):
             return q, fq, used  # the search ends here: no gradient needed
         gq = finish()
         s, y = q - p, gq - grad
-        sy = s @ y
-        if sy > 1e-10 * (y @ y):  # keep only positive curvature
+        sy = float(s.dot(y))
+        if sy > 1e-10 * float(y.dot(y)):  # keep only positive curvature
             pairs.append((s, y, 1.0 / sy))
         p, f, grad = q, fq, gq
     return p, f, used

@@ -320,6 +320,22 @@ def test_write_density_trajectory_csv(tmp_path):
     assert final == pytest.approx([0.3, 0.7], abs=1e-12)
 
 
+def test_density_csv_reuses_the_propagated_spectra(tmp_path):
+    # one eigvalsh of the stacked rows serves the spectral drift and the
+    # CSV's eig_* columns; the other call is as_density's check of rho0
+    g = truncate(THREE_LEVEL, 3)
+    c = PiecewiseConstantControl("reparametrized", [(0.7, 0.4), (0.5, 0.9)],
+                                 0.1)
+    rho0 = np.diag([0.6, 0.3, 0.1]).astype(complex)
+    eigvalsh = np.linalg.eigvalsh
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=eigvalsh) as spy:
+        traj = propagate_density(g, c, rho0, samples_per_piece=4)
+        write_trajectory_csv(traj, tmp_path / "rho.csv")
+    assert [args[0].shape for args, _ in spy.call_args_list] == [(3, 3),
+                                                                 (9, 3, 3)]
+    assert np.array_equal(traj.spectra, eigvalsh(traj.states))
+
+
 @pytest.mark.parametrize("kind", ["state", "density"])
 def test_write_trajectory_csv_plot_table(tmp_path, kind):
     # t and the populations, each field as the CSV prints it

@@ -8,7 +8,8 @@ demos/ script, README.md or docs/.  A helper left behind by a refactor, or
 an import it leaves stale, fails here.  The library also starts no threads
 or processes and reads no environment variable: its behaviour is set by its
 arguments alone.  It imports only the standard library and the runtime
-dependencies pyproject.toml declares.
+dependencies pyproject.toml declares, and reaches no private name of those
+(a dotted segment starting with "_").
 """
 
 import ast
@@ -141,12 +142,16 @@ def test_no_threads_and_no_environment_reads():
     assert found == []
 
 
-def test_imports_only_declared_dependencies():
+def declared_dependencies():
+    """The runtime dependencies pyproject.toml declares: numpy and mpmath."""
     with open(os.path.join(ROOT, "pyproject.toml")) as fh:
         block = re.search(r"^dependencies = \[(.*?)\]", fh.read(),
                           re.M | re.S).group(1)
-    allowed = set(re.findall(r'"([A-Za-z0-9_]+)', block))
-    allowed |= sys.stdlib_module_names
+    return set(re.findall(r'"([A-Za-z0-9_]+)', block))
+
+
+def test_imports_only_declared_dependencies():
+    allowed = declared_dependencies() | sys.stdlib_module_names
     stray = []
     for name in MODULES:
         for node in ast.walk(parse(name)):
@@ -159,3 +164,49 @@ def test_imports_only_declared_dependencies():
             stray += [f"{name}:{node.lineno}: import {m}" for m in mods
                       if m.split(".")[0] not in allowed]
     assert stray == []
+
+
+def private_dependency_uses(tree, deps):
+    """(line, dotted name) of each import or attribute chain that reaches a
+    name of a dependency in `deps` whose dotted segment starts with "_",
+    such as np.linalg._umath_linalg, named up to that segment."""
+    bound = set()  # local names an import binds to a dependency or its parts
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            chains = [(a.name.split("."), a.asname or a.name.split(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            chains = [(node.module.split(".") + [a.name], a.asname or a.name)
+                      for a in node.names]
+        else:
+            continue
+        for chain, local in chains:
+            if chain[0] in deps:
+                bound.add(local)
+                if any(part.startswith("_") for part in chain):
+                    yield node.lineno, ".".join(chain)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            parts, base = [], node
+            while isinstance(base, ast.Attribute):
+                parts.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                yield node.lineno, ".".join([base.id] + parts[::-1])
+
+
+def test_no_private_name_of_a_dependency():
+    deps = declared_dependencies()
+    found = [f"{name}:{line}: {dotted}" for name in MODULES
+             for line, dotted in private_dependency_uses(parse(name), deps)]
+    assert found == []
+    # the check itself sees a private gufunc, a private module and a
+    # private name imported from a public one
+    bypass = ast.parse("import numpy as np\n"
+                       "import numpy.linalg._linalg\n"
+                       "from mpmath import _private as p\n"
+                       "w, V = np.linalg._umath_linalg.eigh_lo(H)\n"
+                       "np.linalg.eigh(H)\n")
+    assert list(private_dependency_uses(bypass, deps)) == [
+        (2, "numpy.linalg._linalg"), (3, "mpmath._private"),
+        (4, "np.linalg._umath_linalg")]

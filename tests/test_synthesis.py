@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bqcontrol import synthesis
-from bqcontrol.linalg import _piece_factors, expm_skew
+from bqcontrol.linalg import _partial_products, _piece_factors, expm_skew
 from bqcontrol.models import (box3d_system, custom_system, oscillator_system,
                               truncate)
 from bqcontrol.simulation import propagate
@@ -692,6 +692,100 @@ def test_quickstart_search_takes_fewer_gradients_than_evaluations():
                            counting_gradients(values, finished)):
         r = quickstart_e1_e3()
     assert r.converged and 0 < len(finished) < len(values) < r.evaluations
+
+
+def reference_value_and_gradient(g, x0, h, p):
+    """_value_and_gradient as its formulas stood before the search's numpy
+    calls were trimmed (np.swapaxes, np.diagonal, np.sum, np.real, np.imag,
+    V^H built again from V, np.ones_like), kept as the reference that every
+    trim must match bit for bit."""
+    m = len(p) // 2
+    t, w = p[:m], p[m:]
+    u = np.exp(w)
+    omega, V, _, _, F = _piece_factors(g.A, g.B, t, u, "reparametrized")
+    xs = _partial_products(x0, F)
+    value, C = h(xs[-1])
+
+    def finish():
+        Fh = np.swapaxes(F[:0:-1].conj(), -1, -2)
+        lams = _partial_products(C, Fh)[::-1]
+        Vh = np.swapaxes(V.conj(), -1, -2)
+        O = (Vh @ lams).conj() @ np.swapaxes(Vh @ xs[:-1], -1, -2)
+        half = 0.5 * t[:, None] * omega
+        diff = half[:, :, None] - half[:, None, :]
+        sinc = np.divide(np.sin(diff), diff, out=np.ones_like(diff),
+                         where=diff != 0.0)
+        root = np.exp(-1j * half)
+        GO = root[:, :, None] * root[:, None, :] * sinc * O
+        grad_t = np.imag(np.sum(np.diagonal(GO, axis1=1, axis2=2) * omega,
+                                axis=1))
+        grad_w = np.real(np.sum(GO * (Vh @ g.A @ V), axis=(1, 2))) * t * u
+        return np.concatenate([grad_t, grad_w])
+
+    return value, finish
+
+
+def reference_two_loop(grad, pairs):
+    """_two_loop with the matmul operator and numpy scalars, the reference
+    of its trimmed form."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    _, y, rho = pairs[-1]
+    q /= rho * (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(objectives(), st.integers(1, synthesis._HISTORY))
+def test_search_kernels_match_reference_formulas(case, history):
+    # the value, the gradient and the L-BFGS product are the references'
+    # to the last bit; the pairs come from gradients at nearby points
+    g, x0, h, p = case
+    value, finish = synthesis._value_and_gradient(g, x0, h, p)
+    ref_value, ref_finish = reference_value_and_gradient(g, x0, h, p)
+    grad = finish()
+    assert float(value).hex() == float(ref_value).hex()
+    assert np.array_equal(grad, ref_finish())
+    rng = np.random.default_rng(history)
+    pairs = collections.deque(maxlen=synthesis._HISTORY)
+    for _ in range(history):
+        q = p + rng.normal(0.0, 0.1, len(p))
+        s = q - p
+        y = reference_value_and_gradient(g, x0, h, q)[1]() - grad
+        pairs.append((s, y, 1.0 / (s @ y)))
+    assert np.array_equal(synthesis._two_loop(grad, pairs),
+                          reference_two_loop(grad, pairs))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("target", ["state", "unitary"])
+def test_seeded_searches_match_reference_formulas(target, seed):
+    # the whole search on the reference kernels and the reference L-BFGS
+    # loop returns the same control, evaluation count and verdict
+    g = truncate(QUICKSTART, 3)
+    eye = np.eye(3, dtype=complex)
+
+    def answer():
+        if target == "state":
+            r = steer_state(g, eye[0], eye[2], delta=0.1, tol=1e-3,
+                            budget=3000, seed=seed)
+        else:
+            r = steer_unitary(g, eye, fixed3_target(g), delta=0.1, tol=1e-3,
+                              budget=3000, seed=seed)
+        return ([(t.hex(), u.hex()) for t, u in r.control.pieces],
+                r.evaluations, r.converged)
+
+    new = answer()
+    with mock.patch.object(synthesis, "_value_and_gradient",
+                           reference_value_and_gradient), \
+            mock.patch.object(synthesis, "_two_loop", reference_two_loop), \
+            mock.patch.object(synthesis, "_lbfgs", always_gradient_lbfgs):
+        assert answer() == new
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
