@@ -7,9 +7,7 @@ propagators from a Hermitian eigendecomposition).  Every propagator factor
 comes from one kernel with two entry points, both returning
 (w, V, Vh, phases, F) with Vh = V^H: _expm_stack(G, t) for a (k, n, n)
 generator stack, from one batched eigh, and _piece_factors(A, B, durations,
-values, frame) for the pieces of a control.  The np.errstate that lets an
-overflow reach the kernel's own check is held here, by the entry points,
-never by their callers.
+values, frame) for the pieces of a control.  Its np.errstate is held here.
 """
 
 from __future__ import annotations
@@ -170,9 +168,8 @@ def _expm_stack(G, t):
     One batched eigendecomposition i G_k = V_k diag(w_k) V_k^H gives the
     phases exp(-i t_k w_k), so each F_k is unitary to machine precision for
     any ||t_k G_k||.  An overflow in G_k or t_k w gives a non-finite phase,
-    which raises ValueError.  Runs under the caller's
-    np.errstate(over="ignore", invalid="ignore"): expm_skew's or
-    _piece_factors', so one errstate covers the generators and the phases."""
+    which raises ValueError; callers hold np.errstate(over="ignore",
+    invalid="ignore"), as expm_skew and _piece_factors do."""
     w, V = _eigh(1j * G)
     phases = np.exp(-1j * t[:, None] * w)
     if not np.isfinite(phases).all():
@@ -195,7 +192,6 @@ def _piece_factors(A, B, durations, values, frame):
 
     The generator of piece k is G_k = A + u_k B in the "original" frame and
     u_k A + B in the "reparametrized" one; an overflow raises ValueError.
-    One np.errstate covers building the generators and the kernel.
     """
     if frame not in ("original", "reparametrized"):
         raise ValueError(f"unknown frame {frame!r}")

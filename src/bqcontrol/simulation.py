@@ -9,7 +9,7 @@ measured and reported, never silently repaired.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,20 +84,25 @@ def fidelity(psi, phi):
 class Trajectory:
     """Sampled evolution: states are (S, n) vectors or (S, n, n) densities.
 
-    A density trajectory built without spectra takes them from its states."""
+    A density trajectory takes its spectra and their drift from its states."""
 
     times: np.ndarray
     states: np.ndarray
     populations: np.ndarray
     kind: str  # "state" | "density"
     norm_drift: float  # max deviation of ||psi|| (or tr rho) from 1
-    spectrum_drift: float = 0.0  # densities: max drift of sorted eigenvalues
-    spectra: np.ndarray = None  # densities: ascending eigenvalues per row
+    # densities: max drift of sorted eigenvalues, and the ascending
+    # eigenvalues of each row
+    spectrum_drift: float = field(default=0.0, init=False)
+    spectra: np.ndarray = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
-        if self.kind == "density" and self.spectra is None:
-            object.__setattr__(self, "spectra",
-                               np.linalg.eigvalsh(self.states))
+        if self.kind == "density":
+            spec = np.linalg.eigvalsh(self.states)
+            object.__setattr__(self, "spectra", spec)
+            object.__setattr__(self, "spectrum_drift",
+                               float(np.abs(spec - spec[:1]).max(initial=0.0)))
 
     @property
     def final(self):
@@ -160,9 +165,7 @@ def propagate_density(g, c, rho0, samples_per_piece=16):
     pops = np.real(np.einsum("tkk->tk", mats))
     traces = np.real(np.einsum("tkk->t", mats))
     drift = float(np.max(np.abs(traces - 1.0)))
-    spec = np.linalg.eigvalsh(mats)  # ascending rows; row 0 is rho0's
-    spec_drift = float(np.max(np.abs(spec - spec[0])))
-    return Trajectory(times, mats, pops, "density", drift, spec_drift, spec)
+    return Trajectory(times, mats, pops, "density", drift)
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,15 @@ def test_density_csv_reuses_the_propagated_spectra(tmp_path):
     assert [args[0].shape for args, _ in spy.call_args_list] == [(3, 3),
                                                                  (9, 3, 3)]
     assert np.array_equal(traj.spectra, eigvalsh(traj.states))
+    # a density trajectory built by hand derives the same spectra and drift
+    again = Trajectory(traj.times, traj.states, traj.populations, "density",
+                       traj.norm_drift)
+    assert np.array_equal(again.spectra, traj.spectra)
+    assert again.spectrum_drift == traj.spectrum_drift
+    rows = np.array([np.diag([0.25, 0.75]), np.diag([0.5, 0.5])])
+    built = Trajectory(np.zeros(2), rows.astype(complex), np.ones((2, 2)),
+                       "density", 0.0)
+    assert built.spectrum_drift == pytest.approx(0.25, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["state", "density"])

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bqcontrol import synthesis
-from bqcontrol.linalg import _partial_products, _piece_factors, expm_skew
+from bqcontrol.linalg import _piece_factors, expm_skew
 from bqcontrol.models import (box3d_system, custom_system, oscillator_system,
                               truncate)
 from bqcontrol.simulation import propagate
@@ -694,21 +694,33 @@ def test_quickstart_search_takes_fewer_gradients_than_evaluations():
     assert r.converged and 0 < len(finished) < len(values) < r.evaluations
 
 
+def reference_partial_products(x, factors):
+    """_partial_products as it stood before the trim."""
+    xs = np.empty((len(factors) + 1, *np.shape(x)), dtype=complex)
+    xs[0] = x
+    for F, a, b in zip(factors, xs, xs[1:]):
+        np.matmul(F, a, out=b)
+    return xs
+
+
 def reference_value_and_gradient(g, x0, h, p):
     """_value_and_gradient as its formulas stood before the search's numpy
     calls were trimmed (np.swapaxes, np.diagonal, np.sum, np.real, np.imag,
     V^H built again from V, np.ones_like), kept as the reference that every
-    trim must match bit for bit."""
+    trim must match bit for bit.  Only the eigenpairs and phases come from
+    the kernel: F is rebuilt from them by the kernel's previous formula, so
+    the kernel's own F and V^H are pinned too."""
     m = len(p) // 2
     t, w = p[:m], p[m:]
     u = np.exp(w)
-    omega, V, _, _, F = _piece_factors(g.A, g.B, t, u, "reparametrized")
-    xs = _partial_products(x0, F)
+    omega, V, _, phases, _ = _piece_factors(g.A, g.B, t, u, "reparametrized")
+    F = (V * phases[:, None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    xs = reference_partial_products(x0, F)
     value, C = h(xs[-1])
 
     def finish():
         Fh = np.swapaxes(F[:0:-1].conj(), -1, -2)
-        lams = _partial_products(C, Fh)[::-1]
+        lams = reference_partial_products(C, Fh)[::-1]
         Vh = np.swapaxes(V.conj(), -1, -2)
         O = (Vh @ lams).conj() @ np.swapaxes(Vh @ xs[:-1], -1, -2)
         half = 0.5 * t[:, None] * omega
