@@ -44,6 +44,7 @@ GAP_TOL = 1e-9
 DENOM_ATOL = 1e-12  # least Lagrange denominator of constructive_generators
 # full exhaustive enumeration only below this many candidate vectors
 EXHAUSTIVE_BUDGET = 3.0e7
+_CELLS = 1 << 14  # products or kept pairs per block of a relation scan
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +193,27 @@ def _relation_ok(gaps, q, tol, gnorm):
     return r <= tol * gnorm * math.sqrt(float(np.dot(q, q))), r
 
 
+def _vector(m, support, coeffs):
+    """The integer m-vector with coeffs on support and zeros elsewhere."""
+    q = np.zeros(m, dtype=int)
+    q[np.asarray(support, dtype=int)] = coeffs
+    return q
+
+
+def _range_pairs(rs, lsum, reach):
+    """Every (a, j) with -reach - lsum[a] <= rs[j] <= reach - lsum[a], found
+    by two searchsorted calls on the sorted rs and yielded in (a, j) order,
+    as index arrays of at most _CELLS pairs each."""
+    shift = np.searchsorted(rs, -reach - lsum, side="left")
+    end = np.cumsum(np.searchsorted(rs, reach - lsum, side="right") - shift)
+    shift[1:] -= end[:-1]  # pair p of the scan meets rs[p + shift[a]]
+    for start in range(0, int(end[-1]), _CELLS):
+        p = np.arange(start, min(start + _CELLS, int(end[-1])))
+        a = np.searchsorted(end, p, side="right")
+        p += shift[a]
+        yield a, p
+
+
 def _scan_support(gaps, support, Q, tol, gnorm):
     """Best admissible relation supported exactly on `support`, or None.
 
@@ -204,12 +226,12 @@ def _scan_support(gaps, support, Q, tol, gnorm):
     Meet in the middle (Horowitz & Sahni 1974): the partial sums of the left
     half of the support (the positive axis and the next ceil(s/2) - 1 axes)
     and of the right half are enumerated separately, the right sums sorted,
-    and for each left sum one range query keeps the right sums whose total
-    lies within the largest threshold tol ||g||_2 Q sqrt(s) plus a rounding
-    slack 4 s eps Q sum|g_i|.  Splitting the sum changes its rounding by at
-    most about (s - 1) eps Q sum|g_i|, so the kept pairs hold every hit; each
-    is re-tested with the left-to-right sum above.  Work and memory are
-    O((2Q)^ceil(s/2) log Q) plus the kept pairs, not the (2Q)^s grid.
+    and _range_pairs keeps the pairs whose total lies within the reach: the
+    largest threshold tol ||g||_2 Q sqrt(s) plus a rounding slack
+    4 s eps Q sum|g_i|.  Splitting the sum changes its rounding by at most
+    about (s - 1) eps Q sum|g_i|, so the kept pairs hold every hit; each is
+    re-tested with the left-to-right sum above.  Work and memory are
+    O((2Q)^ceil(s/2) log Q) plus the hits, not the (2Q)^s grid.
     """
     g = gaps[list(support)]
     s = g.size
@@ -233,111 +255,81 @@ def _scan_support(gaps, support, Q, tol, gnorm):
     slack = 4 * s * eps * Q * float(np.sum(np.abs(g)))
     reach = (tol * gnorm * np.sqrt(float(Q * Q * s)) + slack) * (1 + 4 * eps)
     order = np.argsort(rsum, kind="stable")
-    rs = rsum[order]
-    lo = np.searchsorted(rs, -reach - lsum, side="left")
-    count = np.searchsorted(rs, reach - lsum, side="right") - lo
-    if not count.any():
+    hits = [np.empty((s, 0))]
+    for li, j in _range_pairs(rsum[order], lsum, reach):
+        ri = order[j]
+        vals = [col[li] for col in lcols] + [col[ri] for col in rcols]
+        resid = np.zeros(li.size)
+        normsq = np.zeros(li.size)
+        for v, gi in zip(vals, g):
+            resid = resid + v * gi
+            normsq = normsq + v**2
+        mask = np.abs(resid) <= tol * gnorm * np.sqrt(normsq)
+        hits.append(np.stack([v[mask] for v in vals]))
+    hits = np.concatenate(hits, axis=1)  # (s, hits)
+    if not hits.size:
         return None
-    # left sum j pairs with the sorted right sums rs[lo[j] : lo[j] + count[j]]
-    li = np.repeat(np.arange(lsum.size), count)
-    ri = order[np.repeat(lo - (np.cumsum(count) - count), count)
-               + np.arange(li.size)]
-    vals = [col[li] for col in lcols] + [col[ri] for col in rcols]
-
-    resid = np.zeros(li.size)
-    normsq = np.zeros(li.size)
-    for v, gi in zip(vals, g):
-        resid = resid + v * gi
-        normsq = normsq + v**2
-    mask = np.abs(resid) <= tol * gnorm * np.sqrt(normsq)
-    if not mask.any():
-        return None
-
-    hits = np.stack([v[mask] for v in vals])  # (s, hits)
     # least max |q_i| first, then lexicographic (lexsort's last key leads)
     best = np.lexsort(np.vstack([hits[::-1], np.abs(hits).max(axis=0)]))[0]
-    q = np.zeros(len(gaps), dtype=int)
-    q[list(support)] = hits[:, best]
-    return q
+    return _vector(len(gaps), support, hits[:, best])
 
 
+@np.errstate(over="ignore")  # thresholds past the doubles are inf
 def _short_supports(gaps, Q, tol, gnorm):
-    """_exhaustive(gaps, Q, tol, gnorm, (1, 2)), broadcast over all supports.
+    """_exhaustive(gaps, Q, tol, gnorm, (1, 2)), over all supports at once.
 
-    Size 1: q g_i is tested for every i and q = 1..Q at once; sqrt(q^2) = q
-    exactly, so the threshold is tol ||g||_2 q.  Size 2: a pair (i, k) is
-    wide when |g_k| exceeds the reach R = (T + S)(1 + 4 eps) of
-    _scan_support, with T = tol ||g||_2 Q sqrt(2) the largest threshold and
-    S = 8 eps Q ||g||_1 the rounding slack.  A hit q has computed residual
-    at most T(1 + 2 eps), and the computed sum differs from the exact
-    r = q_1 g_i + q_2 g_k by less than S (a product of an integer with a
-    subnormal is exact, so no absolute error term arises), hence |r| < |g_k|
-    and |q_2 - x| < 1 for x = -q_1 g_i / g_k.  The computed x is off by
-    about 2 eps |x|, far below 1 while |x| <= Q + 3, so every hit has
-    floor(x) - 1 <= q_2 <= floor(x) + 2: the tested window
-    floor(x) - 2 .. floor(x) + 3 holds it with a margin.  Beyond Q + 3
-    (where x is clipped) no |q_2| <= Q can hit.  Each candidate, dropping
-    q_2 = 0 and |q_2| > Q, is tested with the sum and threshold of
-    _scan_support, and the first pair in itertools.combinations order with
-    a hit gives the hit least in (max |q_i|, lexicographic).  Narrow pairs
-    (g_k zero or below R) go through _scan_support, in the same order.
-    Supports are taken in blocks of at most 2^16 candidates (one block of Q
-    for a single gap beyond that), so each temporary stays near 0.5 MB.
+    Both stages walk l = q_1 g_i (q_1 = 1..Q) row-major in (i, q_1), in
+    blocks of _CELLS.  Size 1: sqrt(q_1^2) = q_1 exactly, so the first l with
+    |l| <= tol ||g||_2 q_1 is the first support's hit at its least q_1.
+    Size 2: the products r = q_2 g_k (q_2 = +-1..+-Q) of every k are sorted
+    once, and _range_pairs keeps the r within R = T (1 + 4 eps) of -l,
+    T = tol ||g||_2 Q sqrt(2) being the largest threshold.  A kept pair with
+    k > i is re-tested with the sum (0 + l) + r and threshold of
+    _scan_support.  A hit's computed sum is at most T, so its exact sum
+    l + r at most T (1 + eps) < R; and as the range query and the test use
+    the same doubles l and r, and rounding is monotone, every r with
+    |l + r| <= R is kept.  The least hit in (i, k, max |q|, q_1, q_2),
+    _exhaustive's order, is the witness; pairs come row by row, so the scan
+    ends past its row.
     """
     m = gaps.size
-    cells = 1 << 16
     thr = tol * gnorm
-    q = np.arange(1, Q + 1, dtype=float)
 
-    rows = max(1, cells // Q)
-    for lo in range(0, m, rows):
-        with np.errstate(over="ignore"):
-            hit = np.abs(q * gaps[lo:lo + rows, None]) <= thr * q
+    def rows():  # i, q_1 and q_1 g_i of each block, row-major in (i, q_1)
+        for start in range(0, m * Q, _CELLS):
+            i, q1 = np.divmod(np.arange(start, min(start + _CELLS, m * Q)), Q)
+            q1 = q1 + 1.0
+            yield i, q1, q1 * gaps[i]
+
+    for i, q1, lsum in rows():
+        hit = np.abs(lsum) <= thr * q1
         if hit.any():
-            i = int(hit.any(axis=1).argmax())
-            out = np.zeros(m, dtype=int)
-            out[lo + i] = hit[i].argmax() + 1
-            return out
+            a = hit.argmax()
+            return _vector(m, [i[a]], [q1[a]])
+    if m == 1:
+        return None
 
-    eps = np.finfo(float).eps
-    with np.errstate(over="ignore"):
-        slack = 8 * eps * Q * float(np.sum(np.abs(gaps)))
-        reach = (thr * np.sqrt(float(2 * Q * Q)) + slack) * (1 + 4 * eps)
-    wide = np.abs(gaps) > reach
-    # pair t of itertools.combinations(range(m), 2) is (i, t - start[i] + i + 1)
-    start = np.concatenate([[0], np.cumsum(np.arange(m - 1, 0, -1))])
-    npairs = m * (m - 1) // 2
-    window = np.arange(-2.0, 4.0)
-    per = max(1, cells // (6 * Q))
-    for lo in range(0, npairs, per):
-        t = np.arange(lo, min(lo + per, npairs))
-        i = np.searchsorted(start, t, side="right") - 1
-        k = t - start[i] + i + 1
-        w = wide[k]
-        gi, gk = gaps[i[w], None], gaps[k[w], None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            q1g = q * gi  # (pairs, Q)
-            x = np.clip(-q1g / gk, -Q - 3, Q + 3)
-            q2 = np.floor(x)[:, :, None] + window  # (pairs, Q, 6)
-            resid = q1g[:, :, None] + q2 * gk[:, :, None]
-            hit = ((np.abs(resid) <= thr * np.sqrt(q[:, None] ** 2 + q2**2))
-                   & (q2 != 0) & (np.abs(q2) <= Q))
-        found = hit.any(axis=(1, 2))
-        first = t[w][found.argmax()] if found.any() else npairs
-        narrow = ~w & (t < first)
-        for a, b in zip(i[narrow], k[narrow]):
-            out = _scan_support(gaps, (a, b), Q, tol, gnorm)
-            if out is not None:
-                return out
-        if first < npairs:
-            p = found.argmax()
-            q1s = np.broadcast_to(q[:, None], hit.shape[1:])[hit[p]]
-            q2s = q2[p][hit[p]]
-            best = np.lexsort((q2s, q1s, np.maximum(q1s, np.abs(q2s))))[0]
-            out = np.zeros(m, dtype=int)
-            out[i[w][p]], out[k[w][p]] = q1s[best], q2s[best]
-            return out
-    return None
+    # R = T (1 + 4 eps), T the largest threshold (see above)
+    reach = thr * np.sqrt(float(2 * Q * Q)) * (1 + 4 * np.finfo(float).eps)
+    signed = np.concatenate([np.arange(-Q, 0), np.arange(1, Q + 1)]).astype(float)
+    rs = (signed * gaps[:, None]).ravel()  # q_2 g_k at k 2Q + (index of q_2)
+    order = np.argsort(rs, kind="stable")
+    rs = rs[order]
+    best = None  # (i, k, max |q|, q_1, q_2) of the least hit so far
+    for i, q1, lsum in rows():
+        for a, j in _range_pairs(rs, lsum, reach):
+            if best is not None and i[a[0]] > best[0]:
+                return _vector(m, best[:2], best[3:])
+            k, c = np.divmod(order[j], 2 * Q)
+            q1a, q2a = q1[a], signed[c]
+            hit = np.abs(lsum[a] + rs[j]) <= thr * np.sqrt(q1a**2 + q2a**2)
+            t = np.flatnonzero(hit & (k > i[a]))
+            if t.size:
+                key = (i[a], k, np.maximum(q1a, np.abs(q2a)), q1a, q2a)
+                t = t[np.lexsort([col[t] for col in key[::-1]])[0]]
+                key = tuple(col[t] for col in key)
+                best = key if best is None else min(best, key)
+    return None if best is None else _vector(m, best[:2], best[3:])
 
 
 def _exhaustive(gaps, Q, tol, gnorm, sizes):
@@ -404,8 +396,8 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
 
     A candidate q (nonzero, ||q||_inf <= Q) counts as a relation when
     |sum q_i g_i| <= tol * ||g||_2 * ||q||_2.  Supports of size <= 2 are
-    scanned first, all in one broadcast over the gap vector (see
-    _short_supports).  If they hold no relation and the pigeonhole floor
+    scanned first, all supports of one size at once (see _short_supports).
+    If they hold no relation and the pigeonhole floor
     F = Q ||g||_1 / ((Q+1)^m - 1) is at most tol * ||g||_2, a relation exists
     for any m gaps (see _pigeonhole_floor), so a hit would say nothing about
     these ones: the search stops with status "inconclusive_precision".
@@ -413,9 +405,10 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     EXHAUSTIVE_BUDGET, the larger supports are scanned in canonical order
     (support size, support indices, max |q_i|, lexicographic), so the
     reported witness is the simplest one; beyond it PSLQ searches the rest.
-    Each larger support is scanned on its own by a meet-in-the-middle range
-    query (see _scan_support).  Both scans report exactly the hits of the
-    full grid.  Every verdict carries F as its floor, and no verdict claims
+    Each larger support is scanned on its own (see _scan_support).  Both
+    scans meet left partial sums with sorted right ones by the range query
+    of _range_pairs, and both report exactly the hits of the full grid.
+    Every verdict carries F as its floor, and no verdict claims
     more than "none found within bounds".
 
     ||g||_2 is numpy's norm; only where its sum of squares overflows is it
@@ -455,18 +448,21 @@ def nonresonance(gaps, Q=30, tol=GAP_TOL):
     if q is None and forced:
         return RelationVerdict("inconclusive_precision", None, Q, tol, gkey,
                                "exhaustive(support<=2)", floor)
+    r = None
     if q is None and exhaustive:
         q = _exhaustive(gaps, Q, tol, gnorm, range(3, m + 1))
     elif q is None:
         q = _pslq(gaps, Q, tol, gnorm)
-        if q is not None and not _relation_ok(gaps, q, tol, gnorm)[0]:
-            q = None
+        if q is not None:
+            ok, r = _relation_ok(gaps, q, tol, gnorm)
+            q = q if ok else None
 
     if q is None:
         return RelationVerdict(
             "none_found_within_bounds", None, Q, tol, gkey, method, floor
         )
-    _, r = _relation_ok(gaps, q, tol, gnorm)
+    if r is None:  # a scan hit: the scans apply the criterion themselves
+        _, r = _relation_ok(gaps, q, tol, gnorm)
     return RelationVerdict(
         "relation_found", tuple(int(v) for v in q), Q, tol, gkey, method,
         floor, r

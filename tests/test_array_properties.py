@@ -214,22 +214,35 @@ def short_support_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(short_support_inputs())
+@given(short_support_inputs(), st.integers(1, 40))
 # 0.01 and 0.02 lie between the size-1 threshold and the pair reach: the
-# narrow pair (0, 2) hits before the wide pair (1, 3)
-@example((np.array([0.01, 3.0, 0.02, 6.0]), 3, 1e-3))
+# pair (0, 2) hits before the pair (1, 3)
+@example((np.array([0.01, 3.0, 0.02, 6.0]), 3, 1e-3), 1)
 # an exact zero of the rounded sum at tol = 0
-@example((np.array([1.0, math.sqrt(2.0), 3.0 * math.sqrt(2.0)]), 200, 0.0))
-# the witness (9, 1) has q_2 = 1 above x = 9 * 0.12 / 1.768 = 0.61
-@example((np.array([-0.12, 1.768]), 10, 5e-2))
-def test_short_support_broadcast_matches_per_support_scan(case):
+@example((np.array([1.0, math.sqrt(2.0), 3.0 * math.sqrt(2.0)]), 200, 0.0), 7)
+# the witness (9, 1) has q_2 = 1, the integer above 9 * 0.12 / 1.768 = 0.61
+@example((np.array([-0.12, 1.768]), 10, 5e-2), 3)
+# 2 g_0 + g_2 = 0 at tol = 0 beside a gap 1e162 times larger
+@example((np.array([3e-12, 5e150, -6e-12, 7.0]), 4, 0.0), 2)
+# (1, 1) meets the largest threshold T to the last bit, and g_0 + g_1
+# rounds (|g_1| > 2 |g_0|): its exact sum lies past T, within T (1 + 4 eps)
+@example((np.array([1.5897002867792083, -3.620044474660616]), 1,
+          0.3631192020070617), 1)
+# row 0 hits on (0, 2) at q_1 = 1 in an earlier block than its witness
+# (3, -4) on (0, 1): the scan finishes the row before it stops
+@example((np.array([1.0, 0.75, -1.0]), 4, 0.0), 1)
+def test_short_support_broadcast_matches_per_support_scan(case, cells):
+    # blocks of a few cells split rows and kept-pair runs at every boundary
     gaps, Q, tol = case
     gnorm = float(np.linalg.norm(gaps))
-    got = certification._short_supports(gaps, Q, tol, gnorm)
     ref = certification._exhaustive(gaps, Q, tol, gnorm, (1, 2))
-    assert (got is None) == (ref is None)
-    if ref is not None:
-        assert got.tolist() == ref.tolist()
+    got = certification._short_supports(gaps, Q, tol, gnorm)
+    with mock.patch.object(certification, "_CELLS", cells):
+        split = certification._short_supports(gaps, Q, tol, gnorm)
+    for q in (got, split):
+        assert (q is None) == (ref is None)
+        if ref is not None:
+            assert q.tolist() == ref.tolist()
 
 
 def exact_floor(gaps, Q):

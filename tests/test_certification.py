@@ -129,6 +129,18 @@ def test_pslq_path_finds_planted_relation():
     assert abs(q @ g) <= 1e-9 * np.linalg.norm(g) * np.linalg.norm(q)
 
 
+def test_pslq_hit_is_tested_once():
+    # the acceptance test of a PSLQ hit also gives its residual
+    gaps = [1.0, math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(7),
+            math.sqrt(11), 1.0 + math.sqrt(2)]
+    with mock.patch.object(certification, "_relation_ok",
+                           wraps=certification._relation_ok) as ok:
+        v = nonresonance(gaps, Q=30, tol=1e-9)
+    assert v.method == "exhaustive(support<=2)+pslq"
+    assert v.status == "relation_found" and v.residual is not None
+    assert ok.call_count == 1
+
+
 def test_pslq_path_support2_prepass():
     base = [1.0, math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(7),
             math.sqrt(11)]
@@ -177,8 +189,9 @@ def test_support4_scan_stays_small():
 
 
 def test_short_support_broadcast_stays_small():
-    # at the largest Q of a pair scan, the 190 pairs of 20 gaps hold
-    # 190 x 6 Q ~ 4.4e6 window candidates: 35 MB per float64 array unblocked
+    # at the largest Q of a pair scan, 20 gaps hold 20 Q ~ 7.7e4 products
+    # q_1 g_i and twice as many q_2 g_k, and the 190 pairs 190 x 2 Q^2 ~ 5.7e9
+    # candidates; each q_1 g_i keeps at least the pair k = i, q_2 = -q_1
     Q = math.isqrt(int(EXHAUSTIVE_BUDGET) // 2)
     gaps = np.random.default_rng(5).uniform(0.0, 20.0, 20)
     tracemalloc.start()
@@ -189,6 +202,37 @@ def test_short_support_broadcast_stays_small():
         tracemalloc.stop()
     # no short support holds a relation, so every block was scanned
     assert v.status == "inconclusive_precision"
+    assert peak < 8e6
+
+
+def peak_bytes(f):
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_single_gap_scan_stays_small():
+    # the largest Q one gap accepts: 1.5e7 products q g_1, 120 MB unblocked
+    v, peak = peak_bytes(lambda: nonresonance([1.0], Q=14_999_999))
+    assert v.status == "none_found_within_bounds"
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("gaps, kwargs, expected", [
+    # the reach 37.9 keeps 3.8e8 pairs, 2.5e4 per q_1 g_i: most q_2 g_k
+    (np.full(500, 1.0), {"Q": 30, "tol": 0.04}, (1, -1) + (0,) * 498),
+    # every q_1 g_i meets -q_1 g_k exactly, for all 2,000 k
+    (np.full(2000, 2.0), {}, (1, -1) + (0,) * 1998),
+    (np.random.default_rng(7).random(2000), {"tol": 1e-14}, None),
+], ids=["equal500-wide-reach", "equal2000", "random2000"])
+def test_pair_scan_keeps_its_budget(gaps, kwargs, expected):
+    v, peak = peak_bytes(lambda: nonresonance(gaps, **kwargs))
+    assert v.relation == expected
+    if expected is None:
+        assert v.status == "inconclusive_precision"
     assert peak < 8e6
 
 
