@@ -15,13 +15,14 @@ from bqcontrol import (
 np.set_printoptions(precision=4, suppress=True)
 
 # -- harmonic oscillator with a Gaussian control potential --------------------
-# spectrum 2k+1, coupling entries are Gauss-Hermite integrals of
-# exp(a x^2 + b x + c) against Hermite-function products
+# spectrum 2k+1, coupling entries are the integrals of exp(a x^2 + b x + c)
+# against Hermite-function products, built by an exact recurrence
 
 osc = oscillator_system(a=-1.0, b=1.0, levels=6)
 print("oscillator spectrum:", osc.lam)
 print("W[0][1] =", osc.W[0, 1], "(closed form: b / (sqrt(2) (1-a)^{3/2}) = 0.25)")
-print("quadrature nodes used:", osc.meta["quad_nodes"])
+print("W[0][0] =", osc.W[0, 0], "(closed form at the normalized c: "
+      "1 / sqrt(1-a) =", 1.0 / np.sqrt(2.0), ")")
 print()
 
 # with an even potential (b = 0) every odd-distance coupling vanishes: the

@@ -290,7 +290,9 @@ def _short_supports(gaps, Q, tol, gnorm):
     the same doubles l and r, and rounding is monotone, every r with
     |l + r| <= R is kept.  The least hit in (i, k, max |q|, q_1, q_2),
     _exhaustive's order, is the witness; pairs come row by row, so the scan
-    ends past its row.
+    ends past its row, or once that hit has k = i + 1 at a block whose first
+    q_1 exceeds its max |q|: every later pair of the row has k >= i + 1 and
+    max |q| >= q_1.
     """
     m = gaps.size
     thr = tol * gnorm
@@ -318,7 +320,8 @@ def _short_supports(gaps, Q, tol, gnorm):
     best = None  # (i, k, max |q|, q_1, q_2) of the least hit so far
     for i, q1, lsum in rows():
         for a, j in _range_pairs(rs, lsum, reach):
-            if best is not None and i[a[0]] > best[0]:
+            if best is not None and (i[a[0]] > best[0] or (
+                    best[1] == best[0] + 1 and q1[a[0]] > best[2])):
                 return _vector(m, best[:2], best[3:])
             k, c = np.divmod(order[j], 2 * Q)
             q1a, q2a = q1[a], signed[c]

@@ -19,7 +19,6 @@ from .certification import certify
 from .linalg import (EigendecompositionError, _check_array, _check_int,
                      _check_real)
 from .models import (
-    QuadratureError,
     _cells,
     _read_json,
     _write_json,
@@ -337,9 +336,6 @@ def dispatch(argv=None):
         return EXIT_CONFIG
     except EigendecompositionError as e:
         _diagnostic("eigendecomposition", e)
-        return EXIT_CONFIG
-    except QuadratureError as e:
-        _diagnostic("quadrature", e)
         return EXIT_CONFIG
     except OSError as e:
         _diagnostic("io", e)

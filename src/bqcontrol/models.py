@@ -5,10 +5,11 @@ free Hamiltonian plus the real symmetric coupling matrix W[j][k] of the control
 potential in that eigenbasis.  Truncation to order n produces the generator
 pair (A, B) = (diag(i lambda_1..n), -i W[:n, :n]) used everywhere downstream.
 
-Two concrete models ship with closed-form or quadrature couplings:
+Two concrete models ship with closed-form couplings:
 
 * a 1D anharmonic-free oscillator with Gaussian control potential
-  W(x) = exp(a x^2 + b x + c), a < 0, couplings by Gauss-Hermite quadrature;
+  W(x) = exp(a x^2 + b x + c), a < 0, couplings by an exact recurrence on
+  the Hermite functions;
 * a 3D rectangular box with exponential control potential exp(alpha . x),
   couplings in closed form (validated against adaptive quadrature in tests).
 """
@@ -21,14 +22,12 @@ import os
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .linalg import _check_array, _check_int, _check_meta, _check_real
 
 __all__ = [
     "DiscreteSpectrumSystem",
     "GalerkinPair",
-    "QuadratureError",
     "custom_system",
     "truncate",
     "oscillator_system",
@@ -42,15 +41,9 @@ __all__ = [
 ]
 
 SYMMETRY_ATOL = 1e-8
-QUAD_ATOL = 1e-10
-# numpy's Gauss-Hermite rule has non-finite weights from 372 nodes on
-QUAD_MAX_NODES = 256
+OSC_MAX_LEVELS = 1024  # an 8 MB coupling table
 DEGENERACY_RTOL = 1e-9
 BOX_MAX_MODE = 64  # bound on each mode number k_d searched by _box_triples
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to stabilize under node doubling."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,29 +138,39 @@ def truncate(sys, n):
 # ---------------------------------------------------------------------------
 
 
-def _hermite_rows(x, levels):
-    """Orthonormal Hermite polynomials h_k(x), k < levels, row per k."""
-    H = np.empty((levels, x.shape[0]))
-    H[0] = math.pi ** (-0.25)
-    if levels > 1:
-        H[1] = math.sqrt(2.0) * x * H[0]
-    for k in range(1, levels - 1):
-        H[k + 1] = x * math.sqrt(2.0 / (k + 1)) * H[k] - math.sqrt(
-            k / (k + 1.0)
-        ) * H[k - 1]
-    return H
+def _osc_coupling(a, b, c, levels):
+    """I_jk = integral phi_j phi_k exp(a x^2 + b x + c) dx for j, k < levels,
+    phi_k the Hermite functions, by the exact recurrence
 
+        I_{j+1,k} = (2a h_j I_{j-1,k} + b I_jk + 2 h_k I_{j,k-1})
+                    / ((2 - 2a) h_{j+1}),   h_k = sqrt(k/2),
 
-def _osc_coupling(a, b, c, levels, nodes):
-    """Gauss-Hermite couplings at `nodes` nodes; ValueError naming a, b and c
-    when exp(a x^2 + b x + c) overflows the weights or the couplings."""
-    x, wts = hermgauss(nodes)
-    H = _hermite_rows(x, levels)
-    # phi_j phi_k = h_j h_k exp(-x^2); the Gaussian weight is absorbed by the rule.
+    with I_00 = exp(c + b^2/(4(1-a))) / sqrt(1-a) and 0 at index -1.  It
+    follows from integral (phi_j phi_k e^(a x^2 + b x + c))' dx = 0 and the
+    ladder relations x phi_k = h_k phi_{k-1} + h_{k+1} phi_{k+1}, phi_k' =
+    h_k phi_{k-1} - h_{k+1} phi_{k+1}.  Row 0 is column 0 by symmetry, where
+    only the k = 0 terms apply; each later row keeps k >= j, which reads only
+    entries with k >= j, and the lower triangle is its mirror.  Index -1
+    reads the last entry, still zero then, and h_0 = 0 drops it.  ValueError
+    naming a, b and c when an entry overflows.
+    """
+    h = np.sqrt(np.arange(levels) / 2.0)
+    W = np.zeros((levels, levels))
+    try:
+        W[0, 0] = math.exp(c + b * b / (4.0 * (1.0 - a))) / math.sqrt(1.0 - a)
+    except OverflowError:
+        W[0, 0] = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        g = wts * np.exp(a * x**2 + b * x + c)
-        W = (H * g) @ H.T
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(W))):
+        for k in range(levels - 1):
+            W[0, k + 1] = (2.0 * a * h[k] * W[0, k - 1] + b * W[0, k]
+                           ) / ((2.0 - 2.0 * a) * h[k + 1])
+        for j in range(levels - 1):
+            W[j + 1, j + 1:] = (2.0 * a * h[j] * W[j - 1, j + 1:]
+                                + b * W[j, j + 1:]
+                                + 2.0 * h[j + 1:] * W[j, j:-1]
+                                ) / ((2.0 - 2.0 * a) * h[j + 1])
+        W += np.triu(W, 1).T
+    if not np.all(np.isfinite(W)):
         raise ValueError(f"the potential exp(a x^2 + b x + c) overflows the "
                          f"couplings at a={a!r}, b={b!r}, c={c!r}")
     return W
@@ -179,44 +182,29 @@ def oscillator_system(a, b, c_mode="normalized", levels=8):
     Parameters
     ----------
     a, b : floats, a < 0 (integrability of the control potential).
-    c_mode : "normalized" picks c = b^2 / (4(a-1)); any float is used as c.
-    levels : number of stored levels (k = 0..levels-1).
+    c_mode : "normalized" picks c = b^2 / (4(a-1)), which makes W[0][0] =
+        1/sqrt(1-a); any float is used as c.
+    levels : number of stored levels (k = 0..levels-1), at most
+        OSC_MAX_LEVELS.
 
-    Couplings are Gauss-Hermite integrals of exp(a x^2 + b x + c) against
-    products of Hermite functions; the node count is doubled from 64 until no
-    entry moves by more than QUAD_ATOL.  QuadratureError is raised when that
-    has not happened by QUAD_MAX_NODES nodes, and before any table is built
-    for more levels than that (an N-node rule resolves at most N levels).
+    Couplings are the integrals of exp(a x^2 + b x + c) against products of
+    Hermite functions, in closed form by the recurrence of _osc_coupling:
+    O(levels^2) operations, no quadrature.
     """
     a = _check_real(a, "a", hi=0.0)
     b = _check_real(b, "b")
-    levels = _check_int(levels, "levels", 2)
-    if levels > QUAD_MAX_NODES:
-        raise QuadratureError(f"levels={levels} exceeds the {QUAD_MAX_NODES}"
-                              f"-node quadrature cap, which resolves at most "
-                              f"{QUAD_MAX_NODES} levels")
-    c = b * b / (4.0 * (a - 1.0)) if c_mode == "normalized" else c_mode
-    c = _check_real(c, "c")
-
-    W = None
-    for nodes in (64, 128, QUAD_MAX_NODES):
-        prev, W = W, _osc_coupling(a, b, c, levels, nodes)
-        if prev is not None and float(np.max(np.abs(W - prev))) <= QUAD_ATOL:
-            break
-    else:
-        raise QuadratureError(f"couplings not stable at {nodes} nodes "
-                              f"(doubling still moves entries)")
-
+    levels = _check_int(levels, "levels", 2, OSC_MAX_LEVELS)
+    normalized = isinstance(c_mode, str) and c_mode == "normalized"
+    c = _check_real(b * b / (4.0 * (a - 1.0)) if normalized else c_mode, "c")
     lam = 2.0 * np.arange(levels) + 1.0
     meta = {
         "model": "oscillator",
         "a": a,
         "b": b,
         "c": c,
-        "c_mode": "normalized" if c_mode == "normalized" else "explicit",
-        "quad_nodes": nodes,
+        "c_mode": "normalized" if normalized else "explicit",
     }
-    return custom_system(lam, W, labels=None, meta=meta)
+    return custom_system(lam, _osc_coupling(a, b, c, levels), meta=meta)
 
 
 # ---------------------------------------------------------------------------

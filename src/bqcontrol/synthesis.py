@@ -94,7 +94,7 @@ class PiecewiseConstantControl:
     """
 
     def __init__(self, frame, pieces, delta, meta=None):
-        if frame not in FRAMES:
+        if not isinstance(frame, str) or frame not in FRAMES:
             raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
         delta = _check_real(delta, "delta", 0.0)
         lo, hi = (0.0, delta) if frame == "original" else (delta, math.inf)

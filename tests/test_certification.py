@@ -236,6 +236,23 @@ def test_pair_scan_keeps_its_budget(gaps, kwargs, expected):
     assert peak < 8e6
 
 
+def test_pair_scan_stops_once_its_row_cannot_win():
+    # the witness (1, -1) has k = i + 1 and max|q| = 1: no block of row 0
+    # from q_1 = 2 on can beat it, so the scan never pulls one at q_1 = 3
+    chunks = []
+    range_pairs = certification._range_pairs
+
+    def spy(rs, lsum, reach):
+        for a, j in range_pairs(rs, lsum, reach):
+            chunks.append(lsum[a[0]])  # q_1 g_i with g_i = 1
+            yield a, j
+
+    with mock.patch.object(certification, "_range_pairs", spy):
+        v = nonresonance(np.full(500, 1.0), Q=30, tol=0.04)
+    assert v.relation == (1, -1) + (0,) * 498
+    assert chunks and max(chunks) < 3.0
+
+
 # [1e308, 1e308] and [1e307, 1e307] have a finite ||g||_2, but 2 Q ||g||_1
 # (which bounds every relation sum the scans form) overflows
 @pytest.mark.parametrize("gaps", [[math.inf, 1.0], [1e308, 1e308], [math.nan, 1.0],

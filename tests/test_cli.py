@@ -17,7 +17,7 @@ import bqcontrol
 from bqcontrol import cli, simulation
 from bqcontrol.certification import certify
 from bqcontrol.cli import dispatch
-from bqcontrol.models import system_from_config, truncate
+from bqcontrol.models import OSC_MAX_LEVELS, system_from_config, truncate
 from bqcontrol.simulation import Trajectory, fidelity, propagate
 from bqcontrol.synthesis import (PiecewiseConstantControl, dump_control,
                                  load_control, steer_state)
@@ -368,22 +368,34 @@ def test_model_roundtrip_byte_identical(capsys, tmp_path):
     assert (out2 / "system.json").read_bytes() == first
 
 
-def test_model_unsettled_quadrature_exit_four(capsys, tmp_path):
+def test_model_oscillator_at_a_minus_50_builds(capsys, tmp_path):
     cfg = write_json(tmp_path / "c.json", {
         "system": {"model": "oscillator", "a": -50, "b": 0},
     })
     code, err = run(capsys, "model", "--config", cfg, "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    with open(tmp_path / "system.json") as fh:
+        doc = json.load(fh)
+    assert doc["W"][0][0] == pytest.approx(1.0 / math.sqrt(51.0), rel=1e-15)
+    assert "quad_nodes" not in doc["meta"]
+
+
+def test_model_oscillator_past_the_level_bound_exit_four(capsys, tmp_path):
+    cfg = write_json(tmp_path / "c.json", {
+        "system": {"model": "oscillator", "a": -0.5, "b": 0.3,
+                   "levels": OSC_MAX_LEVELS + 1},
+    })
+    code, err = run(capsys, "model", "--config", cfg, "--out", str(tmp_path))
     assert code == 4
     doc = diagnostic(err)
-    assert doc["error"] == "quadrature"
-    assert "256 nodes" in doc["detail"]
+    assert doc["error"] == "config"
+    assert "levels=1025" in doc["detail"] and "1024" in doc["detail"]
     assert not (tmp_path / "system.json").exists()
 
 
 def test_model_oscillator_overflow_is_one_config_line(tmp_path):
-    # exp(c) overflows every weight: one config line naming c, no numpy
-    # warnings and no quadrature diagnostic (run as a process: a warning
-    # would reach stderr)
+    # exp(c) overflows W[0][0]: one config line naming c and no numpy
+    # warnings (run as a process: a warning would reach stderr)
     cfg = write_json(tmp_path / "c.json", {"system": {
         "model": "oscillator", "a": -0.5, "b": 0.3, "c": 1e300, "levels": 4}})
     src = os.path.dirname(os.path.dirname(bqcontrol.__file__))

@@ -9,9 +9,7 @@ from numpy.polynomial.hermite import hermval
 from scipy.integrate import quad
 
 from bqcontrol.models import (
-    QUAD_MAX_NODES,
-    _osc_coupling,
-    QuadratureError,
+    OSC_MAX_LEVELS,
     box3d_lambda_prime,
     box3d_system,
     custom_system,
@@ -151,8 +149,8 @@ def test_oscillator_rejects_nonnegative_a():
 
 
 @pytest.mark.parametrize("a, b, c", [
-    (-0.5, 0.3, 1e300),  # every weight overflows at 64 nodes
-    (-1e-6, 40.0, 0.0),  # exp(40 x) overflows only at 256 nodes (x ~ 22)
+    (-0.5, 0.3, 1e300),  # exp(c) overflows W[0][0]
+    (-1e-6, 60.0, 0.0),  # W[0][0] = e^900 overflows
 ])
 def test_oscillator_overflow_names_the_potential(a, b, c):
     # RuntimeWarning is an error in this suite, so no warning leaks either
@@ -160,19 +158,30 @@ def test_oscillator_overflow_names_the_potential(a, b, c):
         oscillator_system(a, b, c_mode=c, levels=4)
 
 
-def test_oscillator_levels_beyond_the_node_cap_are_refused():
-    # an N-node Gauss-Hermite rule resolves at most N levels
-    with pytest.raises(QuadratureError,
-                       match=r"levels=257 exceeds the 256-node quadrature cap"):
-        oscillator_system(-0.5, 0.3, levels=QUAD_MAX_NODES + 1)
+def test_oscillator_overflow_past_the_first_entries_names_the_potential():
+    # finite up to 60 levels (max |W| 4e266), past the doubles by 100
+    oscillator_system(-1e-6, 40.0, c_mode=0.0, levels=60)
+    with pytest.raises(ValueError, match=r"overflows .*a=.*b=.*c="):
+        oscillator_system(-1e-6, 40.0, c_mode=0.0, levels=100)
 
 
-def test_oscillator_node_doubling_converged():
-    s = oscillator_system(-1.0, 1.0, levels=8)
-    assert s.meta["quad_nodes"] <= 4096
-    # the rule at the node cap changes nothing at this size
-    W = _osc_coupling(-1.0, 1.0, s.meta["c"], 8, QUAD_MAX_NODES)
-    assert np.max(np.abs(s.W - W)) < 1e-10
+def test_oscillator_levels_beyond_the_bound_are_refused():
+    with pytest.raises(ValueError, match=r"levels=1025 .* \[2, 1024\]"):
+        oscillator_system(-0.5, 0.3, levels=OSC_MAX_LEVELS + 1)
+
+
+def test_oscillator_builds_200_levels():
+    s = oscillator_system(-0.5, 0.3, levels=200)
+    assert s.W.shape == (200, 200)
+    assert np.all(np.isfinite(s.W))
+    assert abs(s.W[0, 0] - 1.0 / math.sqrt(1.5)) <= 1e-15
+    for j, k in ((0, 1), (3, 7), (9, 9)):
+        assert abs(s.W[j, k] - osc_entry_quad(j, k, -0.5, 0.3, s.meta["c"])) < 1e-9
+
+
+def test_oscillator_array_c_is_named():
+    with pytest.raises(ValueError, match=r"^c=array"):
+        oscillator_system(-0.5, 0.3, c_mode=np.array([1.0, 2.0]))
 
 
 # -- 3D box -----------------------------------------------------------------

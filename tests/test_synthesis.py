@@ -71,6 +71,11 @@ def test_control_value_ranges_per_frame():
     assert PiecewiseConstantControl("original", [], 0.1).npieces == 0
 
 
+def test_control_array_frame_is_named():
+    with pytest.raises(ValueError, match=r"^frame must be one of"):
+        PiecewiseConstantControl(np.array([1.0, 2.0]), [(1.0, 0.5)], 1.0)
+
+
 def test_control_rejects_nonfinite_pieces():
     for piece in [(1.0, math.inf), (math.nan, 0.2), (math.inf, 0.2)]:
         with pytest.raises(ValueError, match="finite"):
